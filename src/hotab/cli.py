@@ -20,7 +20,7 @@ from .problems import (
     serialize_problem,
     serialize_proof,
 )
-from .rules import EAGER_RULES, EFO_RULES, STT_RULES
+from .rules import EAGER_RULES
 from .search import Refuted, Satisfiable, SearchConfig, Unknown, check_proof, refute
 from .semantics import DEFAULT_MAX_TABLE, show_model
 
@@ -97,16 +97,10 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 def _run_check_proof(problem: Problem, path: str) -> int:
     with open(path, encoding="utf-8") as f:
         proof = parse_proof(f.read(), problem)
-    rules = set(proof.rule_counts())
-    eager = any(r.value in rules for r in EAGER_RULES)
-    core = {r for r in rules} - {r.value for r in EAGER_RULES}
-    if core <= {r.value for r in EFO_RULES}:
-        calculus = "efo"
-    elif core <= {r.value for r in STT_RULES}:
-        calculus = "stt"
-    else:
-        calculus = "auto"
-    if check_proof(problem.branch(), proof, calculus=calculus, eager=eager):
+    # the calculus follows the problem's language, as in search; the eager
+    # leaf rules are admitted only when the proof uses them
+    eager = any(p.instance.rule in EAGER_RULES for p in proof.nodes())
+    if check_proof(problem.branch(), proof, eager=eager):
         print("proof ok")
         return 0
     print("proof does not check", file=sys.stderr)

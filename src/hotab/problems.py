@@ -55,7 +55,7 @@ from .kernel import (
     sort,
 )
 from .normalize import normalize
-from .rules import RuleId, RuleInstance, make_instance
+from .rules import RULES, RuleId, RuleInstance, make_instance
 from .search import Proof
 
 __all__ = [
@@ -339,10 +339,6 @@ def serialize_problem(p: Problem) -> str:
 # ---------------------------------------------------------------------------
 # Proof files
 
-_FRESH_RULES = (RuleId.FUN_EXT, RuleId.FORALL_NEG)
-_INST_RULES = (RuleId.FUN_EQ, RuleId.FORALL_INST)
-
-
 def serialize_proof(proof: Proof) -> str:
     """One line per rule application, children indented under parents."""
     lines = []
@@ -357,7 +353,7 @@ def serialize_proof(proof: Proof) -> str:
         parts.append(r.rule.value)
         parts.append("(" + " ".join(show_term(p) for p in r.premises) + ")")
         if r.inst is not None:
-            if r.rule in _FRESH_RULES:
+            if RULES[r.rule].inst == "fresh":
                 parts.append(
                     f"({r.inst.name.ident} {show_type(r.inst.name.ty)})"
                 )
@@ -392,11 +388,12 @@ def _parse_proof_line(lineno, depth, sexps, variables, sorts):
     )
     inst = None
     fresh = None
-    if rule in _FRESH_RULES or rule in _INST_RULES:
+    taken = RULES[rule].inst
+    if taken is not None:
         if len(sexps) != 3 or sexps[2][0] != "list":
             raise ParseError(f"{rule.value} needs an instantiation", lineno, 1)
         box = sexps[2][1]
-        if rule in _FRESH_RULES:
+        if taken == "fresh":
             fresh = _parse_binder(sexps[2], sorts)
             if fresh.ident in variables:
                 raise ParseError(

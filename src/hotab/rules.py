@@ -1,4 +1,4 @@
-"""Tableau rule instances: applicability, admissibility, and checking.
+"""Tableau rules: one table, read by search, proof parsing and checking.
 
 A rule instance names the rule, the branch members it consumes, an optional
 instantiation term (the chosen instance of a functional equation or a
@@ -6,14 +6,27 @@ quantifier, or the variable a witness rule introduces), and the alternatives:
 a tuple of formula tuples, one per successor branch.  An instance with no
 alternatives is a leaf — it witnesses that the branch is closed.
 
-`applicable_stt` and `applicable_efo` list the instances the corresponding
-calculus admits on a branch, in a deterministic order (rule priority first,
-then member insertion order).  Both skip instances that cannot make
-progress: an instance is withheld whenever one of its alternatives is
-already contained in the branch, since developing that alternative would
-change nothing.  Together with the admissibility restrictions below this
-makes "no instance applicable" coincide with the closure conditions that
-guarantee a model exists (see `search.is_evident`).
+`RULES` has one row per rule.  A row gives the formula kind of each premise,
+any further shape condition on the premises, the builder of the
+alternatives, the instantiation the rule takes (none, a term, or a fresh
+witness variable), and the rule's priority in search.  Three consumers read
+it:
+
+  * `make_instance` validates premises against the row and builds the
+    alternatives; proof files therefore carry no conclusions.
+  * `applicable_stt` and `applicable_efo` are one instance generator run
+    with each calculus's rule set behind its language gate.  They list the
+    instances the calculus admits on a branch, in a deterministic order
+    (rule priority first, then member insertion order), and skip instances
+    that cannot make progress: an instance is withheld whenever one of its
+    alternatives is already contained in the branch.  Together with the
+    admissibility restrictions below this makes "no instance applicable"
+    coincide with the closure conditions that guarantee a model exists (see
+    `search.is_evident`).
+  * `check_instance` validates a claimed instance against a branch: its
+    premises are members, it equals what the row builds from them, and the
+    branch-dependent admissibility conditions hold.  It is the trusted core
+    behind proof checking.
 
 The restricted calculus enforces, per branch A:
 
@@ -26,19 +39,17 @@ The restricted calculus enforces, per branch A:
     instance in A gets no further ones, and otherwise receives a single
     variable: the first free variable of the sort, or a fresh one if none
     is free.
-
-`check_instance` validates a claimed instance against a branch by
-recomputing what the rule would produce and comparing, enforcing the same
-admissibility restrictions; it is the trusted core behind proof checking.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .branch import Branch, FormulaKind, classify
+from .branch import Branch, FormulaInfo, FormulaKind, classify
 from .fragments import FragmentViolation, efo_violation, quasi_efo_violation
 from .kernel import (
     NOT,
@@ -82,41 +93,6 @@ class RuleId(Enum):
     CLOSE_REFL = "close-refl"
 
 
-#: Rules of the unrestricted calculus (negation and equality language).
-STT_RULES = frozenset(
-    {
-        RuleId.DOUBLE_NEG,
-        RuleId.BOOL_EQ,
-        RuleId.BOOL_EXT,
-        RuleId.FUN_EQ,
-        RuleId.FUN_EXT,
-        RuleId.MATE,
-        RuleId.DECOMPOSE,
-        RuleId.CONFRONT,
-    }
-)
-
-#: Rules of the restricted calculus (implication and quantifier language).
-EFO_RULES = frozenset(
-    {
-        RuleId.DOUBLE_NEG,
-        RuleId.BOOL_EXT,
-        RuleId.IMP,
-        RuleId.IMP_NEG,
-        RuleId.MATE,
-        RuleId.DECOMPOSE,
-        RuleId.CONFRONT,
-        RuleId.FUN_EXT,
-        RuleId.FORALL_INST,
-        RuleId.FORALL_NEG,
-    }
-)
-
-#: Leaf rules available only in eager-closing mode (plus n = 0 mate and
-#: decompose instances, which both calculi already provide).
-EAGER_RULES = frozenset({RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL})
-
-
 @dataclass(frozen=True)
 class RuleInstance:
     """One admissible rule application.
@@ -145,42 +121,20 @@ class RuleInstance:
         return "RuleInstance(" + "; ".join(parts) + ")"
 
 
-# Lower group number = applied first.  Within a group, instances follow the
-# insertion order of their (last) premise.
-_PRIORITY = {
-    RuleId.DOUBLE_NEG: 0,
-    RuleId.IMP_NEG: 1,
-    RuleId.FUN_EXT: 2,
-    RuleId.FORALL_NEG: 3,
-    RuleId.FUN_EQ: 4,
-    RuleId.FORALL_INST: 4,
-    RuleId.BOOL_EQ: 5,
-    RuleId.BOOL_EXT: 6,
-    RuleId.IMP: 7,
-    RuleId.MATE: 8,
-    RuleId.DECOMPOSE: 9,
-    RuleId.CONFRONT: 10,
-}
-
-
 # ---------------------------------------------------------------------------
 # Instance detection by template matching.
 #
 # Several admissibility conditions ask whether the branch already contains
-# an instance of a schematic formula: "is there a term u with [s u] in A?",
+# an instance of a rule's conclusion: "is there a term u with [s u] in A?",
 # "is there a variable x with [s x] != [t x] in A?".  We answer by building
-# the schema once, with a reserved hole variable in the instance position,
-# and matching branch members against it.  Substituting a variable for the
-# hole never creates a new redex, and substituting a sort-typed term never
-# does either (sort-typed terms cannot be applied), so in every case the
-# calculus needs, syntactic matching against the normalized schema decides
-# the question exactly.
+# the conclusion once, with a reserved hole variable in the instance
+# position, and matching branch members against it.  Substituting a
+# variable for the hole never creates a new redex, and substituting a
+# sort-typed term never does either (sort-typed terms cannot be applied), so
+# in every case the calculus needs, syntactic matching against the
+# normalized schema decides the question exactly.
 
 _HOLE_IDENT = "•"  # not producible by the grammar or fresh_var
-
-
-def _hole(ty: Type) -> Name:
-    return Name(_HOLE_IDENT, ty)
 
 
 def _locally_closed(t: Term, depth: int = 0) -> bool:
@@ -231,42 +185,44 @@ def match_schema(
     return False, None
 
 
-def _first_match(
-    branch: Branch, schema: Term, hole: Name, var_only: bool
-) -> tuple[bool, Term | None]:
-    """First branch member matching the schema, with its filler.
+def _inst_type(info: FormulaInfo) -> Type:
+    """The type a rule instantiates a quantifier or functional premise at."""
+    return info.sort if info.sort is not None else info.ty.dom
 
-    With var_only, only matches whose filler is a variable (or absent,
-    meaning every term works) count.
+
+def _concluded(branch: Branch, rule: RuleId, info: FormulaInfo) -> bool:
+    """Is the rule's conclusion from this premise already on the branch?
+
+    For a witness rule the instance must be a variable; for an
+    instantiation rule any term (or none, if the conclusion ignores it)
+    counts.
     """
+    hole = Name(_HOLE_IDENT, _inst_type(info))
+    ((schema,),) = RULES[rule].alts(info, ref(hole))
+    var_only = RULES[rule].inst == "fresh"
     for w in branch.formulas:
-        if w.ty != schema.ty:
-            continue
         ok, filler = match_schema(schema, w, hole)
         if ok and (not var_only or filler is None or is_var_ref(filler)):
-            return True, filler
-    return False, None
+            return True
+    return False
 
 
 def has_witness_diseq(branch: Branch, l: Term, r: Term) -> bool:
     """Is there a variable x with [l x] != [r x] on the branch?"""
-    h = _hole(l.ty.dom)
-    schema = diseq(apply_norm(l, ref(h)), apply_norm(r, ref(h)))
-    return _first_match(branch, schema, h, var_only=True)[0]
+    info = FormulaInfo(FormulaKind.FUN_DISEQ, ty=l.ty, lhs=l, rhs=r)
+    return _concluded(branch, RuleId.FUN_EXT, info)
 
 
 def has_witness_neg_inst(branch: Branch, sort: Type, pred: Term) -> bool:
     """Is there a variable x with not [pred x] on the branch?"""
-    h = _hole(sort)
-    schema = neg(apply_norm(pred, ref(h)))
-    return _first_match(branch, schema, h, var_only=True)[0]
+    info = FormulaInfo(FormulaKind.NEG_FORALL, sort=sort, pred=pred)
+    return _concluded(branch, RuleId.FORALL_NEG, info)
 
 
 def has_instance(branch: Branch, sort: Type, pred: Term) -> bool:
     """Is there any normal term u with [pred u] on the branch?"""
-    h = _hole(sort)
-    schema = apply_norm(pred, ref(h))
-    return _first_match(branch, schema, h, var_only=False)[0]
+    info = FormulaInfo(FormulaKind.FORALL, sort=sort, pred=pred)
+    return _concluded(branch, RuleId.FORALL_INST, info)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +372,7 @@ def instantiation_candidates(branch: Branch, ty: Type, fuel: int):
 
 
 # ---------------------------------------------------------------------------
-# Alternative construction (shared by applicability and checking)
+# Alternative builders: premise infos (and instantiation term) to alternatives
 
 
 def _alts_double_neg(info) -> tuple:
@@ -473,6 +429,143 @@ def _alts_forall_neg(info, x: Term) -> tuple:
     return ((neg(apply_norm(info.pred, x)),),)
 
 
+def _alts_leaf(*infos) -> tuple:
+    return ()
+
+
+def _reflexive(premises, infos) -> bool:
+    d = as_diseq(premises[0])
+    return d is not None and d[1] == d[2]
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table.
+
+    kinds: the formula kind of each premise, in premise order (None: any
+    formula).  alts: builds the alternatives from the premises' infos, plus
+    the instantiation term when the rule takes one.  shape: a further
+    condition on (premises, infos), or None.  inst: None, "term" (an
+    instance drawn from the branch's terms) or "fresh" (a witness variable
+    not free on the branch).  priority: the group search applies the rule
+    in, lower first; None for the eager leaf rules, which search never
+    lists.
+    """
+
+    kinds: tuple[FormulaKind | None, ...]
+    alts: Callable[..., tuple]
+    shape: Callable[[tuple, tuple], bool] | None = None
+    inst: str | None = None
+    priority: int | None = None
+
+
+_K = FormulaKind
+
+#: The rules of both calculi.  Within a priority group, instances follow the
+#: insertion order of their (last) premise.
+RULES: dict[RuleId, Rule] = {
+    RuleId.DOUBLE_NEG: Rule((_K.DOUBLE_NEG,), _alts_double_neg, priority=0),
+    RuleId.BOOL_EQ: Rule((_K.BOOL_EQ,), _alts_bool_eq, priority=5),
+    RuleId.BOOL_EXT: Rule((_K.BOOL_DISEQ,), _alts_bool_ext, priority=6),
+    RuleId.FUN_EQ: Rule((_K.FUN_EQ,), _alts_fun_eq, inst="term", priority=4),
+    RuleId.FUN_EXT: Rule((_K.FUN_DISEQ,), _alts_fun_ext, inst="fresh", priority=2),
+    RuleId.MATE: Rule(
+        (_K.POS_ATOM, _K.NEG_ATOM),
+        _alts_mate,
+        shape=lambda ps, infos: infos[0].head == infos[1].head,
+        priority=8,
+    ),
+    RuleId.DECOMPOSE: Rule(
+        (_K.SORT_DISEQ,),
+        _alts_decompose,
+        shape=lambda ps, infos: infos[0].decomposable,
+        priority=9,
+    ),
+    RuleId.CONFRONT: Rule(
+        (_K.SORT_EQ, _K.SORT_DISEQ),
+        _alts_confront,
+        shape=lambda ps, infos: infos[0].ty == infos[1].ty,
+        priority=10,
+    ),
+    RuleId.IMP: Rule((_K.IMP,), _alts_imp, priority=7),
+    RuleId.IMP_NEG: Rule((_K.NEG_IMP,), _alts_imp_neg, priority=1),
+    RuleId.FORALL_INST: Rule(
+        (_K.FORALL,), _alts_forall_inst, inst="term", priority=4
+    ),
+    RuleId.FORALL_NEG: Rule(
+        (_K.NEG_FORALL,), _alts_forall_neg, inst="fresh", priority=3
+    ),
+    RuleId.CLOSE_COMPL: Rule(
+        (None, None), _alts_leaf, shape=lambda ps, infos: ps[1] == neg(ps[0])
+    ),
+    RuleId.CLOSE_REFL: Rule((None,), _alts_leaf, shape=_reflexive),
+}
+
+#: Rules of the unrestricted calculus (negation and equality language).
+STT_RULES = frozenset(
+    {
+        RuleId.DOUBLE_NEG,
+        RuleId.BOOL_EQ,
+        RuleId.BOOL_EXT,
+        RuleId.FUN_EQ,
+        RuleId.FUN_EXT,
+        RuleId.MATE,
+        RuleId.DECOMPOSE,
+        RuleId.CONFRONT,
+    }
+)
+
+#: Rules of the restricted calculus (implication and quantifier language).
+EFO_RULES = frozenset(
+    {
+        RuleId.DOUBLE_NEG,
+        RuleId.BOOL_EXT,
+        RuleId.IMP,
+        RuleId.IMP_NEG,
+        RuleId.MATE,
+        RuleId.DECOMPOSE,
+        RuleId.CONFRONT,
+        RuleId.FUN_EXT,
+        RuleId.FORALL_INST,
+        RuleId.FORALL_NEG,
+    }
+)
+
+#: Leaf rules available only in eager-closing mode (plus n = 0 mate and
+#: decompose instances, which both calculi already provide).
+EAGER_RULES = frozenset({RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL})
+
+
+def _premise_kinds(rules) -> frozenset[FormulaKind]:
+    return frozenset(k for r in rules for k in RULES[r].kinds)
+
+
+#: Formula kinds that only the restricted calculus has rules for.
+EFO_ONLY_KINDS = _premise_kinds(EFO_RULES) - _premise_kinds(STT_RULES)
+
+
+def _instance(rule, premises, infos, inst) -> RuleInstance:
+    """The instance the rule's row builds from premises with these infos."""
+    row = RULES.get(rule)
+    if row is None:
+        raise ValueError(f"unknown rule {rule!r}")
+    if not (
+        len(premises) == len(row.kinds)
+        and (inst is None) == (row.inst is None)
+        and all(k is None or i.kind is k for k, i in zip(row.kinds, infos))
+        and (row.shape is None or row.shape(premises, infos))
+    ):
+        shown = ", ".join(show_term(p) for p in premises)
+        raise ValueError(f"{rule.value}: premises have the wrong shape: {shown}")
+    if inst is None:
+        return RuleInstance(rule, premises, row.alts(*infos))
+    return RuleInstance(rule, premises, row.alts(*infos, inst), inst)
+
+
 def make_instance(
     rule: RuleId, premises: tuple[Term, ...], inst: Term | None = None
 ) -> RuleInstance:
@@ -485,134 +578,74 @@ def make_instance(
     examined here; check_instance enforces it during replay.
     """
     premises = tuple(premises)
-
-    def need(cond: bool) -> None:
-        if not cond:
-            shown = ", ".join(show_term(p) for p in premises)
-            raise ValueError(f"{rule.value}: premises have the wrong shape: {shown}")
-
-    if rule in (RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL):
-        need(inst is None)
-        return RuleInstance(rule, premises, ())
-    infos = tuple(classify(p) for p in premises)
-    if rule is RuleId.MATE:
-        need(
-            len(premises) == 2
-            and inst is None
-            and infos[0].kind is FormulaKind.POS_ATOM
-            and infos[1].kind is FormulaKind.NEG_ATOM
-            and infos[0].head == infos[1].head
-        )
-        return RuleInstance(rule, premises, _alts_mate(infos[0], infos[1]))
-    if rule is RuleId.CONFRONT:
-        need(
-            len(premises) == 2
-            and inst is None
-            and infos[0].kind is FormulaKind.SORT_EQ
-            and infos[1].kind is FormulaKind.SORT_DISEQ
-            and infos[0].ty == infos[1].ty
-        )
-        return RuleInstance(rule, premises, _alts_confront(infos[0], infos[1]))
-
-    need(len(premises) == 1)
-    info = infos[0]
-    plain = {
-        RuleId.DOUBLE_NEG: (FormulaKind.DOUBLE_NEG, _alts_double_neg),
-        RuleId.BOOL_EQ: (FormulaKind.BOOL_EQ, _alts_bool_eq),
-        RuleId.BOOL_EXT: (FormulaKind.BOOL_DISEQ, _alts_bool_ext),
-        RuleId.IMP: (FormulaKind.IMP, _alts_imp),
-        RuleId.IMP_NEG: (FormulaKind.NEG_IMP, _alts_imp_neg),
-    }
-    if rule in plain:
-        kind, alts = plain[rule]
-        need(info.kind is kind and inst is None)
-        return RuleInstance(rule, premises, alts(info))
-    with_inst = {
-        RuleId.FUN_EQ: (FormulaKind.FUN_EQ, _alts_fun_eq),
-        RuleId.FUN_EXT: (FormulaKind.FUN_DISEQ, _alts_fun_ext),
-        RuleId.FORALL_INST: (FormulaKind.FORALL, _alts_forall_inst),
-        RuleId.FORALL_NEG: (FormulaKind.NEG_FORALL, _alts_forall_neg),
-    }
-    if rule in with_inst:
-        kind, alts = with_inst[rule]
-        need(info.kind is kind and inst is not None)
-        return RuleInstance(rule, premises, alts(info, inst), inst)
-    if rule is RuleId.DECOMPOSE:
-        need(info.kind is FormulaKind.SORT_DISEQ and info.decomposable and inst is None)
-        return RuleInstance(rule, premises, _alts_decompose(info))
-    raise ValueError(f"unknown rule {rule!r}")
+    return _instance(rule, premises, tuple(classify(p) for p in premises), inst)
 
 
 # ---------------------------------------------------------------------------
 # Applicability
 
 
-def _productive(branch: Branch, alternatives: tuple) -> bool:
-    """An instance helps only if every alternative adds something new."""
-    return all(any(f not in branch for f in alt) for alt in alternatives)
+@functools.cache
+def _consumers(rules: frozenset[RuleId]) -> dict:
+    """Member kind -> the (rule, row, premise position) triples that take it."""
+    return {
+        kind: tuple(
+            (rule, row, at)
+            for rule, row in RULES.items()
+            if rule in rules
+            for at, k in enumerate(row.kinds)
+            if k is kind
+        )
+        for kind in FormulaKind
+    }
 
 
-def _emit(out, branch, rule, premises, alternatives, inst=None) -> None:
-    if _productive(branch, alternatives):
-        out.append(RuleInstance(rule, premises, alternatives, inst))
+def _applicable(branch: Branch, rules, candidates, reserved) -> list[RuleInstance]:
+    """Instances of the given rules on the branch, in search order.
 
+    The member's kind picks the rows, so alternatives are built straight
+    from them; candidates(branch, info) lists the instantiation terms of a
+    "term" rule.  An instance helps only if every alternative adds
+    something new; the others are left out.
+    """
+    if branch.is_closed:
+        return []
+    order = {s: i for i, s in enumerate(branch.formulas)}
+    uses = _consumers(rules)
+    out: list[RuleInstance] = []
 
-def _mate_partners(branch, pos_index, s, info, out) -> None:
-    """Mate instances whose later premise is s (insertion order pairing)."""
-    if info.kind is FormulaKind.POS_ATOM:
-        partners = branch.neg_atoms(info.head)
-        for other in partners:
-            if pos_index[other] < pos_index[s]:
-                _emit(
-                    out,
-                    branch,
-                    RuleId.MATE,
-                    (s, other),
-                    _alts_mate(info, branch.info(other)),
-                )
-    else:
-        partners = branch.pos_atoms(info.head)
-        for other in partners:
-            if pos_index[other] < pos_index[s]:
-                _emit(
-                    out,
-                    branch,
-                    RuleId.MATE,
-                    (other, s),
-                    _alts_mate(branch.info(other), info),
-                )
+    def emit(rule, premises, alternatives, inst=None) -> None:
+        if all(any(f not in branch for f in alt) for alt in alternatives):
+            out.append(RuleInstance(rule, premises, alternatives, inst))
 
-
-def _confront_partners(branch, pos_index, s, info, out) -> None:
-    """Confrontation instances whose later premise is s."""
-    if info.kind is FormulaKind.SORT_EQ:
-        for other in branch.disequations(info.ty):
-            if pos_index[other] < pos_index[s]:
-                _emit(
-                    out,
-                    branch,
-                    RuleId.CONFRONT,
-                    (s, other),
-                    _alts_confront(info, branch.info(other)),
-                )
-    else:
-        for other in branch.equations(info.ty):
-            if pos_index[other] < pos_index[s]:
-                _emit(
-                    out,
-                    branch,
-                    RuleId.CONFRONT,
-                    (other, s),
-                    _alts_confront(branch.info(other), info),
-                )
+    for s in branch.formulas:
+        info = branch.info(s)
+        if info.kind is FormulaKind.OTHER:
+            raise FragmentViolation(f"no rule for {show_term(s)}")
+        for rule, row, at in uses[info.kind]:
+            if len(row.kinds) == 2:
+                # pair s with the earlier members that fill the other premise
+                for other in branch.members(row.kinds[1 - at]):
+                    if order[other] < order[s]:
+                        pair = (s, other) if at == 0 else (other, s)
+                        infos = tuple(map(branch.info, pair))
+                        if row.shape(pair, infos):
+                            emit(rule, pair, row.alts(*infos))
+            elif row.inst is None:
+                if row.shape is None or row.shape((s,), (info,)):
+                    emit(rule, (s,), row.alts(info))
+            elif row.inst == "fresh":
+                if not _concluded(branch, rule, info):
+                    x = _fresh_witness(branch, _inst_type(info), reserved)
+                    emit(rule, (s,), row.alts(info, x), x)
+            else:
+                for u in candidates(branch, info):
+                    emit(rule, (s,), row.alts(info, u), u)
+    return sorted(out, key=lambda r: RULES[r.rule].priority)
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
     return ref(fresh_var(ty, branch.free_names + tuple(reserved)))
-
-
-def _sorted_instances(out: list[RuleInstance]) -> list[RuleInstance]:
-    return sorted(out, key=lambda r: _PRIORITY[r.rule])
 
 
 def applicable_stt(
@@ -626,50 +659,17 @@ def applicable_stt(
     members outside the negation-and-equality language.
     """
     for s in branch.formulas:
-        if branch.info(s).kind in (
-            FormulaKind.IMP,
-            FormulaKind.NEG_IMP,
-            FormulaKind.FORALL,
-            FormulaKind.NEG_FORALL,
-        ):
+        if branch.info(s).kind in EFO_ONLY_KINDS:
             raise FragmentViolation(
                 f"no rule for {show_term(s)}: implication and quantifiers "
                 "are outside this calculus — use the restricted calculus"
             )
-    if branch.is_closed:
-        return []
-    pos_index = {s: i for i, s in enumerate(branch.formulas)}
-    out: list[RuleInstance] = []
-    for s in branch.formulas:
-        info = branch.info(s)
-        kind = info.kind
-        if kind is FormulaKind.DOUBLE_NEG:
-            _emit(out, branch, RuleId.DOUBLE_NEG, (s,), _alts_double_neg(info))
-        elif kind is FormulaKind.BOOL_EQ:
-            _emit(out, branch, RuleId.BOOL_EQ, (s,), _alts_bool_eq(info))
-        elif kind is FormulaKind.BOOL_DISEQ:
-            _emit(out, branch, RuleId.BOOL_EXT, (s,), _alts_bool_ext(info))
-        elif kind is FormulaKind.FUN_EQ:
-            for u in instantiation_candidates(branch, info.ty.dom, fuel):
-                _emit(out, branch, RuleId.FUN_EQ, (s,), _alts_fun_eq(info, u), u)
-        elif kind is FormulaKind.FUN_DISEQ:
-            if not has_witness_diseq(branch, info.lhs, info.rhs):
-                x = _fresh_witness(branch, info.ty.dom, reserved)
-                _emit(
-                    out, branch, RuleId.FUN_EXT, (s,), _alts_fun_ext(info, x), x
-                )
-        elif kind is FormulaKind.SORT_DISEQ:
-            if info.decomposable and info.largs:
-                _emit(out, branch, RuleId.DECOMPOSE, (s,), _alts_decompose(info))
-            _confront_partners(branch, pos_index, s, info, out)
-        elif kind is FormulaKind.SORT_EQ:
-            _confront_partners(branch, pos_index, s, info, out)
-        elif kind in (FormulaKind.POS_ATOM, FormulaKind.NEG_ATOM):
-            if info.args:
-                _mate_partners(branch, pos_index, s, info, out)
-        elif kind is FormulaKind.OTHER:
-            raise FragmentViolation(f"no rule for {show_term(s)}")
-    return _sorted_instances(out)
+    return _applicable(
+        branch,
+        STT_RULES,
+        lambda b, info: instantiation_candidates(b, _inst_type(info), fuel),
+        reserved,
+    )
 
 
 def applicable_efo(
@@ -689,60 +689,12 @@ def applicable_efo(
                 f"{show_term(s)} is outside the restricted fragment "
                 f"(offending subterm {show_term(w)})"
             )
-    if branch.is_closed:
-        return []
-    pos_index = {s: i for i, s in enumerate(branch.formulas)}
-    out: list[RuleInstance] = []
-    for s in branch.formulas:
-        info = branch.info(s)
-        kind = info.kind
-        if kind is FormulaKind.DOUBLE_NEG:
-            _emit(out, branch, RuleId.DOUBLE_NEG, (s,), _alts_double_neg(info))
-        elif kind is FormulaKind.BOOL_DISEQ:
-            _emit(out, branch, RuleId.BOOL_EXT, (s,), _alts_bool_ext(info))
-        elif kind is FormulaKind.IMP:
-            _emit(out, branch, RuleId.IMP, (s,), _alts_imp(info))
-        elif kind is FormulaKind.NEG_IMP:
-            _emit(out, branch, RuleId.IMP_NEG, (s,), _alts_imp_neg(info))
-        elif kind is FormulaKind.FUN_DISEQ:
-            if not has_witness_diseq(branch, info.lhs, info.rhs):
-                x = _fresh_witness(branch, info.ty.dom, reserved)
-                _emit(
-                    out, branch, RuleId.FUN_EXT, (s,), _alts_fun_ext(info, x), x
-                )
-        elif kind is FormulaKind.FORALL:
-            for u in _forall_instances(branch, info, reserved):
-                _emit(
-                    out,
-                    branch,
-                    RuleId.FORALL_INST,
-                    (s,),
-                    _alts_forall_inst(info, u),
-                    u,
-                )
-        elif kind is FormulaKind.NEG_FORALL:
-            if not has_witness_neg_inst(branch, info.sort, info.pred):
-                x = _fresh_witness(branch, info.sort, reserved)
-                _emit(
-                    out,
-                    branch,
-                    RuleId.FORALL_NEG,
-                    (s,),
-                    _alts_forall_neg(info, x),
-                    x,
-                )
-        elif kind is FormulaKind.SORT_DISEQ:
-            if info.decomposable and info.largs:
-                _emit(out, branch, RuleId.DECOMPOSE, (s,), _alts_decompose(info))
-            _confront_partners(branch, pos_index, s, info, out)
-        elif kind is FormulaKind.SORT_EQ:
-            _confront_partners(branch, pos_index, s, info, out)
-        elif kind in (FormulaKind.POS_ATOM, FormulaKind.NEG_ATOM):
-            if info.args:
-                _mate_partners(branch, pos_index, s, info, out)
-        elif kind is FormulaKind.OTHER:
-            raise FragmentViolation(f"no rule for {show_term(s)}")
-    return _sorted_instances(out)
+    return _applicable(
+        branch,
+        EFO_RULES,
+        lambda b, info: _forall_instances(b, info, reserved),
+        reserved,
+    )
 
 
 def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
@@ -755,12 +707,30 @@ def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
     discs = branch.discriminating_terms(info.sort)
     if discs:
         return list(discs)
-    if has_instance(branch, info.sort, info.pred):
+    if _concluded(branch, RuleId.FORALL_INST, info):
         return []
     xs = branch.vars_of_type(info.sort)
     if xs:
         return [ref(xs[0])]
     return [_fresh_witness(branch, info.sort, reserved)]
+
+
+def _forall_admissible(branch: Branch, info, u: Term) -> bool:
+    """Whether u is a quantifier instance the restrictions allow.
+
+    As `_forall_instances`, except that without discriminating terms any
+    free variable of the sort (or, if there is none, any variable not free
+    on the branch) will do.
+    """
+    if efo_violation(u) is not None:
+        return False
+    discs = branch.discriminating_terms(info.sort)
+    if discs:
+        return u in discs
+    if _concluded(branch, RuleId.FORALL_INST, info) or not is_var_ref(u):
+        return False
+    xs = branch.vars_of_type(info.sort)
+    return u.name in xs if xs else u.name not in branch.free_names
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +767,11 @@ def closing_instance(branch: Branch, eager: bool = False) -> RuleInstance | None
 def check_instance(branch: Branch, inst: RuleInstance, eager: bool = False) -> bool:
     """Validate a claimed rule instance against a branch.
 
-    Recomputes the alternatives the rule yields from the instance's
-    premises (and instantiation term) and compares; enforces membership of
-    the premises, the admissibility restrictions, and that branching
-    instances only fire on non-closed branches.  The eager flag admits the
-    two wider leaf rules.
+    The premises must be members, the instance must equal what the rule's
+    row builds from them, and the branch-dependent conditions must hold:
+    the admissibility restrictions, and that branching instances only fire
+    on non-closed branches.  The eager flag admits the two wider leaf
+    rules.
     """
     try:
         return _check(branch, inst, eager)
@@ -814,145 +784,23 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
         return False
     if r.alternatives and branch.is_closed:
         return False
-
-    rule = r.rule
     infos = tuple(branch.info(p) for p in r.premises)
-
-    if rule is RuleId.CLOSE_COMPL:
+    if r != _instance(r.rule, r.premises, infos, r.inst):
+        return False
+    if r.rule in EAGER_RULES:
+        return eager
+    taken = RULES[r.rule].inst
+    if taken is None:
+        return True
+    info, u = infos[0], r.inst
+    if u.ty != _inst_type(info):
+        return False
+    if taken == "fresh":
         return (
-            eager
-            and len(r.premises) == 2
-            and r.premises[1] == neg(r.premises[0])
-            and r.alternatives == ()
-            and r.inst is None
+            is_var_ref(u)
+            and u.name not in branch.free_names
+            and not _concluded(branch, r.rule, info)
         )
-    if rule is RuleId.CLOSE_REFL:
-        if not (eager and len(r.premises) == 1 and r.inst is None):
-            return False
-        d = as_diseq(r.premises[0])
-        return d is not None and d[1] == d[2] and r.alternatives == ()
-
-    if rule is RuleId.DOUBLE_NEG:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.DOUBLE_NEG
-            and r.inst is None
-            and r.alternatives == _alts_double_neg(infos[0])
-        )
-    if rule is RuleId.BOOL_EQ:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.BOOL_EQ
-            and r.inst is None
-            and r.alternatives == _alts_bool_eq(infos[0])
-        )
-    if rule is RuleId.BOOL_EXT:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.BOOL_DISEQ
-            and r.inst is None
-            and r.alternatives == _alts_bool_ext(infos[0])
-        )
-    if rule is RuleId.IMP:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.IMP
-            and r.inst is None
-            and r.alternatives == _alts_imp(infos[0])
-        )
-    if rule is RuleId.IMP_NEG:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.NEG_IMP
-            and r.inst is None
-            and r.alternatives == _alts_imp_neg(infos[0])
-        )
-    if rule is RuleId.FUN_EQ:
-        return (
-            len(r.premises) == 1
-            and infos[0].kind is FormulaKind.FUN_EQ
-            and r.inst is not None
-            and r.inst.ty == infos[0].ty.dom
-            and is_normal(r.inst)
-            and r.alternatives == _alts_fun_eq(infos[0], r.inst)
-        )
-    if rule is RuleId.FUN_EXT:
-        info = infos[0]
-        return (
-            len(r.premises) == 1
-            and info.kind is FormulaKind.FUN_DISEQ
-            and r.inst is not None
-            and is_var_ref(r.inst)
-            and r.inst.ty == info.ty.dom
-            and r.inst.name not in branch.free_names
-            and not has_witness_diseq(branch, info.lhs, info.rhs)
-            and r.alternatives == _alts_fun_ext(info, r.inst)
-        )
-    if rule is RuleId.MATE:
-        if len(r.premises) != 2 or r.inst is not None:
-            return False
-        pi, ni = infos
-        return (
-            pi.kind is FormulaKind.POS_ATOM
-            and ni.kind is FormulaKind.NEG_ATOM
-            and pi.head == ni.head
-            and r.alternatives == _alts_mate(pi, ni)
-        )
-    if rule is RuleId.DECOMPOSE:
-        info = infos[0]
-        return (
-            len(r.premises) == 1
-            and info.kind is FormulaKind.SORT_DISEQ
-            and info.decomposable
-            and r.inst is None
-            and r.alternatives == _alts_decompose(info)
-        )
-    if rule is RuleId.CONFRONT:
-        if len(r.premises) != 2 or r.inst is not None:
-            return False
-        ei, di = infos
-        return (
-            ei.kind is FormulaKind.SORT_EQ
-            and di.kind is FormulaKind.SORT_DISEQ
-            and ei.ty == di.ty
-            and r.alternatives == _alts_confront(ei, di)
-        )
-    if rule is RuleId.FORALL_INST:
-        info = infos[0]
-        if (
-            len(r.premises) != 1
-            or info.kind is not FormulaKind.FORALL
-            or r.inst is None
-            or r.inst.ty != info.sort
-            or not is_normal(r.inst)
-            or efo_violation(r.inst) is not None
-        ):
-            return False
-        discs = branch.discriminating_terms(info.sort)
-        if discs:
-            if r.inst not in discs:
-                return False
-        else:
-            if has_instance(branch, info.sort, info.pred):
-                return False
-            if not is_var_ref(r.inst):
-                return False
-            if branch.vars_of_type(info.sort):
-                if r.inst.name not in branch.vars_of_type(info.sort):
-                    return False
-            elif r.inst.name in branch.free_names:
-                return False
-        return r.alternatives == _alts_forall_inst(info, r.inst)
-    if rule is RuleId.FORALL_NEG:
-        info = infos[0]
-        return (
-            len(r.premises) == 1
-            and info.kind is FormulaKind.NEG_FORALL
-            and r.inst is not None
-            and is_var_ref(r.inst)
-            and r.inst.ty == info.sort
-            and r.inst.name not in branch.free_names
-            and not has_witness_neg_inst(branch, info.sort, info.pred)
-            and r.alternatives == _alts_forall_neg(info, r.inst)
-        )
-    return False
+    if not is_normal(u):
+        return False
+    return r.rule is not RuleId.FORALL_INST or _forall_admissible(branch, info, u)

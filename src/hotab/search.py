@@ -36,6 +36,7 @@ from .kernel import Name, Term, eq, neg, show_term
 from .normalize import apply_norm, normalize
 from .rules import (
     EAGER_RULES,
+    EFO_ONLY_KINDS,
     EFO_RULES,
     STT_RULES,
     RuleInstance,
@@ -179,16 +180,9 @@ def route_calculus(branch: Branch) -> str:
     """
     if all(quasi_efo_violation(s) is None for s in branch.formulas):
         return "efo"
-    offender = None
-    for s in branch.formulas:
-        if branch.info(s).kind in (
-            FormulaKind.IMP,
-            FormulaKind.NEG_IMP,
-            FormulaKind.FORALL,
-            FormulaKind.NEG_FORALL,
-        ):
-            offender = s
-            break
+    offender = next(
+        (s for s in branch.formulas if branch.info(s).kind in EFO_ONLY_KINDS), None
+    )
     if offender is None:
         return "stt"
     raise FragmentViolation(
@@ -278,23 +272,15 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     calculus = cfg.calculus
     if calculus == "auto":
         calculus = route_calculus(branch)
-    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-    counter = [0]
-
     try:
         if calculus == "efo":
-            status, payload = _saturate(
-                branch,
-                lambda b: applicable_efo(b, cfg.reserved),
-                cfg.eager_close,
-                deadline,
-                counter,
-                cfg.max_nodes,
-            )
+            status, payload = saturate_efo(branch, cfg)
             if status == "closed":
                 return Refuted(payload, "efo")
             return _satisfiable(payload, cfg)
 
+        deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+        counter = [0]
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
                 branch,
@@ -476,12 +462,8 @@ def is_evident(
     """
     branch = _as_branch(branch_or_formulas)
     if scope == "auto":
-        scope = (
-            "efo"
-            if all(quasi_efo_violation(s) is None for s in branch.formulas)
-            else "stt"
-        )
-    if scope == "efo":
+        scope = route_calculus(branch)
+    elif scope == "efo":
         for s in branch.formulas:
             w = quasi_efo_violation(s)
             if w is not None:

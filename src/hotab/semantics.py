@@ -35,7 +35,10 @@ from .kernel import (
     Type,
     eq_operand_type,
     forall_sort,
+    free_vars,
+    free_vars_ordered,
     is_sort,
+    neg,
     o,
     show_term,
     show_type,
@@ -238,8 +241,6 @@ def sorts_in(formulas: Iterable[Term]) -> tuple[Base, ...]:
 
 def variables_in(formulas: Iterable[Term]) -> tuple[Name, ...]:
     """Free variables of the formulas in first-occurrence order."""
-    from .kernel import free_vars_ordered
-
     seen: dict[Name, None] = {}
     for s in formulas:
         for n in free_vars_ordered(s):
@@ -297,8 +298,6 @@ def extract_model(
             out = []
             if Ref(n) not in branch:  # may be false unless asserted true
                 out.append(0)
-            from .kernel import neg
-
             if neg(Ref(n)) not in branch:  # may be true unless denied
                 out.append(1)
             return out
@@ -307,8 +306,6 @@ def extract_model(
     # check each formula as soon as all its variables are assigned
     position = {n: i for i, n in enumerate(order)}
     triggers: dict[int, list[Term]] = {}
-    from .kernel import free_vars
-
     for s in branch.formulas:
         fv = free_vars(s)
         trigger = max((position[n] for n in fv), default=-1)

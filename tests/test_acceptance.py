@@ -34,7 +34,7 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import apply_norm, normalize, substitute
-from hotab.rules import applicable_efo, applicable_stt
+from hotab.rules import applicable_efo, applicable_stt, check_instance, make_instance
 from hotab.search import Refuted, Satisfiable, check_proof, is_evident, refute
 from hotab.semantics import (
     CardinalityError,
@@ -303,6 +303,10 @@ def test_criterion_5_rule_level_soundness():
         instances = applicable_efo(br) if quasi else applicable_stt(br, 2)
         if not instances:
             continue
+        for inst in instances:
+            # search, proof parsing and proof checking agree on the instance
+            assert make_instance(inst.rule, inst.premises, inst.inst) == inst
+            assert check_instance(br, inst)
         model = None
         for _ in range(4):
             m = g.model_for(forms, max_size=2)

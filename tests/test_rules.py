@@ -33,8 +33,10 @@ from hotab.rules import (
     has_witness_diseq,
     has_witness_neg_inst,
     instantiation_candidates,
+    make_instance,
     match_schema,
 )
+from hotab.search import Proof, check_proof
 from hotab.semantics import Model, enumerate_models, eval_term, variables_in
 
 from helpers import Gen
@@ -475,6 +477,17 @@ def test_check_rejects_tampering():
         RuleId.DOUBLE_NEG, (neg(neg(ref(p))),), ((ref(p),),)
     )
     assert not check_instance(br, foreign)  # premise not on the branch
+    # rules that take a premise reject a node without one
+    x = ref(V("x", a))
+    for rule, inst in (
+        (RuleId.FUN_EXT, x),
+        (RuleId.DECOMPOSE, None),
+        (RuleId.FORALL_INST, x),
+        (RuleId.FORALL_NEG, x),
+    ):
+        bare = RuleInstance(rule, (), (), inst)
+        assert not check_instance(br, bare)
+        assert not check_proof(br, Proof(bare, ()), calculus="efo")
 
 
 def test_check_rejects_bad_instantiations():
@@ -591,6 +604,9 @@ def test_alternatives_stay_normal_and_quasi():
         formulas = [normalize(g.efo_formula(2, quasi=True)) for _ in range(2)]
         br = branch_of(*formulas)
         for inst in applicable_efo(br):
+            # search, proof parsing and proof checking agree on the instance
+            assert make_instance(inst.rule, inst.premises, inst.inst) == inst
+            assert check_instance(br, inst)
             for alt in inst.alternatives:
                 for s in alt:
                     assert s.ty == o
