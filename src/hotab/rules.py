@@ -14,15 +14,19 @@ it:
 
   * `make_instance` validates premises against the row and builds the
     alternatives; proof files therefore carry no conclusions.
-  * `applicable_stt` and `applicable_efo` are one instance generator run
-    with each calculus's rule set behind its language gate.  They list the
-    instances the calculus admits on a branch, in a deterministic order
-    (rule priority first, then member insertion order), and skip instances
-    that cannot make progress: an instance is withheld whenever one of its
-    alternatives is already contained in the branch.  Together with the
-    admissibility restrictions below this makes "no instance applicable"
-    coincide with the closure conditions that guarantee a model exists (see
-    `search.is_evident`).
+  * One lazy instance generator, run with each calculus's rule set
+    (`efo_instances`, `stt_instances`), yields the instances the calculus
+    admits on a branch in a deterministic order (rule priority first, then
+    member insertion order), and skips instances that cannot make
+    progress: an instance is withheld whenever one of its alternatives is
+    already contained in the branch.  Together with the admissibility
+    restrictions below this makes "no instance applicable" coincide with
+    the closure conditions that guarantee a model exists (see
+    `search.is_evident`).  Search takes the generator's first instance at
+    each node and runs the calculus's fragment gate (`efo_gate`,
+    `stt_gate`) once per member.  `applicable_efo` and `applicable_stt`
+    are the gate on the whole branch plus the generator's full list: the
+    reference the search is tested against.
   * `check_instance` validates a claimed instance against a branch: its
     premises are members, it equals what the row builds from them, and the
     branch-dependent admissibility conditions hold.  It is the trusted core
@@ -47,7 +51,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .branch import Branch, FormulaInfo, FormulaKind, classify
 from .fragments import FragmentViolation, efo_violation, quasi_efo_violation
@@ -585,67 +589,150 @@ def make_instance(
 # Applicability
 
 
+def efo_gate(branch: Branch, members) -> None:
+    """Raise FragmentViolation for the first of the branch's members that the
+    restricted calculus cannot take: a formula outside its fragment, or, on
+    an open branch, one no rule consumes."""
+    for s in members:
+        w = quasi_efo_violation(s)
+        if w is not None:
+            raise FragmentViolation(
+                f"{show_term(s)} is outside the restricted fragment "
+                f"(offending subterm {show_term(w)})"
+            )
+    _ruleless_gate(branch, members)
+
+
+def stt_gate(branch: Branch, members) -> None:
+    """Raise FragmentViolation for the first of the branch's members that the
+    unrestricted calculus cannot take: an implication or quantifier, or, on
+    an open branch, a formula no rule consumes."""
+    for s in members:
+        if branch.info(s).kind in EFO_ONLY_KINDS:
+            raise FragmentViolation(
+                f"no rule for {show_term(s)}: implication and quantifiers "
+                "are outside this calculus — use the restricted calculus"
+            )
+    _ruleless_gate(branch, members)
+
+
+def _ruleless_gate(branch: Branch, members) -> None:
+    if not branch.is_closed:
+        for s in members:
+            if branch.info(s).kind is FormulaKind.OTHER:
+                raise FragmentViolation(f"no rule for {show_term(s)}")
+
+
 @functools.cache
-def _consumers(rules: frozenset[RuleId]) -> dict:
-    """Member kind -> the (rule, row, premise position) triples that take it."""
-    return {
-        kind: tuple(
-            (rule, row, at)
-            for rule, row in RULES.items()
-            if rule in rules
-            for at, k in enumerate(row.kinds)
-            if k is kind
-        )
-        for kind in FormulaKind
-    }
+def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
+    """The rules' priority groups, lowest priority first.  A group maps each
+    member kind it takes to the (rule, row, premise position) triples that
+    take it, in table order."""
+    groups: dict[int, dict[FormulaKind, list]] = {}
+    for rule, row in RULES.items():
+        if rule in rules:
+            uses = groups.setdefault(row.priority, {})
+            for at, kind in enumerate(row.kinds):
+                uses.setdefault(kind, []).append((rule, row, at))
+    return tuple(
+        {kind: tuple(t) for kind, t in groups[p].items()} for p in sorted(groups)
+    )
 
 
-def _applicable(branch: Branch, rules, candidates, reserved) -> list[RuleInstance]:
-    """Instances of the given rules on the branch, in search order.
+def _instances(
+    branch: Branch, rules, candidates, reserved, memo: dict
+) -> Iterator[RuleInstance]:
+    """Instances of the given rules on the branch, lazily, in search order.
 
-    The member's kind picks the rows, so alternatives are built straight
-    from them; candidates(branch, info) lists the instantiation terms of a
-    "term" rule.  An instance helps only if every alternative adds
-    something new; the others are left out.
+    The order is rule priority, then the insertion order of the (last)
+    premise, then the order of the other premise, the witness or the
+    candidate term; candidates(branch, info) lists the instantiation terms
+    of a "term" rule.  An instance helps only if every alternative adds
+    something new; the others are skipped.  Instances of "term" rules
+    depend on the rule, premise and term alone, so they are kept in memo,
+    by (rule, premise) and then by term.  The gate is the caller's:
+    members no rule takes are passed over.
     """
     if branch.is_closed:
-        return []
-    order = {s: i for i, s in enumerate(branch.formulas)}
-    uses = _consumers(rules)
-    out: list[RuleInstance] = []
+        return
 
-    def emit(rule, premises, alternatives, inst=None) -> None:
-        if all(any(f not in branch for f in alt) for alt in alternatives):
-            out.append(RuleInstance(rule, premises, alternatives, inst))
+    def productive(alternatives) -> bool:
+        return all(any(f not in branch for f in alt) for alt in alternatives)
 
-    for s in branch.formulas:
-        info = branch.info(s)
-        if info.kind is FormulaKind.OTHER:
-            raise FragmentViolation(f"no rule for {show_term(s)}")
-        for rule, row, at in uses[info.kind]:
-            if len(row.kinds) == 2:
-                # pair s with the earlier members that fill the other premise
-                for other in branch.members(row.kinds[1 - at]):
-                    if order[other] < order[s]:
+    for uses in _groups(rules):
+        if len(uses) == 1:
+            members = branch.members(next(iter(uses)))
+        else:
+            members = [s for s in branch.formulas if branch.info(s).kind in uses]
+        earlier: dict[FormulaKind, list[Term]] = {kind: [] for kind in uses}
+        for s in members:
+            info = branch.info(s)
+            for rule, row, at in uses[info.kind]:
+                if len(row.kinds) == 2:
+                    # pair s with the earlier members that fill the other premise
+                    for other in earlier[row.kinds[1 - at]]:
                         pair = (s, other) if at == 0 else (other, s)
                         infos = tuple(map(branch.info, pair))
                         if row.shape(pair, infos):
-                            emit(rule, pair, row.alts(*infos))
-            elif row.inst is None:
-                if row.shape is None or row.shape((s,), (info,)):
-                    emit(rule, (s,), row.alts(info))
-            elif row.inst == "fresh":
-                if not _concluded(branch, rule, info):
-                    x = _fresh_witness(branch, _inst_type(info), reserved)
-                    emit(rule, (s,), row.alts(info, x), x)
-            else:
-                for u in candidates(branch, info):
-                    emit(rule, (s,), row.alts(info, u), u)
-    return sorted(out, key=lambda r: RULES[r.rule].priority)
+                            alts = row.alts(*infos)
+                            if productive(alts):
+                                yield RuleInstance(rule, pair, alts)
+                elif row.inst is None:
+                    if row.shape is None or row.shape((s,), (info,)):
+                        alts = row.alts(info)
+                        if productive(alts):
+                            yield RuleInstance(rule, (s,), alts)
+                elif row.inst == "fresh":
+                    if not _concluded(branch, rule, info):
+                        x = _fresh_witness(branch, _inst_type(info), reserved)
+                        alts = row.alts(info, x)
+                        if productive(alts):
+                            yield RuleInstance(rule, (s,), alts, x)
+                else:
+                    known = memo.setdefault((rule, s), {})
+                    for u in candidates(branch, info):
+                        r = known.get(u)
+                        if r is None:
+                            r = RuleInstance(rule, (s,), row.alts(info, u), u)
+                            known[u] = r
+                        if productive(r.alternatives):
+                            yield r
+            earlier[info.kind].append(s)
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
     return ref(fresh_var(ty, branch.free_names + tuple(reserved)))
+
+
+def stt_instances(
+    branch: Branch,
+    fuel: int = 3,
+    reserved: tuple[Name, ...] = (),
+    memo: dict | None = None,
+) -> Iterator[RuleInstance]:
+    """The unrestricted calculus's instances on the branch, lazily and
+    without the gate; memo keeps term-rule instances across calls."""
+    return _instances(
+        branch,
+        STT_RULES,
+        lambda b, info: instantiation_candidates(b, _inst_type(info), fuel),
+        reserved,
+        {} if memo is None else memo,
+    )
+
+
+def efo_instances(
+    branch: Branch, reserved: tuple[Name, ...] = (), memo: dict | None = None
+) -> Iterator[RuleInstance]:
+    """The restricted calculus's instances on the branch, lazily and
+    without the gate; memo keeps term-rule instances across calls."""
+    return _instances(
+        branch,
+        EFO_RULES,
+        lambda b, info: _forall_instances(b, info, reserved),
+        reserved,
+        {} if memo is None else memo,
+    )
 
 
 def applicable_stt(
@@ -656,20 +743,12 @@ def applicable_stt(
     fuel bounds the size of enumerated instances of functional equations;
     reserved names are avoided when introducing witness variables.  On a
     closed branch nothing is applicable.  Raises FragmentViolation for
-    members outside the negation-and-equality language.
+    members outside the negation-and-equality language.  Search reads the
+    same instances lazily (`stt_instances`) and applies the first; this
+    full list is the reference it is tested against.
     """
-    for s in branch.formulas:
-        if branch.info(s).kind in EFO_ONLY_KINDS:
-            raise FragmentViolation(
-                f"no rule for {show_term(s)}: implication and quantifiers "
-                "are outside this calculus — use the restricted calculus"
-            )
-    return _applicable(
-        branch,
-        STT_RULES,
-        lambda b, info: instantiation_candidates(b, _inst_type(info), fuel),
-        reserved,
-    )
+    stt_gate(branch, branch.formulas)
+    return list(stt_instances(branch, fuel, reserved))
 
 
 def applicable_efo(
@@ -680,21 +759,12 @@ def applicable_efo(
     The branch must consist of restricted formulas or disequations between
     restricted terms; anything else raises FragmentViolation.  On a closed
     branch nothing is applicable.  The result is empty exactly when the
-    branch is closed or satisfies the model-existence conditions.
+    branch is closed or satisfies the model-existence conditions.  Search
+    reads the same instances lazily (`efo_instances`) and applies the
+    first; this full list is the reference it is tested against.
     """
-    for s in branch.formulas:
-        w = quasi_efo_violation(s)
-        if w is not None:
-            raise FragmentViolation(
-                f"{show_term(s)} is outside the restricted fragment "
-                f"(offending subterm {show_term(w)})"
-            )
-    return _applicable(
-        branch,
-        EFO_RULES,
-        lambda b, info: _forall_instances(b, info, reserved),
-        reserved,
-    )
+    efo_gate(branch, branch.formulas)
+    return list(efo_instances(branch, reserved))
 
 
 def _forall_instances(branch: Branch, info, reserved) -> list[Term]:

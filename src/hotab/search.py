@@ -2,11 +2,16 @@
 
 `refute` develops a branch depth-first, always applying the first
 applicable instance (rule priority, then member insertion order), so runs
-are deterministic.  In the restricted calculus a single saturation either
-closes every branch — yielding a Refuted verdict with a proof tree — or
-reaches a branch with no applicable instance, which by construction
-satisfies the model-existence conditions and yields a Satisfiable verdict
-with an extracted, certified model.  The unrestricted calculus iterates
+are deterministic.  The instance is read lazily from the rules' generator,
+so the rest of the branch's instances are never built; the fragment gate
+sees each member once; and quantifier and functional-equation instances
+are memoised for the length of one `refute` or `saturate_efo` call.
+
+In the restricted calculus a single saturation either closes every
+branch — yielding a Refuted verdict with a proof tree — or reaches a
+branch with no applicable instance, which by construction satisfies the
+model-existence conditions and yields a Satisfiable verdict with an
+extracted, certified model.  The unrestricted calculus iterates
 over a schedule of instantiation fuels; an open branch there proves
 satisfiability only when no functional equations remain (their instance
 condition ranges over infinitely many terms), otherwise the search answers
@@ -40,14 +45,18 @@ from .rules import (
     EFO_RULES,
     STT_RULES,
     RuleInstance,
-    applicable_efo,
-    applicable_stt,
+    applicable_efo,  # noqa: F401  (callers look these two up here)
+    applicable_stt,  # noqa: F401
     check_instance,
     closing_instance,
+    efo_gate,
+    efo_instances,
     has_instance,
     has_witness_diseq,
     has_witness_neg_inst,
     instantiation_candidates,
+    stt_gate,
+    stt_instances,
 )
 from .semantics import (
     DEFAULT_MAX_TABLE,
@@ -77,9 +86,14 @@ __all__ = [
 # Proofs and verdicts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Proof:
-    """A closed tableau: a rule instance and one subproof per alternative."""
+    """A closed tableau: a rule instance and one subproof per alternative.
+
+    Each node has one child per alternative of its instance, so the
+    instances in depth-first order determine the tree: equality and hashing
+    compare that sequence, without recursing once per proof level.
+    """
 
     instance: RuleInstance
     children: tuple["Proof", ...]
@@ -87,6 +101,14 @@ class Proof:
     def __post_init__(self):
         if len(self.children) != len(self.instance.alternatives):
             raise ValueError("proof arity does not match the instance")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Proof):
+            return NotImplemented
+        return self is other or _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
 
     def nodes(self):
         """All proof nodes, depth-first, this node first."""
@@ -101,6 +123,10 @@ class Proof:
 
     def rule_counts(self) -> dict[str, int]:
         return dict(Counter(p.instance.rule.value for p in self.nodes()))
+
+
+def _preorder(proof: Proof) -> list[RuleInstance]:
+    return [p.instance for p in proof.nodes()]
 
 
 @dataclass(frozen=True)
@@ -202,43 +228,52 @@ class _Frame:
     children: list = field(default_factory=list)
 
 
-def _saturate(branch, applicable, eager, deadline, counter, max_nodes):
+def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
     """Develop a branch depth-first.
 
-    Returns ("closed", Proof) when every branch closes, or ("open", Branch)
-    for the leftmost branch with no applicable instance.  Raises
-    BudgetExceeded when limits run out.
+    instances(b) yields the calculus's instances on b in search order, of
+    which the first is applied; gate(b, members) raises FragmentViolation
+    for members the calculus cannot take, and sees each member once, at the
+    first open node that has it.  Returns ("closed", Proof) when every
+    branch closes, or ("open", Branch) for the leftmost branch with no
+    applicable instance.  Raises BudgetExceeded when limits run out.
     """
     stack: list[_Frame] = []
-    cur = branch
+    cur, added = branch, branch.formulas
     while True:
         leaf = closing_instance(cur, eager)
         if leaf is None:
-            instances = applicable(cur)
-            if not instances:
+            gate(cur, added)
+            r = next(instances(cur), None)
+            if r is None:
                 return "open", cur
-            r = instances[0]
             counter[0] += 1
             if max_nodes is not None and counter[0] > max_nodes:
                 raise BudgetExceeded(f"node budget exhausted ({max_nodes})")
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("timeout")
             stack.append(_Frame(r, cur))
-            cur = cur.add_all(r.alternatives[0])
+            cur, added = _extend(cur, r.alternatives[0])
             continue
         proof = Proof(leaf, ())
         while stack:
             frame = stack[-1]
             frame.children.append(proof)
             if len(frame.children) < len(frame.instance.alternatives):
-                cur = frame.branch.add_all(
-                    frame.instance.alternatives[len(frame.children)]
+                cur, added = _extend(
+                    frame.branch, frame.instance.alternatives[len(frame.children)]
                 )
                 break
             proof = Proof(frame.instance, tuple(frame.children))
             stack.pop()
         else:
             return "closed", proof
+
+
+def _extend(branch: Branch, alternative) -> tuple[Branch, tuple[Term, ...]]:
+    """The branch with an alternative's formulas, and the members it gains."""
+    b = branch.add_all(alternative)
+    return b, b.formulas[len(branch.formulas) :]
 
 
 def saturate_efo(branch_or_formulas, cfg: SearchConfig | None = None):
@@ -250,9 +285,11 @@ def saturate_efo(branch_or_formulas, cfg: SearchConfig | None = None):
     cfg = cfg or SearchConfig(calculus="efo")
     branch = _as_branch(branch_or_formulas)
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    memo: dict = {}  # this search's term-rule instances
     return _saturate(
         branch,
-        lambda b: applicable_efo(b, cfg.reserved),
+        lambda b: efo_instances(b, cfg.reserved, memo),
+        efo_gate,
         cfg.eager_close,
         deadline,
         [0],
@@ -281,10 +318,12 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
 
         deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
         counter = [0]
+        memo: dict = {}  # term-rule instances, shared by the fuel rounds
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
                 branch,
-                lambda b, f=fuel: applicable_stt(b, f, cfg.reserved),
+                lambda b, f=fuel: stt_instances(b, f, cfg.reserved, memo),
+                stt_gate,
                 cfg.eager_close,
                 deadline,
                 counter,

@@ -272,6 +272,28 @@ def test_proof_file_round_trips_instantiation_rules():
     assert check_proof(problem2.branch(), again2, calculus="stt")
 
 
+def test_deep_proofs_compare_without_recursion():
+    # p0, p(i) -> p(i+1), not p300: a 601-node proof, 301 levels deep
+    n = 300
+    lines = [f"(var p{i} o)" for i in range(n + 1)] + ["(assume p0)"]
+    lines += [f"(assume (imp p{i} p{i + 1}))" for i in range(n)]
+    lines.append(f"(assume (not p{n}))")
+    problem = parse("\n".join(lines))
+    verdict = refute(problem.branch())
+    assert isinstance(verdict, Refuted) and verdict.proof.size() == 2 * n + 1
+    text = serialize_proof(verdict.proof)
+    again = parse_proof(text, problem)
+    assert again == verdict.proof and hash(again) == hash(verdict.proof)
+    # the deepest leaf closed by the eager rule instead: same shape, other proof
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    assert last.endswith(f"mate (p{n} (not p{n}))")
+    tampered = parse_proof(
+        head + "\n" + last.replace(" mate ", " close-compl ") + "\n", problem
+    )
+    assert tampered.size() == verdict.proof.size()
+    assert tampered != verdict.proof and verdict.proof != tampered
+
+
 def test_hand_written_proof_with_comments_checks():
     problem = parse("(sort a)(var x a)(assume (neq x x))")
     text = "decompose ((neq x x))  ; closes by reflexivity\n"

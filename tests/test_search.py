@@ -13,6 +13,7 @@ from hotab.kernel import (
     eq,
     forall,
     fun,
+    imp,
     lam,
     neg,
     o,
@@ -20,7 +21,14 @@ from hotab.kernel import (
     sort,
 )
 from hotab.normalize import normalize
-from hotab.rules import RuleId, applicable_efo, applicable_stt
+from hotab.rules import (
+    RULES,
+    RuleId,
+    applicable_efo,
+    applicable_stt,
+    efo_instances,
+    stt_instances,
+)
 from hotab.search import (
     Proof,
     Refuted,
@@ -205,6 +213,29 @@ def test_forced_calculus_rejects_foreign_members():
     f, g = V("f", fun(a, a)), V("g", fun(a, a))
     with pytest.raises(FragmentViolation):
         refute([eq(ref(f), ref(g))], SearchConfig(calculus="efo"))
+
+    # search gates the members once, as they arrive, with the message the
+    # applicable_* reference gives on the whole branch
+    def message(call, *args):
+        with pytest.raises(FragmentViolation) as e:
+            call(*args)
+        return str(e.value)
+
+    p, q, r = V("p", o), V("q", o), V("r", o)
+    efo_last = [ref(p), neg(ref(q)), eq(ref(f), ref(g))]
+    assert message(saturate_efo, efo_last) == message(
+        applicable_efo, branch_of(*efo_last)
+    )
+    stt_last = [ref(p), neg(ref(q)), quant]
+    assert message(refute, stt_last, SearchConfig(calculus="stt")) == message(
+        applicable_stt, branch_of(*stt_last)
+    )
+    # an implication that only an alternative of bool-eq brings in
+    bool_eq = eq(ref(p), imp(ref(q), ref(r)))
+    got = message(refute, [bool_eq], SearchConfig(calculus="stt"))
+    assert "imp" in got and got == message(
+        applicable_stt, branch_of(bool_eq, ref(p), imp(ref(q), ref(r)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +501,86 @@ def test_unsatisfiable_random_instances_refute():
         assert isinstance(v, Refuted), f"seed {seed}: {s} with its negation"
         hits += 1
     assert hits >= 40
+
+
+# ---------------------------------------------------------------------------
+# Search reads the applicable_* reference lazily
+
+
+def _first(instances):
+    return instances[0] if instances else None
+
+
+def _in_search_order(br, instances) -> bool:
+    """Rule priority first, then the insertion order of the last premise."""
+    at = {s: i for i, s in enumerate(br.formulas)}
+    keys = [
+        (RULES[r.rule].priority, max(at[p] for p in r.premises)) for r in instances
+    ]
+    return keys == sorted(keys)
+
+
+def test_search_instance_is_the_reference_first_on_random_branches():
+    calculi = [
+        (
+            "efo",
+            lambda g: g.efo_formula(2, quasi=True),
+            applicable_efo,
+            lambda b, memo: efo_instances(b, (), memo),
+        )
+    ] + [
+        (
+            f"stt fuel {fuel}",
+            lambda g: g.formula(2),
+            lambda b, fuel=fuel: applicable_stt(b, fuel),
+            lambda b, memo, fuel=fuel: stt_instances(b, fuel, (), memo),
+        )
+        for fuel in (1, 2, 3)
+    ]
+    compared = 0
+    for name, formula, reference, lazy in calculi:
+        for seed in range(60):
+            g = Gen(seed + 21000)
+            br = branch_of(*(normalize(formula(g)) for _ in range(3)))
+            memo: dict = {}  # warmed along the descent below
+            for step in range(12):
+                try:
+                    listed = reference(br)
+                except FragmentViolation:
+                    break
+                assert _in_search_order(br, listed), (name, seed, step)
+                expected = _first(listed)
+                assert next(lazy(br, {}), None) == expected, (name, seed, step)
+                assert next(lazy(br, memo), None) == expected, (name, seed, step)
+                compared += 1
+                if expected is None:
+                    break
+                alts = expected.alternatives
+                br = br.add_all(alts[(seed + step) % len(alts)])
+    assert compared >= 700
+
+
+def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
+    import hotab.search as search
+    from hotab.problems import parse
+
+    problem = parse(
+        "(sort a)(var r (> a a o))(var c0 a)(var c1 a)(var c2 a)"
+        "(assume (r c0 c1))(assume (r c1 c2))"
+        "(assume (forall (x a) (forall (y a) (forall (z a)"
+        " (imp (r x y) (imp (r y z) (r x z)))))))"
+        "(assume (not (r c0 c2)))"
+    )
+    visited = []
+
+    def checked(b, reserved, memo):
+        expected = _first(applicable_efo(b, reserved))
+        assert next(efo_instances(b, reserved), None) == expected
+        assert next(efo_instances(b, reserved, memo), None) == expected
+        visited.append(b)
+        return efo_instances(b, reserved, memo)
+
+    monkeypatch.setattr(search, "efo_instances", checked)
+    v = refute(problem.branch(), SearchConfig(max_nodes=500, timeout=None))
+    assert isinstance(v, Unknown) and "node budget" in v.reason
+    assert len(visited) == 501  # the instance fetched past the budget too
