@@ -11,10 +11,17 @@ Logical constants always denote their canonical interpretations (negation,
 implication, typed identity, universal quantification as the constant-true
 test); a model therefore only carries values for variables.
 
-`extract_model` realizes a saturated branch as a finite model: each sort's
-domain is the branch's discriminants at that sort, base-type variables are
-seeded by branch membership, and the remaining choices are found by
-backtracking, certified by `check_model` before returning.
+`extract_model` realizes a saturated branch as a finite model, following
+the model-existence argument: each sort's domain is the branch's
+discriminants at that sort, base-type variables are seeded by branch
+membership, and first-order relation and function tables are read off the
+branch (a cell, one tuple of discriminants, takes the truth value of the
+atoms or the discriminant of the applications found there).  Each function
+variable's tables are streamed lazily as the product of per-cell candidate
+lists, branch-read values first, so the whole function space is still
+searched but never built.  Backtracking over these streams keeps an
+explicit stack, and the result is certified by `check_model` before it is
+returned.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .kernel import (
     Ref,
     Term,
     Type,
+    arg_types,
     eq_operand_type,
     forall_sort,
     free_vars,
@@ -40,8 +48,10 @@ from .kernel import (
     is_sort,
     neg,
     o,
+    result_type,
     show_term,
     show_type,
+    spine,
 )
 
 #: Refuse to enumerate a function space with more tables than this.
@@ -259,9 +269,15 @@ def extract_model(
 
     Sorts take their discriminants as domains; a sort variable that is itself
     a discriminating term must land in a discriminant containing it; a truth
-    variable in the branch must be true, a negated one false.  The remaining
-    freedom is resolved by backtracking and the result is certified by
-    check_model before it is returned.
+    variable in the branch must be true, a negated one false.  A function or
+    relation variable gets a lazy stream of tables, the product of one
+    candidate list per cell, where a first-order variable's cells offer the
+    values read off the branch first (`_cell_candidates`); each stream still
+    covers the whole function space.  Variables are assigned depth-first
+    with an explicit stack of these streams, each member is checked as soon
+    as its variables are assigned, and the result is certified by
+    check_model before it is returned.  The table ceiling is checked before
+    each stream is opened.
     """
     if check_evidence:
         from .search import is_evident
@@ -288,7 +304,7 @@ def extract_model(
     fun_vars = [n for n in variables if type(n.ty) is Fun]
     order = sort_vars + bool_vars + fun_vars
 
-    def candidates(n: Name) -> list:
+    def candidates(n: Name) -> Iterable:
         if is_sort(n.ty):
             ds = discs[n.ty]
             if Ref(n) in branch.discriminating_terms(n.ty):
@@ -301,7 +317,9 @@ def extract_model(
             if neg(Ref(n)) not in branch:  # may be true unless denied
                 out.append(1)
             return out
-        return list(frame.domain(n.ty))
+        frame.size(n.ty)  # ceiling check before streaming any table
+        cells, shape = _cell_candidates(branch, frame, discs, n)
+        return (_nest(row, shape) for row in itertools.product(*cells))
 
     # check each formula as soon as all its variables are assigned
     position = {n: i for i, n in enumerate(order)}
@@ -311,34 +329,91 @@ def extract_model(
         trigger = max((position[n] for n in fv), default=-1)
         triggers.setdefault(trigger, []).append(s)
 
-    base = Model(frame, {})
+    model = Model(frame, {})
     for s in triggers.get(-1, ()):  # variable-free members
-        if eval_term(base, s) != 1:
+        if eval_term(model, s) != 1:
             raise ExtractionFailure(f"closed formula {show_term(s)} is false")
 
-    assignment: dict[Name, object] = {}
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
+    assignment = model.interp
+    streams: list[Iterator] = []  # streams[i]: the untried values of order[i]
+    i = 0
+    while i < len(order):
         n = order[i]
-        for v in candidates(n):
+        if i == len(streams):
+            streams.append(iter(candidates(n)))
+        for v in streams[i]:
             assignment[n] = v
-            m = Model(frame, assignment)
-            if all(eval_term(m, s) == 1 for s in triggers.get(i, ())):
-                if search(i + 1):
-                    return True
-        assignment.pop(n, None)
-        return False
-
-    if not search(0):
-        raise ExtractionFailure(
-            "no admissible assignment over the discriminant frame"
-        )
-    model = Model(frame, assignment)
+            if all(eval_term(model, s) == 1 for s in triggers.get(i, ())):
+                i += 1
+                break
+        else:  # no value left for order[i]: revise order[i - 1]
+            streams.pop()
+            assignment.pop(n, None)
+            i -= 1
+            if i < 0:
+                raise ExtractionFailure(
+                    "no admissible assignment over the discriminant frame"
+                )
     if not check_model(model, branch.formulas):
         raise ExtractionFailure("extracted model failed certification")
     return model
+
+
+def _cell_candidates(
+    branch: Branch, frame: Frame, discs: dict[Base, tuple[frozenset, ...]], n: Name
+) -> tuple[list, tuple[int, ...]]:
+    """The candidate values of each cell of n's table, and the table's shape.
+
+    A cell is one argument point of the table; cells are listed in the
+    table's enumeration order.  A first-order variable (sort arguments, sort
+    or o result) has one cell per tuple of discriminants, and the cell lists
+    first the values the branch shows there: 1 for a positive and 0 for a
+    negative atom of n whose arguments lie in those discriminants, or each
+    discriminant holding an application of n to such arguments.  The other
+    values follow in ascending order.  A higher-order variable's cells are
+    the points of its domain, each ranging over the whole codomain.
+    """
+    args, res = arg_types(n.ty), result_type(n.ty)
+    if not (all(is_sort(s) for s in args) and (res == o or is_sort(res))):
+        size = frame.size(n.ty.dom)
+        return [frame.domain(n.ty.cod)] * size, (size,)
+
+    where: dict[Base, dict[Term, list[int]]] = {s: {} for s in args}
+    for s, terms in where.items():  # term -> the discriminants holding it
+        for i, d in enumerate(discs[s]):
+            for t in d:
+                terms.setdefault(t, []).append(i)
+
+    def cells_of(ts: tuple[Term, ...]) -> Iterator[tuple[int, ...]]:
+        return itertools.product(*(where[s].get(t, ()) for s, t in zip(args, ts)))
+
+    shown: dict[tuple[int, ...], dict[int, None]] = {}
+    if res == o:
+        for value, atoms in ((1, branch.pos_atoms(n)), (0, branch.neg_atoms(n))):
+            for s in atoms:
+                for cell in cells_of(branch.info(s).args):
+                    shown.setdefault(cell, {})[value] = None
+    else:
+        for j, d in enumerate(discs[res]):
+            for t in d:
+                head, ts = spine(t)
+                if type(head) is Ref and head.name == n:
+                    for cell in cells_of(ts):
+                        shown.setdefault(cell, {})[j] = None
+    shape = tuple(frame.size(s) for s in args)
+    values = range(frame.size(res))
+    cells = [
+        list(dict.fromkeys((*shown.get(cell, ()), *values)))
+        for cell in itertools.product(*map(range, shape))
+    ]
+    return cells, shape
+
+
+def _nest(row: tuple, shape: tuple[int, ...]) -> tuple:
+    """Regroup a row of cell values into the curried table of that shape."""
+    for m in reversed(shape[1:]):
+        row = tuple(row[i : i + m] for i in range(0, len(row), m))
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from hotab.problems import (
 )
 from hotab.rules import RuleId
 from hotab.search import Refuted, SearchConfig, check_proof, refute
-from hotab.semantics import sorts_in, variables_in
+from hotab.semantics import Frame, Model, check_model, sorts_in, variables_in
 
 from helpers import Gen
 
@@ -490,6 +490,20 @@ def test_cli_max_domain_caps_extraction(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 30
     assert out.out.splitlines()[0] == "unknown"
+
+
+def test_cli_many_truth_variables_without_recursion(tmp_path, capsys):
+    # model search keeps one stack entry per variable, not one Python frame
+    text = "".join(f"(var p{i} o)(assume p{i})" for i in range(1500))
+    code = _run(tmp_path, text)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 10 and lines[0] == "sat"
+    interp = {}
+    for line in lines[1:]:
+        ident, _, value = line.removeprefix("var ").partition(" : o = ")
+        interp[Name(ident, o)] = int(value)
+    assert len(interp) == 1500
+    assert check_model(Model(Frame({}), interp), parse(text).assumptions)
 
 
 def test_cli_eager_close_changes_the_proof(tmp_path, capsys):

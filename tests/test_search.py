@@ -584,3 +584,114 @@ def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
     v = refute(problem.branch(), SearchConfig(max_nodes=500, timeout=None))
     assert isinstance(v, Unknown) and "node budget" in v.reason
     assert len(visited) == 501  # the instance fetched past the budget too
+
+
+# ---------------------------------------------------------------------------
+# Model extraction reads first-order tables off the evident branch
+
+
+def _clique_text(k: int, *lines: str) -> str:
+    decls = ["(sort a)"] + [f"(var c{i} a)" for i in range(k)]
+    decls += [f"(assume (neq c{i} c{j}))" for i in range(k) for j in range(i + 1, k)]
+    return "".join(decls + list(lines))
+
+
+def _rel(k: int) -> str:
+    return _clique_text(
+        k,
+        "(var r (> a a o))",
+        "(assume (forall (x a) (r x x)))",
+        "(assume (not (r c0 c1)))",
+    )
+
+
+def _fclique(k: int) -> str:
+    return _clique_text(k, "(var f (> a a))", "(assume (neq (f c0) c0))")
+
+
+def test_extraction_builds_no_first_order_function_space(monkeypatch):
+    import tracemalloc
+
+    import hotab.semantics as semantics
+    from hotab.fragments import decide
+    from hotab.kernel import Fun, arg_types, forall_sort, is_sort, names
+    from hotab.problems import parse
+
+    domain = semantics.Frame.domain
+    allowed: set = set()
+
+    def guarded(frame, ty):
+        first_order = type(ty) is Fun and all(is_sort(s) for s in arg_types(ty))
+        if first_order and ty not in allowed:
+            raise AssertionError(f"built the function space of {ty}")
+        return domain(frame, ty)
+
+    monkeypatch.setattr(semantics.Frame, "domain", guarded)
+    problems = [_rel(k) for k in range(2, 6)] + [_fclique(k) for k in range(3, 8)]
+    for text in problems:
+        forms = parse(text).assumptions
+        # check_model evaluates a quantifier over s through the table of
+        # D(s -> o); that space is the quantifier's, not a variable's
+        allowed = {
+            Fun(forall_sort(n), o)
+            for s in forms
+            for n in names(s)
+            if forall_sort(n) is not None
+        }
+        v = decide(branch_of(*forms))
+        assert isinstance(v, Satisfiable), text
+        assert check_model(v.model, forms)
+
+    forms = parse(_rel(5)).assumptions
+    allowed = {Fun(a, o)}
+    tracemalloc.start()
+    try:
+        v = decide(branch_of(*forms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(v, Satisfiable)
+    assert peak < 50 * 2**20
+
+
+def _ground_problem(g: Gen) -> list:
+    """Ground formulas over c, d : a, a function f : a -> a and a relation
+    r : a -> a -> o (the lambda-free class, so `decide` terminates)."""
+    rng = g.rng
+    f, r = V("f", fun(a, a)), V("r", fun(a, a, o))
+    consts = [V("c", a), V("d", a)]
+
+    def term():
+        t = ref(rng.choice(consts))
+        return app(ref(f), t) if rng.random() < 0.45 else t
+
+    def literal():
+        s = app(ref(r), term(), term()) if rng.random() < 0.5 else eq(term(), term())
+        return neg(s) if rng.random() < 0.5 else s
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.5:
+            return literal()
+        return imp(formula(depth - 1), formula(depth - 1))
+
+    return [normalize(formula(2)) for _ in range(rng.choice((3, 4, 5)))]
+
+
+def test_decide_agrees_with_enumeration_on_function_and_relation_variables():
+    from hotab.fragments import decide
+
+    refuted = satisfiable = 0
+    for seed in range(120):
+        forms = _ground_problem(Gen(seed + 23000, sorts=("a",)))
+        v = decide(branch_of(*forms))
+        if isinstance(v, Refuted):
+            refuted += 1
+            assert check_proof(forms, v.proof), seed
+            assert next(enumerate_models(forms, max_size=2), None) is None, seed
+        else:
+            assert isinstance(v, Satisfiable), seed
+            satisfiable += 1
+            assert check_model(v.model, forms), seed
+            size = v.model.frame.sort_sizes.get(a, 1)
+            assert next(enumerate_models(forms, max_size=size), None) is not None
+    assert refuted >= 20 and satisfiable >= 60

@@ -20,6 +20,7 @@ from hotab.kernel import (
     forall,
     forall_const,
     fun,
+    imp,
     lam,
     neg,
     o,
@@ -235,6 +236,22 @@ def test_extract_model_fails_loudly_when_unrealizable():
     e = branch_of(ref(p), neg(ref(p)))
     with pytest.raises(ExtractionFailure):
         extract_model(e, check_evidence=False)
+
+
+def test_extract_model_backtracks_past_the_branch_read_table():
+    # r c is on the branch and r d is not, so r's first streamed table is
+    # (1, 0); the unexpanded implication rejects it and (1, 1) is taken
+    c, d = Name("c", a), Name("d", a)
+    r = Name("r", fun(a, o))
+    e = branch_of(
+        diseq(ref(c), ref(d)),
+        app(ref(r), ref(c)),
+        imp(app(ref(r), ref(c)), app(ref(r), ref(d))),
+    )
+    m = extract_model(e, check_evidence=False)
+    assert m.frame.sort_labels[a] == (frozenset([ref(c)]), frozenset([ref(d)]))
+    assert m.interp[r] == (1, 1)
+    assert check_model(m, e.formulas)
 
 
 def test_show_model_format():
