@@ -7,9 +7,10 @@ variables in first-occurrence order.  `add` returns a new branch and shares
 nothing mutable, so branches behave persistently; adding a member that is
 already present returns the branch itself (identity-preserving no-op).
 
-Discriminants of a sort — maximal sets of disequation sides with no
-disequation between members — are enumerated lazily per sort and memoized on
-the branch.  The memo is idempotent, so concurrent readers at worst repeat
+The discriminating terms of a sort (the sides of its disequations) and its
+discriminants — maximal sets of disequation sides with no disequation
+between members — are computed lazily per sort and memoized on the
+branch.  The memo is idempotent, so concurrent readers at worst repeat
 the computation; nothing observable ever mutates.
 """
 
@@ -151,6 +152,7 @@ class Branch:
         "free_names",
         "closing_witness",
         "eager_witness",
+        "_disc_terms_cache",
         "_disc_cache",
     )
 
@@ -166,6 +168,7 @@ class Branch:
         self.free_names: tuple[Name, ...] = ()
         self.closing_witness: tuple | None = None
         self.eager_witness: tuple | None = None
+        self._disc_terms_cache: dict[Type, tuple[Term, ...]] = {}
         self._disc_cache: dict[Type, tuple[frozenset[Term], ...]] = {}
 
     @staticmethod
@@ -268,6 +271,7 @@ class Branch:
         b.eager_witness = self.eager_witness
         if b.eager_witness is None:
             b.eager_witness = self._eager_after(s, info)
+        b._disc_terms_cache = {}
         b._disc_cache = {}
         return b
 
@@ -309,12 +313,16 @@ class Branch:
 
     def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
         """Sides of the disequations at the given sort, deduplicated."""
+        cached = self._disc_terms_cache.get(at)
+        if cached is not None:
+            return cached
         seen: dict[Term, None] = {}
         for d in self._diseqs_by_sort.get(at, ()):
             info = self._info[d]
             seen.setdefault(info.lhs)
             seen.setdefault(info.rhs)
-        return tuple(seen)
+        out = self._disc_terms_cache[at] = tuple(seen)
+        return out
 
     def discriminants(self, at: Type) -> tuple[frozenset[Term], ...]:
         """Maximal sets of discriminating terms with no internal disequation.

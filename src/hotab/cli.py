@@ -50,8 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report which decidable fragments the input falls in, then exit",
     )
-    ap.add_argument("--max-nodes", type=int, default=100_000, metavar="N")
-    ap.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS")
+    ap.add_argument("--max-nodes", type=_limit(int), default=100_000, metavar="N")
+    ap.add_argument(
+        "--timeout", type=_limit(float), default=10.0, metavar="SECONDS"
+    )
     ap.add_argument(
         "--fuel-schedule",
         default="1,2,3,4",
@@ -72,12 +74,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--max-domain",
-        type=int,
+        type=_limit(int),
         default=None,
         metavar="N",
         help="cap on interpretation table sizes during model extraction",
     )
     return ap
+
+
+def _limit(convert):
+    """An argparse type: a number of the given kind that is not negative
+    (zero keeps its meaning: no rule applications, no time, no table)."""
+
+    def parse_limit(text: str):
+        value = convert(text)
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse_limit.__name__ = convert.__name__  # argparse names it on bad input
+    return parse_limit
 
 
 def _read_problem(path: str) -> Problem:
@@ -107,10 +123,18 @@ def _run_check_proof(problem: Problem, path: str) -> int:
     return EXIT_INTERNAL
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is not None:
+def _write(path: str | None, text: str) -> bool:
+    """Write text to path, if one is given.  Returns False, after a message
+    on stderr, when the file cannot be written."""
+    if path is None:
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text if text.endswith("\n") else text + "\n")
+    except OSError as ex:
+        print(f"error: cannot write {path}: {ex.strerror or ex}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -158,13 +182,15 @@ def main(argv=None) -> int:
         )
         print(f"calculus: {verdict.calculus}", file=sys.stderr)
         print(f"proof size {verdict.proof.size()} ({counts})", file=sys.stderr)
-        _write(args.proof_out, serialize_proof(verdict.proof))
+        if not _write(args.proof_out, serialize_proof(verdict.proof)):
+            return EXIT_INPUT
         return EXIT_UNSAT
     if isinstance(verdict, Satisfiable):
         print("sat")
         text = show_model(verdict.model)
         print(text, end="" if text.endswith("\n") else "\n")
-        _write(args.model_out, text)
+        if not _write(args.model_out, text):
+            return EXIT_INPUT
         return EXIT_SAT
     assert isinstance(verdict, Unknown)
     print("unknown")

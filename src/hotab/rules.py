@@ -13,7 +13,8 @@ witness variable), and the rule's priority in search.  Three consumers read
 it:
 
   * `make_instance` validates premises against the row and builds the
-    alternatives; proof files therefore carry no conclusions.
+    alternatives; proof files therefore carry no conclusions.  It uses
+    neither cache below.
   * One lazy instance generator, run with each calculus's rule set
     (`efo_instances`, `stt_instances`), yields the instances the calculus
     admits on a branch in a deterministic order (rule priority first, then
@@ -24,13 +25,22 @@ it:
     the closure conditions that guarantee a model exists (see
     `search.is_evident`).  Search takes the generator's first instance at
     each node and runs the calculus's fragment gate (`efo_gate`,
-    `stt_gate`) once per member.  `applicable_efo` and `applicable_stt`
-    are the gate on the whole branch plus the generator's full list: the
-    reference the search is tested against.
+    `stt_gate`) once per member.
+
+    Branches only grow, and that gives the generator two caches, both
+    owned by its caller.  An instance that takes no fresh witness depends
+    on its rule, premises and term alone, so a memo builds its
+    alternatives once per search.  An instance that is unproductive on a
+    branch is unproductive on every extension, so its memo key goes into a
+    dead set that later calls skip; search scopes that set to the path
+    from the root (see `search._saturate`).  `applicable_efo` and
+    `applicable_stt` are the gate on the whole branch plus the generator's
+    full list, built with fresh caches: the reference the search is tested
+    against.
   * `check_instance` validates a claimed instance against a branch: its
     premises are members, it equals what the row builds from them, and the
     branch-dependent admissibility conditions hold.  It is the trusted core
-    behind proof checking.
+    behind proof checking, and rebuilds every instance from the table.
 
 The restricted calculus enforces, per branch A:
 
@@ -640,7 +650,7 @@ def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
 
 
 def _instances(
-    branch: Branch, rules, candidates, reserved, memo: dict
+    branch: Branch, rules, candidates, reserved, memo: dict, dead: dict
 ) -> Iterator[RuleInstance]:
     """Instances of the given rules on the branch, lazily, in search order.
 
@@ -648,10 +658,19 @@ def _instances(
     premise, then the order of the other premise, the witness or the
     candidate term; candidates(branch, info) lists the instantiation terms
     of a "term" rule.  An instance helps only if every alternative adds
-    something new; the others are skipped.  Instances of "term" rules
-    depend on the rule, premise and term alone, so they are kept in memo,
-    by (rule, premise) and then by term.  The gate is the caller's:
+    something new; the others are skipped.  The gate is the caller's:
     members no rule takes are passed over.
+
+    Every rule but the fresh-witness ones builds its instance from the
+    rule, premises and term alone, so memo keeps it under the key
+    (rule name, premises) or (rule name, premises, term), with _REJECTED
+    where the row's shape rejects the premises.  (The name, a string,
+    hashes in C; the RuleId member would hash in Python, once per key
+    tested.)  An instance found unproductive stays so on every extension of
+    the branch, so its key is recorded in dead (a dict used as an
+    insertion-ordered set) and the generator skips the keys already there.
+    The caller owns both: search scopes dead to the path from the root, and
+    fresh dicts make the walk cache-free.
     """
     if branch.is_closed:
         return
@@ -668,36 +687,51 @@ def _instances(
         for s in members:
             info = branch.info(s)
             for rule, row, at in uses[info.kind]:
-                if len(row.kinds) == 2:
-                    # pair s with the earlier members that fill the other premise
-                    for other in earlier[row.kinds[1 - at]]:
-                        pair = (s, other) if at == 0 else (other, s)
-                        infos = tuple(map(branch.info, pair))
-                        if row.shape(pair, infos):
-                            alts = row.alts(*infos)
-                            if productive(alts):
-                                yield RuleInstance(rule, pair, alts)
-                elif row.inst is None:
-                    if row.shape is None or row.shape((s,), (info,)):
-                        alts = row.alts(info)
-                        if productive(alts):
-                            yield RuleInstance(rule, (s,), alts)
-                elif row.inst == "fresh":
+                if row.inst == "fresh":
                     if not _concluded(branch, rule, info):
                         x = _fresh_witness(branch, _inst_type(info), reserved)
                         alts = row.alts(info, x)
                         if productive(alts):
                             yield RuleInstance(rule, (s,), alts, x)
+                    continue
+                name = rule.value
+                if row.inst == "term":
+                    keys = ((name, (s,), u) for u in candidates(branch, info))
+                elif len(row.kinds) == 2:
+                    # pair s with the earlier members that fill the other premise
+                    keys = (
+                        (name, (s, other) if at == 0 else (other, s))
+                        for other in earlier[row.kinds[1 - at]]
+                    )
                 else:
-                    known = memo.setdefault((rule, s), {})
-                    for u in candidates(branch, info):
-                        r = known.get(u)
-                        if r is None:
-                            r = RuleInstance(rule, (s,), row.alts(info, u), u)
-                            known[u] = r
-                        if productive(r.alternatives):
-                            yield r
+                    keys = ((name, (s,)),)
+                for key in keys:
+                    if key in dead:
+                        continue
+                    r = memo.get(key)
+                    if r is None:
+                        r = memo[key] = _memo_instance(branch, rule, row, key)
+                    if r is _REJECTED:
+                        continue
+                    if productive(r.alternatives):
+                        yield r
+                    else:
+                        dead[key] = None
             earlier[info.kind].append(s)
+
+
+#: The memo entry of premises that a row's shape rejects.
+_REJECTED = object()
+
+
+def _memo_instance(branch: Branch, rule: RuleId, row: Rule, key: tuple):
+    """The instance of the rule that a memo key (name, premises[, term])
+    names, or _REJECTED when the row's shape rejects the premises."""
+    _, premises, *inst = key
+    infos = tuple(map(branch.info, premises))
+    if row.shape is not None and not row.shape(premises, infos):
+        return _REJECTED
+    return RuleInstance(rule, premises, row.alts(*infos, *inst), *inst)
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
@@ -709,29 +743,37 @@ def stt_instances(
     fuel: int = 3,
     reserved: tuple[Name, ...] = (),
     memo: dict | None = None,
+    dead: dict | None = None,
 ) -> Iterator[RuleInstance]:
     """The unrestricted calculus's instances on the branch, lazily and
-    without the gate; memo keeps term-rule instances across calls."""
+    without the gate; memo keeps instances across calls, and dead the keys
+    of instances unproductive on a branch this one extends."""
     return _instances(
         branch,
         STT_RULES,
         lambda b, info: instantiation_candidates(b, _inst_type(info), fuel),
         reserved,
         {} if memo is None else memo,
+        {} if dead is None else dead,
     )
 
 
 def efo_instances(
-    branch: Branch, reserved: tuple[Name, ...] = (), memo: dict | None = None
+    branch: Branch,
+    reserved: tuple[Name, ...] = (),
+    memo: dict | None = None,
+    dead: dict | None = None,
 ) -> Iterator[RuleInstance]:
     """The restricted calculus's instances on the branch, lazily and
-    without the gate; memo keeps term-rule instances across calls."""
+    without the gate; memo keeps instances across calls, and dead the keys
+    of instances unproductive on a branch this one extends."""
     return _instances(
         branch,
         EFO_RULES,
         lambda b, info: _forall_instances(b, info, reserved),
         reserved,
         {} if memo is None else memo,
+        {} if dead is None else dead,
     )
 
 

@@ -3,9 +3,15 @@
 `refute` develops a branch depth-first, always applying the first
 applicable instance (rule priority, then member insertion order), so runs
 are deterministic.  The instance is read lazily from the rules' generator,
-so the rest of the branch's instances are never built; the fragment gate
-sees each member once; and quantifier and functional-equation instances
-are memoised for the length of one `refute` or `saturate_efo` call.
+so the rest of the branch's instances are never built, and the fragment
+gate sees each member once.  The generator is handed two caches.  Every
+instance that takes no fresh witness is memoised for the length of one
+`refute` or `saturate_efo` call, so its alternatives are built once.  The
+keys of instances found unproductive go into a dead set owned by one
+saturation (one fuel round): those found at a node stay valid in every
+subtree of the frame pushed there, and are dropped when it is popped, so
+later nodes on the path skip them without testing them again.  Neither
+cache changes which instance is applied, so proofs do not depend on them.
 
 In the restricted calculus a single saturation either closes every
 branch — yielding a Refuted verdict with a proof tree — or reaches a
@@ -166,11 +172,12 @@ class SearchConfig:
     calculus: "stt", "efo", or "auto" (route by the input's language).
     fuel_schedule: strictly increasing instantiation-size bounds tried in
     turn by the unrestricted calculus.  max_nodes counts rule applications
-    across the whole run; timeout is wall-clock seconds; either may be None
-    for no limit.  eager_close also closes on complementary non-atoms and
-    reflexive disequations, recorded with dedicated leaf rules.  reserved
-    names are never chosen for introduced variables.  max_table bounds
-    function-space enumeration during model extraction.
+    across the whole run; timeout is wall-clock seconds; neither may be
+    negative, and either may be None for no limit.  eager_close also
+    closes on complementary non-atoms and reflexive disequations, recorded
+    with dedicated leaf rules.  reserved names are never chosen for
+    introduced variables.  max_table bounds function-space enumeration
+    during model extraction.
     """
 
     calculus: str = "auto"
@@ -188,6 +195,10 @@ class SearchConfig:
         if not sched or any(f < 1 for f in sched) or list(sched) != sorted(set(sched)):
             raise ValueError("fuel_schedule must be strictly increasing, >= 1")
         object.__setattr__(self, "fuel_schedule", sched)
+        for name in ("max_nodes", "timeout"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:  # also rejects nan
+                raise ValueError(f"{name} must be >= 0 or None, got {limit}")
 
 
 def _as_branch(obj) -> Branch:
@@ -225,26 +236,35 @@ def route_calculus(branch: Branch) -> str:
 class _Frame:
     instance: RuleInstance
     branch: Branch
+    dead_mark: int  # size of the dead set before this node added to it
     children: list = field(default_factory=list)
 
 
 def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
     """Develop a branch depth-first.
 
-    instances(b) yields the calculus's instances on b in search order, of
-    which the first is applied; gate(b, members) raises FragmentViolation
-    for members the calculus cannot take, and sees each member once, at the
-    first open node that has it.  Returns ("closed", Proof) when every
-    branch closes, or ("open", Branch) for the leftmost branch with no
-    applicable instance.  Raises BudgetExceeded when limits run out.
+    instances(b, dead) yields the calculus's instances on b in search
+    order, of which the first is applied; gate(b, members) raises
+    FragmentViolation for members the calculus cannot take, and sees each
+    member once, at the first open node that has it.  Returns ("closed",
+    Proof) when every branch closes, or ("open", Branch) for the leftmost
+    branch with no applicable instance.  Raises BudgetExceeded when limits
+    run out.
+
+    dead holds the keys of the instances found unproductive at the nodes
+    on the current path.  A key found at a node stays valid on every
+    alternative of the frame pushed there, so it is dropped when that frame
+    is popped, and never reaches a sibling subtree.
     """
     stack: list[_Frame] = []
+    dead: dict = {}  # insertion-ordered, so popitem drops the newest keys
     cur, added = branch, branch.formulas
     while True:
         leaf = closing_instance(cur, eager)
         if leaf is None:
             gate(cur, added)
-            r = next(instances(cur), None)
+            mark = len(dead)
+            r = next(instances(cur, dead), None)
             if r is None:
                 return "open", cur
             counter[0] += 1
@@ -252,7 +272,7 @@ def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
                 raise BudgetExceeded(f"node budget exhausted ({max_nodes})")
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("timeout")
-            stack.append(_Frame(r, cur))
+            stack.append(_Frame(r, cur, mark))
             cur, added = _extend(cur, r.alternatives[0])
             continue
         proof = Proof(leaf, ())
@@ -266,6 +286,8 @@ def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
                 break
             proof = Proof(frame.instance, tuple(frame.children))
             stack.pop()
+            while len(dead) > frame.dead_mark:
+                dead.popitem()
         else:
             return "closed", proof
 
@@ -285,10 +307,10 @@ def saturate_efo(branch_or_formulas, cfg: SearchConfig | None = None):
     cfg = cfg or SearchConfig(calculus="efo")
     branch = _as_branch(branch_or_formulas)
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-    memo: dict = {}  # this search's term-rule instances
+    memo: dict = {}  # this search's instances
     return _saturate(
         branch,
-        lambda b: efo_instances(b, cfg.reserved, memo),
+        lambda b, dead: efo_instances(b, cfg.reserved, memo, dead),
         efo_gate,
         cfg.eager_close,
         deadline,
@@ -318,11 +340,13 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
 
         deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
         counter = [0]
-        memo: dict = {}  # term-rule instances, shared by the fuel rounds
+        memo: dict = {}  # instances, shared by the fuel rounds
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
                 branch,
-                lambda b, f=fuel: stt_instances(b, f, cfg.reserved, memo),
+                lambda b, dead, f=fuel: stt_instances(
+                    b, f, cfg.reserved, memo, dead
+                ),
                 stt_gate,
                 cfg.eager_close,
                 deadline,

@@ -442,6 +442,43 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "fragment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, flag, verdict",
+    [
+        ("(sort a)(var x a)(assume (neq x x))", "--proof-out", "unsat"),
+        ("(sort a)(var x a)(var y a)(assume (neq x y))", "--model-out", "sat"),
+    ],
+)
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, text, flag, verdict):
+    target = tmp_path / "missing-dir" / "out"
+    assert _run(tmp_path, text, flag, str(target)) == 2
+    out = capsys.readouterr()
+    assert out.out.splitlines()[0] == verdict
+    assert f"error: cannot write {target}: " in out.err
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-nodes", "-1"), ("--timeout", "-1"), ("--max-domain", "-3")]
+)
+def test_cli_negative_limits_exit_2(tmp_path, capsys, flag, value):
+    # no function variables, so max-domain used to go unread
+    with pytest.raises(SystemExit) as exit_:
+        _run(tmp_path, "(sort a)(var x a)(assume (neq x x))", flag, value)
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}: must be >= 0, got {value}" in out.err
+
+
+def test_cli_zero_limits_keep_their_meaning(tmp_path, capsys):
+    assert _run(tmp_path, RUNNING, "--mode", "efo", "--max-nodes", "0") == 30
+    assert "node budget exhausted (0)" in capsys.readouterr().err
+    text = "(sort a)(var f (> a o))(var x a)(var y a)(assume (neq (f x) (f y)))"
+    assert _run(tmp_path, text, "--max-domain", "0") == 30
+    assert "exceeds the ceiling 0" in capsys.readouterr().err
+
+
 def test_cli_fragment_check(tmp_path, capsys):
     code = _run(tmp_path, RUNNING, "--fragment-check")
     out = capsys.readouterr()

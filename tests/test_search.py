@@ -278,6 +278,17 @@ def test_search_config_validation():
         SearchConfig(fuel_schedule=(0, 1))
 
 
+def test_search_config_rejects_negative_limits():
+    for limits in ({"max_nodes": -1}, {"timeout": -1.0}, {"timeout": float("nan")}):
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            SearchConfig(**limits)
+    # zero keeps its meaning: the first rule application exceeds the budget
+    v = refute(running_example(), SearchConfig(max_nodes=0, timeout=None))
+    assert isinstance(v, Unknown) and v.reason == "node budget exhausted (0)"
+    v = refute(running_example(), SearchConfig(max_nodes=None, timeout=0))
+    assert isinstance(v, Unknown) and v.reason == "timeout"
+
+
 # ---------------------------------------------------------------------------
 # Eager closing
 
@@ -573,12 +584,13 @@ def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
     )
     visited = []
 
-    def checked(b, reserved, memo):
+    def checked(b, reserved, memo, dead):
         expected = _first(applicable_efo(b, reserved))
         assert next(efo_instances(b, reserved), None) == expected
         assert next(efo_instances(b, reserved, memo), None) == expected
+        assert next(efo_instances(b, reserved, memo, dead), None) == expected
         visited.append(b)
-        return efo_instances(b, reserved, memo)
+        return efo_instances(b, reserved, memo, dead)
 
     monkeypatch.setattr(search, "efo_instances", checked)
     v = refute(problem.branch(), SearchConfig(max_nodes=500, timeout=None))
@@ -586,14 +598,80 @@ def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
     assert len(visited) == 501  # the instance fetched past the budget too
 
 
-# ---------------------------------------------------------------------------
-# Model extraction reads first-order tables off the evident branch
-
-
 def _clique_text(k: int, *lines: str) -> str:
     decls = ["(sort a)"] + [f"(var c{i} a)" for i in range(k)]
     decls += [f"(assume (neq c{i} c{j}))" for i in range(k) for j in range(i + 1, k)]
     return "".join(decls + list(lines))
+
+
+@pytest.mark.parametrize(
+    "text, calculus, max_nodes, rounds",
+    [
+        # branches and backtracks: a frame's unproductive instances must
+        # not reach its sibling subtrees
+        pytest.param(
+            _clique_text(5, "(assume (forall (x a) (imp (neq x c0) (= x c1))))"),
+            "efo",
+            None,
+            1,
+            id="cliqueU5",
+        ),
+        # the unrestricted calculus under a node budget, with fresh witnesses
+        pytest.param(
+            "(sort a)(var f (> a a))(var g (> a a))(var h (> a a))(var c a)"
+            "(assume (= f g))(assume (neq (f (h c)) (g (h c))))",
+            "stt",
+            200,
+            1,
+            id="funeq1",
+        ),
+        # two fuel rounds over one memo, each with its own unproductive set
+        pytest.param(
+            "(var y o)(assume (= (lam (z o) z) (lam (z o) y)))",
+            "stt",
+            None,
+            2,
+            id="boolean-lambda",
+        ),
+    ],
+)
+def test_search_instance_is_the_reference_first_at_every_node(
+    monkeypatch, text, calculus, max_nodes, rounds
+):
+    import hotab.search as search
+    from hotab.problems import parse
+
+    name, reference = {
+        "efo": ("efo_instances", applicable_efo),
+        "stt": ("stt_instances", applicable_stt),
+    }[calculus]
+    lazy = getattr(search, name)
+    visited = []
+
+    def checked(b, *args):
+        # args: the calculus's parameters, then the memo and the dead set
+        params, (memo, dead) = args[:-2], args[-2:]
+        expected = _first(reference(b, *params))
+        assert next(lazy(b, *params), None) == expected
+        assert next(lazy(b, *params, memo), None) == expected
+        assert next(lazy(b, *params, memo, dead), None) == expected
+        visited.append(b)
+        return lazy(b, *args)
+
+    monkeypatch.setattr(search, name, checked)
+    root = parse(text).branch()
+    cfg = SearchConfig(calculus=calculus, max_nodes=max_nodes, timeout=None)
+    v = refute(root, cfg)
+    if max_nodes is None:
+        assert isinstance(v, Refuted) and check_proof(root, v.proof, calculus)
+    else:
+        assert isinstance(v, Unknown) and "node budget" in v.reason
+        assert len(visited) == max_nodes + 1
+    assert sum(1 for b in visited if b is root) == rounds
+
+
+# ---------------------------------------------------------------------------
+# Model extraction reads first-order tables off the evident branch
 
 
 def _rel(k: int) -> str:
