@@ -30,24 +30,27 @@ problem = parse(text)
 report = classify_branch(problem.branch())
 print(report.describe())
 
-work = Path(tempfile.mkdtemp())
-path = work / "relational.tab"
-path.write_text(text)
+# the files go into a temporary directory that is removed at the end
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    path = work / "relational.tab"
+    path.write_text(text)
 
-# exit code 20 announces unsat; the proof file is written alongside
-proof = work / "relational.proof"
-code = main([str(path), "--proof-out", str(proof)])
-print("\nexit code:", code)
+    # exit code 20 announces unsat; the proof file is written alongside
+    proof = work / "relational.proof"
+    code = main([str(path), "--proof-out", str(proof)])
+    print("\nexit code:", code)
 
-print("\nproof file:")
-print(proof.read_text())
+    print("\nproof file:")
+    print(proof.read_text())
 
-# the checker replays the proof against the problem: exit code 0 is a pass
-code = main([str(path), "--check-proof", str(proof)])
-print("check exit code:", code)
+    # the checker replays the proof against the problem: exit code 0 is a pass
+    code = main([str(path), "--check-proof", str(proof)])
+    print("check exit code:", code)
 
-# dropping the universal premise leaves a satisfiable problem (exit 10)
-sat_path = work / "relational_sat.tab"
-sat_path.write_text("\n".join(text.splitlines()[:3] + [text.splitlines()[4]]) + "\n")
-code = main([str(sat_path)])
-print("\nexit code for the weakened problem:", code)
+    # dropping the universal premise leaves a satisfiable problem (exit 10)
+    sat_path = work / "relational_sat.tab"
+    lines = text.splitlines()
+    sat_path.write_text("\n".join(lines[:3] + [lines[4]]) + "\n")
+    code = main([str(sat_path)])
+    print("\nexit code for the weakened problem:", code)

@@ -156,7 +156,11 @@ def main(argv=None) -> int:
         schedule = _parse_schedule(args.fuel_schedule)
         if args.mode == "auto" and report.decidable():
             verdict = decide(
-                branch, max_table=max_table, eager_close=args.eager_close
+                branch,
+                max_table=max_table,
+                eager_close=args.eager_close,
+                max_nodes=args.max_nodes,
+                timeout=args.timeout,
             )
         else:
             cfg = SearchConfig(

@@ -235,11 +235,19 @@ def classify_branch(branch_or_formulas) -> FragmentReport:
     )
 
 
-def decide(branch: Branch, max_table: int | None = None, eager_close: bool = False):
-    """Decide a branch in one of the terminating fragments, budget-free.
+def decide(
+    branch: Branch,
+    max_table: int | None = None,
+    eager_close: bool = False,
+    max_nodes: int | None = None,
+    timeout: float | None = None,
+):
+    """Decide a branch in one of the terminating fragments.
 
     Returns a Verdict (Refuted with proof, or Satisfiable with a checked
-    model); raises FragmentViolation outside the decidable classes.
+    model); raises FragmentViolation outside the decidable classes.  The
+    search terminates on these classes, so it runs without limits unless
+    max_nodes or timeout bound it; a bound that runs out gives Unknown.
     """
     from .search import SearchConfig, refute
     from .semantics import DEFAULT_MAX_TABLE
@@ -251,8 +259,8 @@ def decide(branch: Branch, max_table: int | None = None, eager_close: bool = Fal
         )
     cfg = SearchConfig(
         calculus="efo",
-        max_nodes=None,
-        timeout=None,
+        max_nodes=max_nodes,
+        timeout=timeout,
         eager_close=eager_close,
         max_table=max_table if max_table is not None else DEFAULT_MAX_TABLE,
     )

@@ -11,7 +11,15 @@ keys of instances found unproductive go into a dead set owned by one
 saturation (one fuel round): those found at a node stay valid in every
 subtree of the frame pushed there, and are dropped when it is popped, so
 later nodes on the path skip them without testing them again.  Neither
-cache changes which instance is applied, so proofs do not depend on them.
+cache changes which instance is applied.
+
+The search backjumps (proof condensation).  A closed subtree reports the
+branch members it used: the premises of its instances, plus, for each
+`forall-inst`, the one member that keeps its term admissible.  When the
+subtree under an alternative used nothing that alternative added, it
+closes the branch the alternative was added to, so the frame is dropped
+with its remaining alternatives and the subtree takes its place.  A
+condensed proof is an ordinary proof: `check_proof` replays it unchanged.
 
 In the restricted calculus a single saturation either closes every
 branch — yielding a Refuted verdict with a proof tree — or reaches a
@@ -43,13 +51,14 @@ from dataclasses import dataclass, field
 
 from .branch import Branch, FormulaKind, branch_of
 from .fragments import FragmentViolation, quasi_efo_violation
-from .kernel import Name, Term, eq, neg, show_term
+from .kernel import Name, Term, eq, free_vars, is_var_ref, neg, show_term
 from .normalize import apply_norm, normalize
 from .rules import (
     EAGER_RULES,
     EFO_ONLY_KINDS,
     EFO_RULES,
     STT_RULES,
+    RuleId,
     RuleInstance,
     applicable_efo,  # noqa: F401  (callers look these two up here)
     applicable_stt,  # noqa: F401
@@ -237,11 +246,13 @@ class _Frame:
     instance: RuleInstance
     branch: Branch
     dead_mark: int  # size of the dead set before this node added to it
+    added: tuple = ()  # the members the current alternative added
+    used: set = field(default_factory=set)  # members of branch its children use
     children: list = field(default_factory=list)
 
 
 def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
-    """Develop a branch depth-first.
+    """Develop a branch depth-first, backjumping over unused alternatives.
 
     instances(b, dead) yields the calculus's instances on b in search
     order, of which the first is applied; gate(b, members) raises
@@ -250,6 +261,23 @@ def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
     Proof) when every branch closes, or ("open", Branch) for the leftmost
     branch with no applicable instance.  Raises BudgetExceeded when limits
     run out.
+
+    Each closed subtree comes with the branch members its instances use:
+    their premises, plus what `forall-inst` admissibility reads (see
+    `_uses`).  When the subtree under an alternative uses none of the
+    members that alternative added, it closes the frame's own branch: the
+    frame is dropped, its other alternatives are never developed, and the
+    subtree is handed to the frame above, which makes the same test.  The
+    proof keeps only the instances on the way to the leaves, so it is an
+    ordinary proof that `check_proof` replays unchanged: every instance
+    still finds its premises, a witness fresh on a branch is fresh on a
+    smaller one, and an instance not concluded on a branch is not
+    concluded on a smaller one.  Selection does not change, so a search
+    that closes applies a subset of the instances it applied without
+    backjumping.  In the restricted calculus the skipped alternatives would
+    have closed too, so open branches and models do not change either; in
+    the unrestricted one a skipped alternative could have stayed open with
+    functional equations, so a fuel round can now close where it did not.
 
     dead holds the keys of the instances found unproductive at the nodes
     on the current path.  A key found at a node stays valid on every
@@ -272,24 +300,54 @@ def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
                 raise BudgetExceeded(f"node budget exhausted ({max_nodes})")
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("timeout")
-            stack.append(_Frame(r, cur, mark))
+            frame = _Frame(r, cur, mark)
+            stack.append(frame)
             cur, added = _extend(cur, r.alternatives[0])
+            frame.added = added
             continue
-        proof = Proof(leaf, ())
+        proof, used = Proof(leaf, ()), set(leaf.premises)
         while stack:
             frame = stack[-1]
-            frame.children.append(proof)
-            if len(frame.children) < len(frame.instance.alternatives):
-                cur, added = _extend(
-                    frame.branch, frame.instance.alternatives[len(frame.children)]
-                )
-                break
-            proof = Proof(frame.instance, tuple(frame.children))
+            # a subtree that used nothing its alternative added closes
+            # frame.branch by itself: it skips the frame and goes up
+            if not used.isdisjoint(frame.added):
+                frame.children.append(proof)
+                frame.used |= used.difference(frame.added)
+                if len(frame.children) < len(frame.instance.alternatives):
+                    cur, added = _extend(
+                        frame.branch, frame.instance.alternatives[len(frame.children)]
+                    )
+                    frame.added = added
+                    break
+                proof = Proof(frame.instance, tuple(frame.children))
+                used = frame.used
+                used.update(_uses(frame.branch, frame.instance))
             stack.pop()
             while len(dead) > frame.dead_mark:
                 dead.popitem()
         else:
             return "closed", proof
+
+
+def _uses(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
+    """The members of branch that instance r needs to stay checkable on a
+    smaller branch: its premises, and for `forall-inst` one member that
+    keeps its term admissible.  A discriminating term needs a disequation
+    at the sort with it as a side; otherwise a term that is a free variable
+    of the branch needs a member it is free in.  (A variable not free on
+    the branch stays so on a smaller one, and witnesses, "not concluded"
+    and openness all survive shrinking the branch.)"""
+    if r.rule is not RuleId.FORALL_INST:
+        return r.premises
+    u = r.inst
+    for d in branch.disequations(u.ty):
+        info = branch.info(d)
+        if u == info.lhs or u == info.rhs:
+            return r.premises + (d,)
+    if is_var_ref(u) and u.name in branch.free_names:
+        s = next(s for s in branch.formulas if u.name in free_vars(s))
+        return r.premises + (s,)
+    return r.premises
 
 
 def _extend(branch: Branch, alternative) -> tuple[Branch, tuple[Term, ...]]:

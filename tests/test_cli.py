@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hotab import cli
 from hotab.branch import branch_of
+from hotab.fragments import classify_branch
 from hotab.kernel import (
     Base,
     Fun,
@@ -477,6 +482,34 @@ def test_cli_zero_limits_keep_their_meaning(tmp_path, capsys):
     text = "(sort a)(var f (> a o))(var x a)(var y a)(assume (neq (f x) (f y)))"
     assert _run(tmp_path, text, "--max-domain", "0") == 30
     assert "exceeds the ceiling 0" in capsys.readouterr().err
+
+
+def test_cli_limits_bound_decidable_input(tmp_path):
+    # chain(4) is in a decidable class, so auto mode decides it; the node
+    # budget must still stop it.  A child process with a timeout fails the
+    # test instead of hanging it if the budget is ignored.
+    lines = ["(sort a)", "(var r (> a a o))"] + [f"(var c{i} a)" for i in range(5)]
+    lines += [f"(assume (r c{i} c{i + 1}))" for i in range(4)]
+    lines += [
+        "(assume (forall (x a) (forall (y a) (forall (z a)"
+        " (imp (r x y) (imp (r y z) (r x z)))))))",
+        "(assume (not (r c0 c4)))",
+    ]
+    path = tmp_path / "chain4.p"
+    path.write_text("\n".join(lines) + "\n")
+    assert classify_branch(parse(path.read_text()).branch()).decidable()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "hotab.cli", str(path), "--max-nodes", "10"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+    )
+    assert done.returncode == 30, done.stderr
+    assert done.stdout.splitlines()[0] == "unknown"
+    assert "node budget exhausted (10)" in done.stderr
 
 
 def test_cli_fragment_check(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Search engine: saturation, verdicts, proof checking, and evidence."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -155,13 +156,21 @@ def test_forall_instantiates_every_discriminating_term():
     ]
     v = refute(forms)
     assert isinstance(v, Refuted)
-    assert v.proof.rule_counts() == {"forall-inst": 2, "mate": 1, "decompose": 1}
-    insts = {
+    # search instantiates with y first, and that instance already closes
+    # against not (p y): backjumping drops the instance with z
+    assert v.proof.rule_counts() == {"forall-inst": 1, "mate": 1, "decompose": 1}
+    assert check_proof(forms, v.proof)
+    insts = [
         n.instance.inst
         for n in v.proof.nodes()
         if n.instance.rule is RuleId.FORALL_INST
-    }
-    assert insts == {ref(y), ref(z)}
+    ]
+    assert insts == [ref(y)]
+    # without not (p y) the branch saturates, with every discriminating term
+    twin = refute(forms[:2])
+    assert isinstance(twin, Satisfiable)
+    assert app(ref(p), ref(y)) in twin.branch
+    assert app(ref(p), ref(z)) in twin.branch
 
 
 def test_forall_with_no_constraints_yields_singleton_model():
@@ -571,17 +580,26 @@ def test_search_instance_is_the_reference_first_on_random_branches():
     assert compared >= 700
 
 
-def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
+def _chain_text(n: int) -> str:
+    """r c0 c1, ..., r c(n-1) cn, transitivity of r, and not r c0 cn."""
+    decls = ["(sort a)(var r (> a a o))"] + [f"(var c{i} a)" for i in range(n + 1)]
+    decls += [f"(assume (r c{i} c{i + 1}))" for i in range(n)]
+    decls += [
+        "(assume (forall (x a) (forall (y a) (forall (z a)"
+        " (imp (r x y) (imp (r y z) (r x z)))))))",
+        f"(assume (not (r c0 c{n})))",
+    ]
+    return "".join(decls)
+
+
+def _search_chain_checked(monkeypatch, n: int):
+    """Search chain(n) under a 500-node budget, comparing the instance at
+    every node with the reference; returns the root, the verdict and the
+    branches visited."""
     import hotab.search as search
     from hotab.problems import parse
 
-    problem = parse(
-        "(sort a)(var r (> a a o))(var c0 a)(var c1 a)(var c2 a)"
-        "(assume (r c0 c1))(assume (r c1 c2))"
-        "(assume (forall (x a) (forall (y a) (forall (z a)"
-        " (imp (r x y) (imp (r y z) (r x z)))))))"
-        "(assume (not (r c0 c2)))"
-    )
+    root = parse(_chain_text(n)).branch()
     visited = []
 
     def checked(b, reserved, memo, dead):
@@ -593,7 +611,22 @@ def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
         return efo_instances(b, reserved, memo, dead)
 
     monkeypatch.setattr(search, "efo_instances", checked)
-    v = refute(problem.branch(), SearchConfig(max_nodes=500, timeout=None))
+    v = refute(root, SearchConfig(max_nodes=500, timeout=None))
+    return root, v, visited
+
+
+def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
+    # backjumping refutes chain(2) well inside the budget
+    root, v, visited = _search_chain_checked(monkeypatch, 2)
+    assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
+    assert len(visited) == 170
+
+
+def test_search_instance_is_the_reference_first_on_chain_to_the_budget(
+    monkeypatch,
+):
+    # chain(4) still runs out of nodes, so the budget path stays covered
+    root, v, visited = _search_chain_checked(monkeypatch, 4)
     assert isinstance(v, Unknown) and "node budget" in v.reason
     assert len(visited) == 501  # the instance fetched past the budget too
 
@@ -605,7 +638,7 @@ def _clique_text(k: int, *lines: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "text, calculus, max_nodes, rounds",
+    "text, calculus, max_nodes, rounds, visits",
     [
         # branches and backtracks: a frame's unproductive instances must
         # not reach its sibling subtrees
@@ -614,15 +647,18 @@ def _clique_text(k: int, *lines: str) -> str:
             "efo",
             None,
             1,
+            32,
             id="cliqueU5",
         ),
-        # the unrestricted calculus under a node budget, with fresh witnesses
+        # the unrestricted calculus under a node budget, with fresh
+        # witnesses; backjumping refutes it inside the budget
         pytest.param(
             "(sort a)(var f (> a a))(var g (> a a))(var h (> a a))(var c a)"
             "(assume (= f g))(assume (neq (f (h c)) (g (h c))))",
             "stt",
             200,
             1,
+            29,
             id="funeq1",
         ),
         # two fuel rounds over one memo, each with its own unproductive set
@@ -631,12 +667,13 @@ def _clique_text(k: int, *lines: str) -> str:
             "stt",
             None,
             2,
+            9,
             id="boolean-lambda",
         ),
     ],
 )
 def test_search_instance_is_the_reference_first_at_every_node(
-    monkeypatch, text, calculus, max_nodes, rounds
+    monkeypatch, text, calculus, max_nodes, rounds, visits
 ):
     import hotab.search as search
     from hotab.problems import parse
@@ -662,12 +699,114 @@ def test_search_instance_is_the_reference_first_at_every_node(
     root = parse(text).branch()
     cfg = SearchConfig(calculus=calculus, max_nodes=max_nodes, timeout=None)
     v = refute(root, cfg)
-    if max_nodes is None:
-        assert isinstance(v, Refuted) and check_proof(root, v.proof, calculus)
-    else:
-        assert isinstance(v, Unknown) and "node budget" in v.reason
-        assert len(visited) == max_nodes + 1
+    assert isinstance(v, Refuted) and check_proof(root, v.proof, calculus)
+    assert len(visited) == visits
     assert sum(1 for b in visited if b is root) == rounds
+
+
+# ---------------------------------------------------------------------------
+# Backjumping: a subtree that never used its alternative closes the parent
+#
+# Each problem below is built so that one extra dependency of `forall-inst`
+# is what keeps a frame in the proof.  Without it the search would drop the
+# frame, and the condensed proof would fail check_proof.
+
+
+def test_backjumping_keeps_the_disequation_a_discriminating_instance_needs():
+    # p c, then mate(p c, not p (f c)) adds c /= f c, which makes f c
+    # discriminating; the instance with f c closes using only root members,
+    # so the mate frame stays only because of the disequation
+    from hotab.problems import parse
+
+    root = parse(
+        "(sort a)(var p (> a o))(var f (> a a))(var c a)"
+        "(assume (forall (x a) (p x)))(assume (not (p (f c))))"
+    ).branch()
+    v = refute(root, SearchConfig(calculus="efo"))
+    assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
+    assert [n.instance.rule.value for n in v.proof.nodes()] == [
+        "forall-inst",
+        "mate",
+        "forall-inst",
+        "mate",
+        "decompose",
+        "decompose",
+    ]
+
+
+def test_backjumping_keeps_the_member_a_free_variable_instance_needs():
+    # the first witness x0 is the instance of the vacuous forall (x a) q;
+    # nothing else uses not (s x0), so only the member x0 is free in keeps
+    # its frame: on the root plus not (t x1), x0 would not be admissible
+    from hotab.problems import parse
+
+    root = parse(
+        "(sort a)(var s (> a o))(var t (> a o))(var q o)"
+        "(assume (not (forall (y a) (s y))))(assume (not (forall (z a) (t z))))"
+        "(assume (forall (x a) q))(assume (imp q (forall (z a) (t z))))"
+    ).branch()
+    v = refute(root, SearchConfig(calculus="efo"))
+    assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
+    assert v.proof.rule_counts()["forall-neg"] == 2
+
+
+@pytest.mark.parametrize(
+    "text, calculus, budget",
+    [
+        pytest.param(_chain_text(2), "efo", 500, id="chain2"),
+        pytest.param(
+            "(sort a)(var f (> a a))(var g (> a a))(var h (> a a))(var c a)"
+            "(assume (= f g))(assume (neq (f (h c)) (g (h c))))",
+            "stt",
+            200,
+            id="funeq1",
+        ),
+    ],
+)
+def test_backjumping_refutes_within_the_benchmark_budgets(text, calculus, budget):
+    # both ran out of nodes before backjumping
+    from hotab.problems import parse, parse_proof, serialize_proof
+
+    problem = parse(text)
+    cfg = SearchConfig(calculus=calculus, max_nodes=budget, timeout=None)
+    v = refute(problem.branch(), cfg)
+    assert isinstance(v, Refuted)
+    replayed = parse_proof(serialize_proof(v.proof), problem)
+    assert check_proof(problem.branch(), replayed, calculus)
+
+
+def test_backjumping_verdicts_certify_on_random_branches():
+    # every proof replays, and every open branch is evident with a model
+    # (node budgets keep the few slow stt branches short)
+    seen = Counter()
+    for seed in range(60):
+        g = Gen(seed + 23000)
+        efo_forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(3)]
+        # the same with the first formula's negation, which must close
+        efo_unsat = efo_forms[1:] + [normalize(neg(efo_forms[0])), efo_forms[0]]
+        g = Gen(seed + 24000)
+        stt_forms = [normalize(g.formula(2)) for _ in range(3)]
+        runs = [("efo", efo_forms, 3), ("efo", efo_unsat, 3)]
+        runs += [("stt", stt_forms, fuel) for fuel in (1, 2, 3)]
+        for calculus, forms, fuel in runs:
+            cfg = SearchConfig(
+                calculus=calculus, fuel_schedule=(fuel,), max_nodes=200, timeout=None
+            )
+            try:
+                v = refute(forms, cfg)
+            except FragmentViolation:
+                continue
+            where = (calculus, fuel, seed)
+            if isinstance(v, Refuted):
+                assert check_proof(forms, v.proof, calculus), where
+            elif isinstance(v, Satisfiable):
+                rep = is_evident(v.branch, scope=calculus, fuel=fuel)
+                assert rep.evident, (where, rep.describe())
+                assert check_model(v.model, forms), where
+            seen[calculus, type(v).__name__] += 1
+    for calculus in ("efo", "stt"):
+        assert seen[calculus, "Refuted"] >= 10, seen
+        assert seen[calculus, "Satisfiable"] >= 10, seen
 
 
 # ---------------------------------------------------------------------------
