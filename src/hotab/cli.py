@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .fragments import FragmentViolation, classify_branch, decide
+from .fragments import FragmentViolation, classify_branch
 from .problems import (
     ParseError,
     Problem,
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-domain",
         type=_limit(int),
-        default=None,
+        default=DEFAULT_MAX_TABLE,
         metavar="N",
         help="cap on interpretation table sizes during model extraction",
     )
@@ -146,32 +146,21 @@ def main(argv=None) -> int:
         if args.check_proof is not None:
             return _run_check_proof(problem, args.check_proof)
         branch = problem.branch()
-        report = classify_branch(branch)
         if args.fragment_check:
-            print(report.describe())
+            print(classify_branch(branch).describe())
             return 0
-        max_table = (
-            DEFAULT_MAX_TABLE if args.max_domain is None else args.max_domain
+        cfg = SearchConfig(
+            calculus=args.mode,
+            fuel_schedule=_parse_schedule(args.fuel_schedule),
+            max_nodes=args.max_nodes,
+            timeout=args.timeout,
+            eager_close=args.eager_close,
+            # witnesses must not take a declared name, used or not, or the
+            # proof file would not parse against the problem
+            reserved=problem.variables,
+            max_table=args.max_domain,
         )
-        schedule = _parse_schedule(args.fuel_schedule)
-        if args.mode == "auto" and report.decidable():
-            verdict = decide(
-                branch,
-                max_table=max_table,
-                eager_close=args.eager_close,
-                max_nodes=args.max_nodes,
-                timeout=args.timeout,
-            )
-        else:
-            cfg = SearchConfig(
-                calculus=args.mode,
-                fuel_schedule=schedule,
-                max_nodes=args.max_nodes,
-                timeout=args.timeout,
-                eager_close=args.eager_close,
-                max_table=max_table,
-            )
-            verdict = refute(branch, cfg)
+        verdict = refute(branch, cfg)
     except (ParseError, FragmentViolation, OSError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,8 +9,9 @@ The restricted calculus decides three branch classes outright:
     beneath a negation or implication.
 
 `classify_branch` reports, for each fragment flag, the first violating
-member and subterm; `decide` runs budget-free saturation on branches inside
-one of the decidable classes and refuses everything else loudly.
+member and subterm; `decide` runs budget-free restricted-calculus search on
+branches inside one of the decidable classes and refuses everything else
+loudly.
 """
 
 from __future__ import annotations
@@ -235,33 +236,20 @@ def classify_branch(branch_or_formulas) -> FragmentReport:
     )
 
 
-def decide(
-    branch: Branch,
-    max_table: int | None = None,
-    eager_close: bool = False,
-    max_nodes: int | None = None,
-    timeout: float | None = None,
-):
+def decide(branch: Branch):
     """Decide a branch in one of the terminating fragments.
 
     Returns a Verdict (Refuted with proof, or Satisfiable with a checked
     model); raises FragmentViolation outside the decidable classes.  The
-    search terminates on these classes, so it runs without limits unless
-    max_nodes or timeout bound it; a bound that runs out gives Unknown.
+    search terminates on these classes, so it runs without node or time
+    limits.  (`refute` in auto mode takes the same path on this input, as
+    the command line does.)
     """
     from .search import SearchConfig, refute
-    from .semantics import DEFAULT_MAX_TABLE
 
     report = classify_branch(branch)
     if not report.decidable():
         raise FragmentViolation(
             "branch is not in a decidable fragment:\n" + report.describe()
         )
-    cfg = SearchConfig(
-        calculus="efo",
-        max_nodes=max_nodes,
-        timeout=timeout,
-        eager_close=eager_close,
-        max_table=max_table if max_table is not None else DEFAULT_MAX_TABLE,
-    )
-    return refute(branch, cfg)
+    return refute(branch, SearchConfig(calculus="efo", max_nodes=None, timeout=None))

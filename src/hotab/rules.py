@@ -15,17 +15,17 @@ it:
   * `make_instance` validates premises against the row and builds the
     alternatives; proof files therefore carry no conclusions.  It uses
     neither cache below.
-  * One lazy instance generator, run with each calculus's rule set
-    (`efo_instances`, `stt_instances`), yields the instances the calculus
-    admits on a branch in a deterministic order (rule priority first, then
-    member insertion order), and skips instances that cannot make
-    progress: an instance is withheld whenever one of its alternatives is
-    already contained in the branch.  Together with the admissibility
-    restrictions below this makes "no instance applicable" coincide with
-    the closure conditions that guarantee a model exists (see
-    `search.is_evident`).  Search takes the generator's first instance at
-    each node and runs the calculus's fragment gate (`efo_gate`,
-    `stt_gate`) once per member.
+  * One lazy instance generator, `instances`, run with a row of the
+    calculus table `CALCULI` (the rule set, the fragment gate, and the
+    source of instantiation terms of "efo" and "stt"), yields the
+    instances the calculus admits on a branch in a deterministic order
+    (rule priority first, then member insertion order), and skips
+    instances that cannot make progress: an instance is withheld whenever
+    one of its alternatives is already contained in the branch.  Together
+    with the admissibility restrictions below this makes "no instance
+    applicable" coincide with the closure conditions that guarantee a model
+    exists (see `search.is_evident`).  Search takes the generator's first
+    instance at each node and runs the calculus's gate once per member.
 
     Branches only grow, and that gives the generator two caches, both
     owned by its caller.  An instance that takes no fresh witness depends
@@ -35,7 +35,7 @@ it:
     dead set that later calls skip; search scopes that set to the path
     from the root (see `search._saturate`).  `applicable_efo` and
     `applicable_stt` are the gate on the whole branch plus the generator's
-    full list, built with fresh caches: the reference the search is tested
+    full list, built without the caches: the reference the search is tested
     against.
   * `check_instance` validates a claimed instance against a branch: its
     premises are members, it equals what the row builds from them, and the
@@ -649,17 +649,23 @@ def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
     )
 
 
-def _instances(
-    branch: Branch, rules, candidates, reserved, memo: dict, dead: dict
+def instances(
+    calculus: Calculus,
+    branch: Branch,
+    fuel: int = 3,
+    reserved: tuple[Name, ...] = (),
+    memo: dict | None = None,
+    dead: dict | None = None,
 ) -> Iterator[RuleInstance]:
-    """Instances of the given rules on the branch, lazily, in search order.
+    """The calculus's instances on the branch, lazily, in search order, and
+    without its gate: members no rule takes are passed over.
 
     The order is rule priority, then the insertion order of the (last)
     premise, then the order of the other premise, the witness or the
-    candidate term; candidates(branch, info) lists the instantiation terms
-    of a "term" rule.  An instance helps only if every alternative adds
-    something new; the others are skipped.  The gate is the caller's:
-    members no rule takes are passed over.
+    candidate term; the calculus's candidates list the instantiation terms
+    of a "term" rule, enumerated up to fuel where they range over all
+    terms.  Witness rules avoid the reserved names.  An instance helps only
+    if every alternative adds something new; the others are skipped.
 
     Every rule but the fresh-witness ones builds its instance from the
     rule, premises and term alone, so memo keeps it under the key
@@ -670,15 +676,17 @@ def _instances(
     the branch, so its key is recorded in dead (a dict used as an
     insertion-ordered set) and the generator skips the keys already there.
     The caller owns both: search scopes dead to the path from the root, and
-    fresh dicts make the walk cache-free.
+    leaving them out makes the walk cache-free.
     """
     if branch.is_closed:
         return
+    memo = {} if memo is None else memo
+    dead = {} if dead is None else dead
 
     def productive(alternatives) -> bool:
         return all(any(f not in branch for f in alt) for alt in alternatives)
 
-    for uses in _groups(rules):
+    for uses in _groups(calculus.rules):
         if len(uses) == 1:
             members = branch.members(next(iter(uses)))
         else:
@@ -696,7 +704,10 @@ def _instances(
                     continue
                 name = rule.value
                 if row.inst == "term":
-                    keys = ((name, (s,), u) for u in candidates(branch, info))
+                    keys = (
+                        (name, (s,), u)
+                        for u in calculus.candidates(branch, info, fuel, reserved)
+                    )
                 elif len(row.kinds) == 2:
                     # pair s with the earlier members that fill the other premise
                     keys = (
@@ -738,77 +749,6 @@ def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term
     return ref(fresh_var(ty, branch.free_names + tuple(reserved)))
 
 
-def stt_instances(
-    branch: Branch,
-    fuel: int = 3,
-    reserved: tuple[Name, ...] = (),
-    memo: dict | None = None,
-    dead: dict | None = None,
-) -> Iterator[RuleInstance]:
-    """The unrestricted calculus's instances on the branch, lazily and
-    without the gate; memo keeps instances across calls, and dead the keys
-    of instances unproductive on a branch this one extends."""
-    return _instances(
-        branch,
-        STT_RULES,
-        lambda b, info: instantiation_candidates(b, _inst_type(info), fuel),
-        reserved,
-        {} if memo is None else memo,
-        {} if dead is None else dead,
-    )
-
-
-def efo_instances(
-    branch: Branch,
-    reserved: tuple[Name, ...] = (),
-    memo: dict | None = None,
-    dead: dict | None = None,
-) -> Iterator[RuleInstance]:
-    """The restricted calculus's instances on the branch, lazily and
-    without the gate; memo keeps instances across calls, and dead the keys
-    of instances unproductive on a branch this one extends."""
-    return _instances(
-        branch,
-        EFO_RULES,
-        lambda b, info: _forall_instances(b, info, reserved),
-        reserved,
-        {} if memo is None else memo,
-        {} if dead is None else dead,
-    )
-
-
-def applicable_stt(
-    branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
-) -> list[RuleInstance]:
-    """Instances the unrestricted calculus admits on the branch.
-
-    fuel bounds the size of enumerated instances of functional equations;
-    reserved names are avoided when introducing witness variables.  On a
-    closed branch nothing is applicable.  Raises FragmentViolation for
-    members outside the negation-and-equality language.  Search reads the
-    same instances lazily (`stt_instances`) and applies the first; this
-    full list is the reference it is tested against.
-    """
-    stt_gate(branch, branch.formulas)
-    return list(stt_instances(branch, fuel, reserved))
-
-
-def applicable_efo(
-    branch: Branch, reserved: tuple[Name, ...] = ()
-) -> list[RuleInstance]:
-    """Instances the restricted calculus admits on the branch.
-
-    The branch must consist of restricted formulas or disequations between
-    restricted terms; anything else raises FragmentViolation.  On a closed
-    branch nothing is applicable.  The result is empty exactly when the
-    branch is closed or satisfies the model-existence conditions.  Search
-    reads the same instances lazily (`efo_instances`) and applies the
-    first; this full list is the reference it is tested against.
-    """
-    efo_gate(branch, branch.formulas)
-    return list(efo_instances(branch, reserved))
-
-
 def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
     """Admissible quantifier instances under the restrictions.
 
@@ -825,6 +765,75 @@ def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
     if xs:
         return [ref(xs[0])]
     return [_fresh_witness(branch, info.sort, reserved)]
+
+
+@dataclass(frozen=True)
+class Calculus:
+    """One row of the calculus table: a rule set over the shared engine.
+
+    rules: the rules search applies.  gate(branch, members): raises
+    FragmentViolation for the first of the members the calculus cannot
+    take.  candidates(branch, info, fuel, reserved): the instantiation
+    terms of a "term" rule's premise with this info, in search order.
+    """
+
+    name: str
+    rules: frozenset[RuleId]
+    gate: Callable[[Branch, object], None]
+    candidates: Callable[..., object]
+
+
+#: The two calculi.  The restricted one instantiates quantifiers under its
+#: restrictions, independently of fuel; the unrestricted one enumerates
+#: instances of functional equations up to the fuel.
+CALCULI: dict[str, Calculus] = {
+    "efo": Calculus(
+        "efo",
+        EFO_RULES,
+        efo_gate,
+        lambda b, info, fuel, reserved: _forall_instances(b, info, reserved),
+    ),
+    "stt": Calculus(
+        "stt",
+        STT_RULES,
+        stt_gate,
+        lambda b, info, fuel, reserved: instantiation_candidates(
+            b, _inst_type(info), fuel
+        ),
+    ),
+}
+
+
+def applicable_stt(
+    branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
+) -> list[RuleInstance]:
+    """Instances the unrestricted calculus admits on the branch.
+
+    fuel bounds the size of enumerated instances of functional equations;
+    reserved names are avoided when introducing witness variables.  On a
+    closed branch nothing is applicable.  Raises FragmentViolation for
+    members outside the negation-and-equality language.  Search reads the
+    same instances lazily (`instances`) and applies the first; this full
+    list is the reference it is tested against.
+    """
+    stt_gate(branch, branch.formulas)
+    return list(instances(CALCULI["stt"], branch, fuel, reserved))
+
+
+def applicable_efo(
+    branch: Branch, reserved: tuple[Name, ...] = ()
+) -> list[RuleInstance]:
+    """Instances the restricted calculus admits on the branch.
+
+    The branch must consist of restricted formulas or disequations between
+    restricted terms; anything else raises FragmentViolation.  On a closed
+    branch nothing is applicable.  The result is empty exactly when the
+    branch is closed or satisfies the model-existence conditions.  Search
+    reads the same instances lazily (`instances`) and applies the first;
+    this full list is the reference it is tested against.
+    """
+    efo_gate(branch, branch.formulas)
+    return list(instances(CALCULI["efo"], branch, reserved=reserved))
 
 
 def _forall_admissible(branch: Branch, info, u: Term) -> bool:

@@ -1,17 +1,19 @@
 """Refutation search, checkable proofs, and evidence detection.
 
-`refute` develops a branch depth-first, always applying the first
-applicable instance (rule priority, then member insertion order), so runs
-are deterministic.  The instance is read lazily from the rules' generator,
-so the rest of the branch's instances are never built, and the fragment
-gate sees each member once.  The generator is handed two caches.  Every
-instance that takes no fresh witness is memoised for the length of one
-`refute` or `saturate_efo` call, so its alternatives are built once.  The
-keys of instances found unproductive go into a dead set owned by one
-saturation (one fuel round): those found at a node stay valid in every
-subtree of the frame pushed there, and are dropped when it is popped, so
-later nodes on the path skip them without testing them again.  Neither
-cache changes which instance is applied.
+`refute` picks a row of the calculus table `rules.CALCULI` (by
+`route_calculus` in auto mode) and runs one engine with it: the row gives
+the rule set, the fragment gate and the instantiation terms.  It develops
+a branch depth-first, always applying the first applicable instance (rule
+priority, then member insertion order), so runs are deterministic.  The
+instance is read lazily from `rules.instances`, so the rest of the
+branch's instances are never built, and the gate sees each member once.
+The generator is handed two caches.  Every instance that takes no fresh
+witness is memoised for the length of one `refute` call, so its
+alternatives are built once.  The keys of instances found unproductive go
+into a dead set owned by one saturation (one fuel round): those found at a
+node stay valid in every subtree of the frame pushed there, and are
+dropped when it is popped, so later nodes on the path skip them without
+testing them again.  Neither cache changes which instance is applied.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used: the premises of its instances, plus, for each
@@ -21,15 +23,14 @@ closes the branch the alternative was added to, so the frame is dropped
 with its remaining alternatives and the subtree takes its place.  A
 condensed proof is an ordinary proof: `check_proof` replays it unchanged.
 
-In the restricted calculus a single saturation either closes every
+Each fuel of the schedule gets one saturation.  It either closes every
 branch — yielding a Refuted verdict with a proof tree — or reaches a
-branch with no applicable instance, which by construction satisfies the
-model-existence conditions and yields a Satisfiable verdict with an
-extracted, certified model.  The unrestricted calculus iterates
-over a schedule of instantiation fuels; an open branch there proves
-satisfiability only when no functional equations remain (their instance
-condition ranges over infinitely many terms), otherwise the search answers
-Unknown.
+branch with no applicable instance.  Without functional equations that
+branch satisfies the model-existence conditions and yields a Satisfiable
+verdict with an extracted, certified model.  With them it does not (their
+instance condition ranges over infinitely many terms), so the next fuel is
+tried, and after the last the search answers Unknown.  The restricted
+calculus admits no functional equations, so its first round decides.
 
 A Proof is a tree of rule instances, one child per alternative; leaves are
 instances with no alternatives, witnessing closure.  `check_proof` replays
@@ -54,24 +55,21 @@ from .fragments import FragmentViolation, quasi_efo_violation
 from .kernel import Name, Term, eq, free_vars, is_var_ref, neg, show_term
 from .normalize import apply_norm, normalize
 from .rules import (
+    CALCULI,
     EAGER_RULES,
     EFO_ONLY_KINDS,
-    EFO_RULES,
-    STT_RULES,
+    Calculus,
     RuleId,
     RuleInstance,
     applicable_efo,  # noqa: F401  (callers look these two up here)
     applicable_stt,  # noqa: F401
     check_instance,
     closing_instance,
-    efo_gate,
-    efo_instances,
     has_instance,
     has_witness_diseq,
     has_witness_neg_inst,
+    instances,
     instantiation_candidates,
-    stt_gate,
-    stt_instances,
 )
 from .semantics import (
     DEFAULT_MAX_TABLE,
@@ -93,7 +91,6 @@ __all__ = [
     "is_evident",
     "refute",
     "route_calculus",
-    "saturate_efo",
 ]
 
 
@@ -198,8 +195,8 @@ class SearchConfig:
     max_table: int = DEFAULT_MAX_TABLE
 
     def __post_init__(self):
-        if self.calculus not in ("auto", "stt", "efo"):
-            raise ValueError(f"unknown calculus {self.calculus!r}")
+        if self.calculus != "auto":
+            _calculus(self.calculus)
         sched = tuple(self.fuel_schedule)
         if not sched or any(f < 1 for f in sched) or list(sched) != sorted(set(sched)):
             raise ValueError("fuel_schedule must be strictly increasing, >= 1")
@@ -214,6 +211,14 @@ def _as_branch(obj) -> Branch:
     if isinstance(obj, Branch):
         return obj
     return branch_of(*(normalize(s) for s in obj))
+
+
+def _calculus(name: str) -> Calculus:
+    """The named row of the calculus table; ValueError for any other name."""
+    row = CALCULI.get(name)
+    if row is None:
+        raise ValueError(f"unknown calculus {name!r}")
+    return row
 
 
 def route_calculus(branch: Branch) -> str:
@@ -251,16 +256,17 @@ class _Frame:
     children: list = field(default_factory=list)
 
 
-def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
+def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     """Develop a branch depth-first, backjumping over unused alternatives.
 
-    instances(b, dead) yields the calculus's instances on b in search
-    order, of which the first is applied; gate(b, members) raises
-    FragmentViolation for members the calculus cannot take, and sees each
-    member once, at the first open node that has it.  Returns ("closed",
-    Proof) when every branch closes, or ("open", Branch) for the leftmost
-    branch with no applicable instance.  Raises BudgetExceeded when limits
-    run out.
+    Each node applies the first of the calculus's `instances` at this
+    fuel, built over the search's memo.  The calculus's gate raises
+    FragmentViolation for members it cannot take, and sees each member
+    once, at the first open node that has it.  counter[0] counts the rule
+    applications of the whole search against cfg.max_nodes.  Returns
+    ("closed", Proof) when every branch closes, or ("open", Branch) for the
+    leftmost branch with no applicable instance.  Raises BudgetExceeded
+    when limits run out.
 
     Each closed subtree comes with the branch members its instances use:
     their premises, plus what `forall-inst` admissibility reads (see
@@ -288,16 +294,16 @@ def _saturate(branch, instances, gate, eager, deadline, counter, max_nodes):
     dead: dict = {}  # insertion-ordered, so popitem drops the newest keys
     cur, added = branch, branch.formulas
     while True:
-        leaf = closing_instance(cur, eager)
+        leaf = closing_instance(cur, cfg.eager_close)
         if leaf is None:
-            gate(cur, added)
+            calc.gate(cur, added)
             mark = len(dead)
-            r = next(instances(cur, dead), None)
+            r = next(instances(calc, cur, fuel, cfg.reserved, memo, dead), None)
             if r is None:
                 return "open", cur
             counter[0] += 1
-            if max_nodes is not None and counter[0] > max_nodes:
-                raise BudgetExceeded(f"node budget exhausted ({max_nodes})")
+            if cfg.max_nodes is not None and counter[0] > cfg.max_nodes:
+                raise BudgetExceeded(f"node budget exhausted ({cfg.max_nodes})")
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("timeout")
             frame = _Frame(r, cur, mark)
@@ -356,79 +362,44 @@ def _extend(branch: Branch, alternative) -> tuple[Branch, tuple[Term, ...]]:
     return b, b.formulas[len(branch.formulas) :]
 
 
-def saturate_efo(branch_or_formulas, cfg: SearchConfig | None = None):
-    """Saturate under the restricted calculus.
-
-    Returns ("closed", Proof) or ("open", Branch); the open branch is
-    evident.  Raises BudgetExceeded or FragmentViolation.
-    """
-    cfg = cfg or SearchConfig(calculus="efo")
-    branch = _as_branch(branch_or_formulas)
-    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-    memo: dict = {}  # this search's instances
-    return _saturate(
-        branch,
-        lambda b, dead: efo_instances(b, cfg.reserved, memo, dead),
-        efo_gate,
-        cfg.eager_close,
-        deadline,
-        [0],
-        cfg.max_nodes,
-    )
-
-
 def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     """Decide or attempt to decide a set of assumptions.
 
     Returns Refuted (with a checkable proof), Satisfiable (with a certified
     model and the saturated branch), or Unknown.  Raises FragmentViolation
     when the input fits no calculus (or not the requested one).
+
+    One saturation runs per fuel of the schedule, over one memo, node count
+    and deadline.  A round that ends open without functional equations is
+    final, so the restricted calculus, whose gate keeps them out, always
+    stops after its first round.
     """
     cfg = cfg or SearchConfig()
     branch = _as_branch(branch_or_formulas)
-    calculus = cfg.calculus
-    if calculus == "auto":
-        calculus = route_calculus(branch)
+    name = route_calculus(branch) if cfg.calculus == "auto" else cfg.calculus
+    calc = CALCULI[name]
+    deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
+    counter = [0]
+    memo: dict = {}  # instances, shared by the fuel rounds
     try:
-        if calculus == "efo":
-            status, payload = saturate_efo(branch, cfg)
-            if status == "closed":
-                return Refuted(payload, "efo")
-            return _satisfiable(payload, cfg)
-
-        deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
-        counter = [0]
-        memo: dict = {}  # instances, shared by the fuel rounds
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
-                branch,
-                lambda b, dead, f=fuel: stt_instances(
-                    b, f, cfg.reserved, memo, dead
-                ),
-                stt_gate,
-                cfg.eager_close,
-                deadline,
-                counter,
-                cfg.max_nodes,
+                branch, calc, fuel, cfg, memo, deadline, counter
             )
             if status == "closed":
-                return Refuted(payload, "stt")
+                return Refuted(payload, calc.name)
             if not payload.members(FormulaKind.FUN_EQ):
-                return _satisfiable(payload, cfg)
+                try:
+                    model = extract_model(payload, max_table=cfg.max_table)
+                except CardinalityError as e:
+                    return Unknown(f"saturated, but model extraction overflowed: {e}")
+                return Satisfiable(model, payload)
         return Unknown(
             "saturation left functional equations open at every fuel in "
             f"{cfg.fuel_schedule}; cannot certify satisfiability"
         )
     except BudgetExceeded as e:
         return Unknown(str(e))
-
-
-def _satisfiable(branch: Branch, cfg: SearchConfig) -> Verdict:
-    try:
-        model = extract_model(branch, max_table=cfg.max_table)
-    except CardinalityError as e:
-        return Unknown(f"saturated, but model extraction overflowed: {e}")
-    return Satisfiable(model, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +413,8 @@ def check_proof(
 
     Every node's instance must pass check_instance on the reconstructed
     branch, use only the calculus's rules (plus the eager leaf rules when
-    eager is set), and have one child per alternative.
+    eager is set), and have one child per alternative.  A calculus name
+    other than "auto", "efo" and "stt" raises ValueError.
     """
     try:
         branch = _as_branch(branch_or_formulas)
@@ -453,7 +425,7 @@ def check_proof(
             calculus = route_calculus(branch)
         except FragmentViolation:
             return False
-    allowed = STT_RULES if calculus == "stt" else EFO_RULES
+    allowed = _calculus(calculus).rules
     if eager:
         allowed = allowed | EAGER_RULES
 
@@ -577,20 +549,16 @@ def is_evident(
 
     scope "efo" checks the restricted-calculus conditions (exact); "stt"
     checks the unrestricted ones, where instance conditions on functional
-    equations are bounded by fuel; "auto" picks by language.  On non-closed
-    branches in the restricted language, evident coincides with
-    `applicable_efo` returning nothing.
+    equations are bounded by fuel; "auto" picks by language.  A forced
+    scope runs its calculus's gate first; any other name raises ValueError.
+    On non-closed branches in the restricted language, evident coincides
+    with `applicable_efo` returning nothing.
     """
     branch = _as_branch(branch_or_formulas)
     if scope == "auto":
         scope = route_calculus(branch)
-    elif scope == "efo":
-        for s in branch.formulas:
-            w = quasi_efo_violation(s)
-            if w is not None:
-                raise FragmentViolation(
-                    f"{show_term(s)} is outside the restricted fragment"
-                )
+    else:
+        _calculus(scope).gate(branch, branch.formulas)
     out: list[Violation] = []
     bounded = False
 
@@ -635,22 +603,14 @@ def is_evident(
                     Violation("fun-ext", (s,), "no variable witnesses the sides apart")
                 )
         elif kind is FormulaKind.IMP:
-            if scope == "stt":
-                raise FragmentViolation(f"{show_term(s)} is outside this calculus")
             if neg(info.lhs) not in branch and info.rhs not in branch:
                 out.append(Violation("imp", (s,), "neither side is settled"))
         elif kind is FormulaKind.NEG_IMP:
-            if scope == "stt":
-                raise FragmentViolation(f"{show_term(s)} is outside this calculus")
             if info.lhs not in branch or neg(info.rhs) not in branch:
                 out.append(Violation("imp-neg", (s,), "components are missing"))
         elif kind is FormulaKind.FORALL:
-            if scope == "stt":
-                raise FragmentViolation(f"{show_term(s)} is outside this calculus")
             _check_forall(branch, s, info, out)
         elif kind is FormulaKind.NEG_FORALL:
-            if scope == "stt":
-                raise FragmentViolation(f"{show_term(s)} is outside this calculus")
             if not has_witness_neg_inst(branch, info.sort, info.pred):
                 out.append(
                     Violation("forall-neg", (s,), "no variable witnesses the negation")

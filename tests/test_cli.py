@@ -407,6 +407,23 @@ def test_cli_unsat_writes_and_checks_a_proof(tmp_path, capsys):
     assert out.out.strip() == "proof ok"
 
 
+def test_cli_witnesses_avoid_declared_names_the_assumptions_never_use(
+    tmp_path, capsys
+):
+    # x0 is declared but unused, so it is not free on the branch; a witness
+    # named x0 would be rejected by the proof reader as already in scope
+    text = (
+        "(sort a)(var x0 a)(var p (> a o))"
+        "(assume (not (forall (y a) (p y))))(assume (forall (z a) (p z)))"
+    )
+    proof_path = tmp_path / "out.proof"
+    assert _run(tmp_path, text, "--proof-out", str(proof_path)) == 20
+    capsys.readouterr()
+    assert "(x0 a)" not in proof_path.read_text()
+    assert _run(tmp_path, text, "--check-proof", str(proof_path)) == 0
+    assert capsys.readouterr().out.strip() == "proof ok"
+
+
 def test_cli_sat_prints_and_writes_a_model(tmp_path, capsys):
     model_path = tmp_path / "out.model"
     code = _run(
@@ -421,6 +438,9 @@ def test_cli_sat_prints_and_writes_a_model(tmp_path, capsys):
     assert lines[0] == "sat"
     assert any("sort a : 2 elements" in l for l in lines)
     assert model_path.read_text().strip() in out.out
+    # an empty file has no assumptions, so any interpretation satisfies it
+    assert _run(tmp_path, "") == 10
+    assert capsys.readouterr().out.splitlines()[0] == "sat"
 
 
 def test_cli_unknown_on_exhausted_fuel(tmp_path, capsys):
@@ -442,6 +462,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert _run(tmp_path, "(var x o)(assume x)", "--fuel-schedule", "a,b") == 2
     assert "fuel schedule" in capsys.readouterr().err
+    # the input is decidable; the schedule is checked all the same
+    for schedule in ("0", "3,1"):
+        assert _run(tmp_path, "(var x o)(assume x)", "--fuel-schedule", schedule) == 2
+        assert "fuel_schedule must be strictly increasing" in capsys.readouterr().err
+    # input that is not UTF-8 is reported, not raised
+    path = tmp_path / "latin1.p"
+    path.write_bytes(b"(var x o)\xff(assume x)")
+    assert cli.main([str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "Traceback" not in out.err
     # calculus/input mismatch is an input error, not a crash
     assert _run(tmp_path, BOOLEAN_LAM, "--mode", "efo") == 2
     assert "fragment" in capsys.readouterr().err
@@ -556,6 +587,9 @@ def test_cli_max_domain_caps_extraction(tmp_path, capsys):
     )
     assert _run(tmp_path, text) == 10
     capsys.readouterr()
+    # a cap far above any table is no cap
+    assert _run(tmp_path, text, "--max-domain", str(10**32)) == 10
+    assert capsys.readouterr().out.splitlines()[0] == "sat"
     code = _run(tmp_path, text, "--max-domain", "1")
     out = capsys.readouterr()
     assert code == 30

@@ -23,12 +23,12 @@ from hotab.kernel import (
 )
 from hotab.normalize import normalize
 from hotab.rules import (
+    CALCULI,
     RULES,
     RuleId,
     applicable_efo,
     applicable_stt,
-    efo_instances,
-    stt_instances,
+    instances,
 )
 from hotab.search import (
     Proof,
@@ -40,7 +40,6 @@ from hotab.search import (
     is_evident,
     refute,
     route_calculus,
-    saturate_efo,
 )
 from hotab.semantics import check_model, enumerate_models, eval_term
 
@@ -232,7 +231,7 @@ def test_forced_calculus_rejects_foreign_members():
 
     p, q, r = V("p", o), V("q", o), V("r", o)
     efo_last = [ref(p), neg(ref(q)), eq(ref(f), ref(g))]
-    assert message(saturate_efo, efo_last) == message(
+    assert message(refute, efo_last, SearchConfig(calculus="efo")) == message(
         applicable_efo, branch_of(*efo_last)
     )
     stt_last = [ref(p), neg(ref(q)), quant]
@@ -275,8 +274,16 @@ def test_timeout_exhaustion():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(calculus="classical")
+    # an unknown calculus name is an error wherever one is taken, not a
+    # silent fallback to one of the calculi
+    v = refute(running_example())
+    for name in ("classical", "STT", ""):
+        with pytest.raises(ValueError, match="unknown calculus"):
+            SearchConfig(calculus=name)
+        with pytest.raises(ValueError, match="unknown calculus"):
+            check_proof(running_example(), v.proof, calculus=name)
+        with pytest.raises(ValueError, match="unknown calculus"):
+            is_evident(running_example(), scope=name)
     with pytest.raises(ValueError):
         SearchConfig(fuel_schedule=())
     with pytest.raises(ValueError):
@@ -379,16 +386,6 @@ def test_check_proof_rejects_tampered_instance():
         v.proof.instance, premises=(forms[0], forms[0])
     )
     assert not check_proof(forms, Proof(twisted, v.proof.children))
-
-
-def test_saturate_efo_wrapper():
-    p, y = V("p", fun(a, o)), V("y", a)
-    status, payload = saturate_efo([app(ref(p), ref(y))])
-    assert status == "open"
-    assert is_evident(payload).evident
-    status, proof = saturate_efo(running_example())
-    assert status == "closed"
-    assert check_proof(running_example(), proof, calculus="efo")
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +543,14 @@ def test_search_instance_is_the_reference_first_on_random_branches():
             "efo",
             lambda g: g.efo_formula(2, quasi=True),
             applicable_efo,
-            lambda b, memo: efo_instances(b, (), memo),
+            lambda b, memo: instances(CALCULI["efo"], b, memo=memo),
         )
     ] + [
         (
             f"stt fuel {fuel}",
             lambda g: g.formula(2),
             lambda b, fuel=fuel: applicable_stt(b, fuel),
-            lambda b, memo, fuel=fuel: stt_instances(b, fuel, (), memo),
+            lambda b, memo, fuel=fuel: instances(CALCULI["stt"], b, fuel, memo=memo),
         )
         for fuel in (1, 2, 3)
     ]
@@ -592,25 +589,40 @@ def _chain_text(n: int) -> str:
     return "".join(decls)
 
 
+_REFERENCE = {
+    "efo": lambda b, fuel, reserved: applicable_efo(b, reserved),
+    "stt": applicable_stt,
+}
+
+
+def _check_every_node(monkeypatch) -> list:
+    """Make search compare the instance it applies at every node with the
+    reference's first, read cold, with the memo, and with the memo and the
+    dead set; returns the list the visited branches are appended to."""
+    import hotab.search as search
+
+    visited = []
+
+    def checked(calc, b, fuel, reserved, memo, dead):
+        expected = _first(_REFERENCE[calc.name](b, fuel, reserved))
+        assert next(instances(calc, b, fuel, reserved), None) == expected
+        assert next(instances(calc, b, fuel, reserved, memo), None) == expected
+        assert next(instances(calc, b, fuel, reserved, memo, dead), None) == expected
+        visited.append(b)
+        return instances(calc, b, fuel, reserved, memo, dead)
+
+    monkeypatch.setattr(search, "instances", checked)
+    return visited
+
+
 def _search_chain_checked(monkeypatch, n: int):
     """Search chain(n) under a 500-node budget, comparing the instance at
     every node with the reference; returns the root, the verdict and the
     branches visited."""
-    import hotab.search as search
     from hotab.problems import parse
 
     root = parse(_chain_text(n)).branch()
-    visited = []
-
-    def checked(b, reserved, memo, dead):
-        expected = _first(applicable_efo(b, reserved))
-        assert next(efo_instances(b, reserved), None) == expected
-        assert next(efo_instances(b, reserved, memo), None) == expected
-        assert next(efo_instances(b, reserved, memo, dead), None) == expected
-        visited.append(b)
-        return efo_instances(b, reserved, memo, dead)
-
-    monkeypatch.setattr(search, "efo_instances", checked)
+    visited = _check_every_node(monkeypatch)
     v = refute(root, SearchConfig(max_nodes=500, timeout=None))
     return root, v, visited
 
@@ -675,31 +687,14 @@ def _clique_text(k: int, *lines: str) -> str:
 def test_search_instance_is_the_reference_first_at_every_node(
     monkeypatch, text, calculus, max_nodes, rounds, visits
 ):
-    import hotab.search as search
     from hotab.problems import parse
 
-    name, reference = {
-        "efo": ("efo_instances", applicable_efo),
-        "stt": ("stt_instances", applicable_stt),
-    }[calculus]
-    lazy = getattr(search, name)
-    visited = []
-
-    def checked(b, *args):
-        # args: the calculus's parameters, then the memo and the dead set
-        params, (memo, dead) = args[:-2], args[-2:]
-        expected = _first(reference(b, *params))
-        assert next(lazy(b, *params), None) == expected
-        assert next(lazy(b, *params, memo), None) == expected
-        assert next(lazy(b, *params, memo, dead), None) == expected
-        visited.append(b)
-        return lazy(b, *args)
-
-    monkeypatch.setattr(search, name, checked)
+    visited = _check_every_node(monkeypatch)
     root = parse(text).branch()
     cfg = SearchConfig(calculus=calculus, max_nodes=max_nodes, timeout=None)
     v = refute(root, cfg)
-    assert isinstance(v, Refuted) and check_proof(root, v.proof, calculus)
+    assert isinstance(v, Refuted) and v.calculus == calculus
+    assert check_proof(root, v.proof, calculus)
     assert len(visited) == visits
     assert sum(1 for b in visited if b is root) == rounds
 
