@@ -24,6 +24,7 @@ from .kernel import (
     Ref,
     Term,
     Type,
+    as_diseq,
     as_eq,
     as_forall,
     as_imp,
@@ -53,6 +54,8 @@ class FormulaKind(Enum):
     FORALL = "forall"
     NEG_FORALL = "neg-forall"
     OTHER = "other"
+
+    __hash__ = object.__hash__  # by identity, in C (Enum's hashes the name)
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ class Branch:
             b.closing_witness = self._closing_after(s, info)
         b.eager_witness = self.eager_witness
         if b.eager_witness is None:
-            b.eager_witness = self._eager_after(s, info)
+            b.eager_witness = self.eager_closure(s)
         b._disc_terms_cache = {}
         b._disc_cache = {}
         return b
@@ -297,17 +300,14 @@ class Branch:
             return ("refl", s)
         return None
 
-    def _eager_after(self, s: Term, info: FormulaInfo) -> tuple | None:
-        """Wider closure used by the optional eager-closing mode."""
-        w = as_neg(s)
-        if w is not None and w in self._set:
-            return ("compl", w, s)
-        if neg(s) in self._set:
-            return ("compl", s, neg(s))
-        d = as_eq(w) if w is not None else None
-        if d is not None and d[1] == d[2]:
-            return ("refl", s)
-        return None
+    def eager_closure(self, s: Term) -> tuple | None:
+        """The wider closure of the optional eager-closing mode that s makes
+        with this branch: a complement of s on it, or s alone when it is a
+        reflexive disequation."""
+        for c in complements(s):
+            if c in self._set:
+                return ("compl", c, s) if neg(c) == s else ("compl", s, c)
+        return ("refl", s) if is_reflexive(s) else None
 
     # -- discriminants --
 
@@ -342,6 +342,19 @@ class Branch:
         out = _max_independent_sets(vs, conflict)
         self._disc_cache[at] = out
         return out
+
+
+def complements(s: Term) -> tuple[Term, ...]:
+    """The formulas that close a branch with s under eager closure, either
+    way round: the body of s when s is a negation, then the negation of s."""
+    w = as_neg(s)
+    return (neg(s),) if w is None else (w, neg(s))
+
+
+def is_reflexive(s: Term) -> bool:
+    """Is s a disequation between identical sides?"""
+    d = as_diseq(s)
+    return d is not None and d[1] == d[2]
 
 
 def branch_of(*formulas: Term) -> Branch:

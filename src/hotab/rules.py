@@ -24,19 +24,12 @@ it:
     one of its alternatives is already contained in the branch.  Together
     with the admissibility restrictions below this makes "no instance
     applicable" coincide with the closure conditions that guarantee a model
-    exists (see `search.is_evident`).  Search takes the generator's first
-    instance at each node and runs the calculus's gate once per member.
-
-    Branches only grow, and that gives the generator two caches, both
-    owned by its caller.  An instance that takes no fresh witness depends
-    on its rule, premises and term alone, so a memo builds its
-    alternatives once per search.  An instance that is unproductive on a
-    branch is unproductive on every extension, so its memo key goes into a
-    dead set that later calls skip; search scopes that set to the path
-    from the root (see `search._saturate`).  `applicable_efo` and
-    `applicable_stt` are the gate on the whole branch plus the generator's
-    full list, built without the caches: the reference the search is tested
-    against.
+    exists (see `search.is_evident`).  Its caller owns its two caches (see
+    `instances`); `applicable_efo` and `applicable_stt` are the gate plus
+    the full list, without them: the reference search is tested against.
+  * `branching_instances` builds over the same memo the branching
+    instances that a branch's newest members complete, for search to find
+    the ones that close at once in all alternatives but one.
   * `check_instance` validates a claimed instance against a branch: its
     premises are members, it equals what the row builds from them, and the
     branch-dependent admissibility conditions hold.  It is the trusted core
@@ -64,6 +57,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .branch import Branch, FormulaInfo, FormulaKind, classify
+from .branch import complements, is_reflexive
 from .fragments import FragmentViolation, efo_violation, quasi_efo_violation
 from .kernel import (
     NOT,
@@ -106,6 +100,8 @@ class RuleId(Enum):
     CLOSE_COMPL = "close-compl"
     CLOSE_REFL = "close-refl"
 
+    __hash__ = object.__hash__  # by identity, in C (Enum's hashes the name)
+
 
 @dataclass(frozen=True)
 class RuleInstance:
@@ -133,6 +129,15 @@ class RuleInstance:
         )
         parts.append("alts=" + (alts or "(closed)"))
         return "RuleInstance(" + "; ".join(parts) + ")"
+
+    @functools.cached_property
+    def closers(self) -> tuple:
+        """Per alternative, the formulas that close it at once (the
+        `complements` of its own), or None if it is closed anyway."""
+        return tuple(
+            None if any(map(is_reflexive, alt)) else sum(map(complements, alt), ())
+            for alt in self.alternatives
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +414,27 @@ def _alts_fun_ext(info, x: Term) -> tuple:
     return ((diseq(apply_norm(info.lhs, x), apply_norm(info.rhs, x)),),)
 
 
-def _alts_mate(pos_info, neg_info) -> tuple:
+def _sides_mate(pos_info, neg_info) -> tuple:
     if len(pos_info.args) != len(neg_info.args):
         raise AssertionError("same-head atoms must share arity")
-    return tuple(
-        (diseq(s, t),) for s, t in zip(pos_info.args, neg_info.args)
-    )
+    return tuple(((s, t),) for s, t in zip(pos_info.args, neg_info.args))
 
 
-def _alts_decompose(info) -> tuple:
-    return tuple((diseq(s, t),) for s, t in zip(info.largs, info.rargs))
+def _sides_decompose(info) -> tuple:
+    return tuple(((s, t),) for s, t in zip(info.largs, info.rargs))
 
 
-def _alts_confront(eq_info, dq_info) -> tuple:
+def _sides_confront(eq_info, dq_info) -> tuple:
     s, t = eq_info.lhs, eq_info.rhs
     u, v = dq_info.lhs, dq_info.rhs
-    return ((diseq(s, u), diseq(t, u)), (diseq(s, v), diseq(t, v)))
+    return (((s, u), (t, u)), ((s, v), (t, v)))
+
+
+def _diseqs(sides):
+    """The alternatives that add the disequations between the side pairs."""
+    return lambda *infos: tuple(
+        tuple(diseq(x, y) for x, y in alt) for alt in sides(*infos)
+    )
 
 
 def _alts_imp(info) -> tuple:
@@ -448,8 +458,7 @@ def _alts_leaf(*infos) -> tuple:
 
 
 def _reflexive(premises, infos) -> bool:
-    d = as_diseq(premises[0])
-    return d is not None and d[1] == d[2]
+    return is_reflexive(premises[0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +476,8 @@ class Rule:
     instance drawn from the branch's terms) or "fresh" (a witness variable
     not free on the branch).  priority: the group search applies the rule
     in, lower first; None for the eager leaf rules, which search never
-    lists.
+    lists.  sides: the side pairs of the disequations alts adds, if that
+    is all it adds.
     """
 
     kinds: tuple[FormulaKind | None, ...]
@@ -475,6 +485,7 @@ class Rule:
     shape: Callable[[tuple, tuple], bool] | None = None
     inst: str | None = None
     priority: int | None = None
+    sides: Callable[..., tuple] | None = None
 
 
 _K = FormulaKind
@@ -489,21 +500,24 @@ RULES: dict[RuleId, Rule] = {
     RuleId.FUN_EXT: Rule((_K.FUN_DISEQ,), _alts_fun_ext, inst="fresh", priority=2),
     RuleId.MATE: Rule(
         (_K.POS_ATOM, _K.NEG_ATOM),
-        _alts_mate,
+        _diseqs(_sides_mate),
         shape=lambda ps, infos: infos[0].head == infos[1].head,
         priority=8,
+        sides=_sides_mate,
     ),
     RuleId.DECOMPOSE: Rule(
         (_K.SORT_DISEQ,),
-        _alts_decompose,
+        _diseqs(_sides_decompose),
         shape=lambda ps, infos: infos[0].decomposable,
         priority=9,
+        sides=_sides_decompose,
     ),
     RuleId.CONFRONT: Rule(
         (_K.SORT_EQ, _K.SORT_DISEQ),
-        _alts_confront,
+        _diseqs(_sides_confront),
         shape=lambda ps, infos: infos[0].ty == infos[1].ty,
         priority=10,
+        sides=_sides_confront,
     ),
     RuleId.IMP: Rule((_K.IMP,), _alts_imp, priority=7),
     RuleId.IMP_NEG: Rule((_K.NEG_IMP,), _alts_imp_neg, priority=1),
@@ -547,6 +561,11 @@ EFO_RULES = frozenset(
         RuleId.FORALL_INST,
         RuleId.FORALL_NEG,
     }
+)
+
+#: Rules whose instances can branch; they come after every other rule.
+BRANCHING_RULES = frozenset(
+    map(RuleId, ("bool-eq", "bool-ext", "imp", "mate", "decompose", "confront"))
 )
 
 #: Leaf rules available only in eager-closing mode (plus n = 0 mate and
@@ -636,14 +655,14 @@ def _ruleless_gate(branch: Branch, members) -> None:
 @functools.cache
 def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
     """The rules' priority groups, lowest priority first.  A group maps each
-    member kind it takes to the (rule, row, premise position) triples that
-    take it, in table order."""
+    member kind it takes to the (rule, name, row, premise position) tuples
+    that take it, in table order."""
     groups: dict[int, dict[FormulaKind, list]] = {}
     for rule, row in RULES.items():
         if rule in rules:
             uses = groups.setdefault(row.priority, {})
             for at, kind in enumerate(row.kinds):
-                uses.setdefault(kind, []).append((rule, row, at))
+                uses.setdefault(kind, []).append((rule, rule.value, row, at))
     return tuple(
         {kind: tuple(t) for kind, t in groups[p].items()} for p in sorted(groups)
     )
@@ -668,15 +687,12 @@ def instances(
     if every alternative adds something new; the others are skipped.
 
     Every rule but the fresh-witness ones builds its instance from the
-    rule, premises and term alone, so memo keeps it under the key
-    (rule name, premises) or (rule name, premises, term), with _REJECTED
-    where the row's shape rejects the premises.  (The name, a string,
-    hashes in C; the RuleId member would hash in Python, once per key
-    tested.)  An instance found unproductive stays so on every extension of
-    the branch, so its key is recorded in dead (a dict used as an
-    insertion-ordered set) and the generator skips the keys already there.
-    The caller owns both: search scopes dead to the path from the root, and
-    leaving them out makes the walk cache-free.
+    rule, premises and term alone, so memo keeps it under the key (rule
+    name, premises[, term]) (see `memo_instance`).  An instance found
+    unproductive stays so on every extension of the branch, so its key
+    goes into dead (an insertion-ordered dict), and the generator skips the
+    keys there.  The caller owns both: search scopes dead to the path from
+    the root, and leaving them out makes the walk cache-free.
     """
     if branch.is_closed:
         return
@@ -694,7 +710,7 @@ def instances(
         earlier: dict[FormulaKind, list[Term]] = {kind: [] for kind in uses}
         for s in members:
             info = branch.info(s)
-            for rule, row, at in uses[info.kind]:
+            for rule, name, row, at in uses[info.kind]:
                 if row.inst == "fresh":
                     if not _concluded(branch, rule, info):
                         x = _fresh_witness(branch, _inst_type(info), reserved)
@@ -702,7 +718,6 @@ def instances(
                         if productive(alts):
                             yield RuleInstance(rule, (s,), alts, x)
                     continue
-                name = rule.value
                 if row.inst == "term":
                     keys = (
                         (name, (s,), u)
@@ -719,9 +734,7 @@ def instances(
                 for key in keys:
                     if key in dead:
                         continue
-                    r = memo.get(key)
-                    if r is None:
-                        r = memo[key] = _memo_instance(branch, rule, row, key)
+                    r = memo.get(key) or memo_instance(memo, branch, row, key)
                     if r is _REJECTED:
                         continue
                     if productive(r.alternatives):
@@ -735,14 +748,63 @@ def instances(
 _REJECTED = object()
 
 
-def _memo_instance(branch: Branch, rule: RuleId, row: Rule, key: tuple):
-    """The instance of the rule that a memo key (name, premises[, term])
-    names, or _REJECTED when the row's shape rejects the premises."""
-    _, premises, *inst = key
-    infos = tuple(map(branch.info, premises))
-    if row.shape is not None and not row.shape(premises, infos):
-        return _REJECTED
-    return RuleInstance(rule, premises, row.alts(*infos, *inst), *inst)
+def memo_instance(memo: dict, branch: Branch, row: Rule, key: tuple):
+    """The instance a memo key (name, premises[, term]) of the row's rule
+    names, built into memo once; _REJECTED where the shape rejects it."""
+    if key not in memo:
+        name, premises, *inst = key
+        infos = tuple(map(branch.info, premises))
+        if row.shape is not None and not row.shape(premises, infos):
+            memo[key] = _REJECTED
+        else:
+            alts = row.alts(*infos, *inst)
+            memo[key] = RuleInstance(RuleId(name), premises, alts, *inst)
+    return memo[key]
+
+
+def branching_instances(
+    calculus: Calculus, branch: Branch, added: tuple[Term, ...], memo: dict
+) -> Iterator[tuple]:
+    """(priority, memo key, row, closers) for each instance of the
+    calculus's branching rules that has two or more alternatives and its
+    last premise among added, the branch's newest members; a pair rule
+    pairs it with each earlier member of the other premise's kind.  A rule
+    with sides is not built: its closers are its side pairs (x, y), each
+    closing at once where x == y or a member closes x != y (see
+    `side_pairs`).  The others give the `closers` of the instance built
+    over the memo."""
+    groups, later = _groups(calculus.rules & BRANCHING_RULES), set(added)
+    for s in added:
+        later.discard(s)
+        info = branch.info(s)
+        for uses in groups:
+            for rule, name, row, at in uses.get(info.kind, ()):
+                keys = [(name, (s,))]
+                if len(row.kinds) == 2:
+                    others = branch.members(row.kinds[1 - at])
+                    others = [p for p in others if p not in later]
+                    keys = [(name, (p, s) if at else (s, p)) for p in others]
+                for key in keys:
+                    if row.sides is None:
+                        r = memo_instance(memo, branch, row, key)
+                        closers = () if r is _REJECTED else r.closers
+                    else:
+                        infos = tuple(map(branch.info, key[1]))
+                        ok = row.shape is None or row.shape(key[1], infos)
+                        closers = row.sides(*infos) if ok else ()
+                    if len(closers) >= 2:
+                        yield row.priority, key, row, closers
+
+
+def side_pairs(info: FormulaInfo) -> tuple[tuple | None, tuple | None]:
+    """The side pairs (x, y) of the disequations that a member of this info
+    closes at once (it is x = y or not not (x != y)) and that it is."""
+    if info.kind in (_K.BOOL_EQ, _K.FUN_EQ, _K.SORT_EQ):
+        return (info.lhs, info.rhs), None
+    if info.kind in (_K.BOOL_DISEQ, _K.FUN_DISEQ, _K.SORT_DISEQ):
+        return None, (info.lhs, info.rhs)
+    d = as_diseq(info.lhs) if info.kind is _K.DOUBLE_NEG else None
+    return d and d[1:], None
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
@@ -813,8 +875,7 @@ def applicable_stt(
     reserved names are avoided when introducing witness variables.  On a
     closed branch nothing is applicable.  Raises FragmentViolation for
     members outside the negation-and-equality language.  Search reads the
-    same instances lazily (`instances`) and applies the first; this full
-    list is the reference it is tested against.
+    same instances lazily (`instances`).
     """
     stt_gate(branch, branch.formulas)
     return list(instances(CALCULI["stt"], branch, fuel, reserved))
@@ -829,8 +890,7 @@ def applicable_efo(
     restricted terms; anything else raises FragmentViolation.  On a closed
     branch nothing is applicable.  The result is empty exactly when the
     branch is closed or satisfies the model-existence conditions.  Search
-    reads the same instances lazily (`instances`) and applies the first;
-    this full list is the reference it is tested against.
+    reads the same instances lazily (`instances`).
     """
     efo_gate(branch, branch.formulas)
     return list(instances(CALCULI["efo"], branch, reserved=reserved))

@@ -3,17 +3,18 @@
 `refute` picks a row of the calculus table `rules.CALCULI` (by
 `route_calculus` in auto mode) and runs one engine with it: the row gives
 the rule set, the fragment gate and the instantiation terms.  It develops
-a branch depth-first, always applying the first applicable instance (rule
-priority, then member insertion order), so runs are deterministic.  The
-instance is read lazily from `rules.instances`, so the rest of the
-branch's instances are never built, and the gate sees each member once.
-The generator is handed two caches.  Every instance that takes no fresh
-witness is memoised for the length of one `refute` call, so its
-alternatives are built once.  The keys of instances found unproductive go
-into a dead set owned by one saturation (one fuel round): those found at a
-node stay valid in every subtree of the frame pushed there, and are
-dropped when it is popped, so later nodes on the path skip them without
-testing them again.  Neither cache changes which instance is applied.
+a branch depth-first and puts off real splits (Hähnle, "Tableaux and
+related methods", 2001; leanTAP): each node applies the first instance in
+search order (rule priority, then member insertion order) with two or
+more alternatives that all close at once but one at most
+(`Branch.eager_closure`), else the first applicable instance, read lazily
+from `rules.instances`.  Runs are deterministic.  Instances that take no
+fresh witness are memoised for one `refute` call.  The rest of the state
+is scoped to the path from the root (`_Agenda`), and what a node finds
+goes when its frame is popped: the keys of unproductive instances, skipped
+untested, and an index of the closing instances that builds only what a
+node's new members complete and re-tests only what waits on them.  No
+cache changes which instance is applied.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used: the premises of its instances, plus, for each
@@ -63,6 +64,7 @@ from .rules import (
     RuleInstance,
     applicable_efo,  # noqa: F401  (callers look these two up here)
     applicable_stt,  # noqa: F401
+    branching_instances,
     check_instance,
     closing_instance,
     has_instance,
@@ -70,6 +72,8 @@ from .rules import (
     has_witness_neg_inst,
     instances,
     instantiation_candidates,
+    memo_instance,
+    side_pairs,
 )
 from .semantics import (
     DEFAULT_MAX_TABLE,
@@ -246,11 +250,93 @@ def route_calculus(branch: Branch) -> str:
 # Depth-first saturation
 
 
+class _Agenda:
+    """What one saturation found on the current path; `undo` cuts it back to
+    the `mark` of a node whose frame is popped.  dead: the keys of
+    unproductive instances.  closing: (search order, key, row, closers)
+    entries of branching instances with one open alternative at most (a
+    closed one stays so).  waiting: per closer, the entries that had two
+    open or more.  present, diseqs: per side pair (x, y), the members that
+    close x != y at once, and that are x != y.  at: member positions (the
+    last write holds, so it is never cut back).
+    """
+
+    def __init__(self):
+        self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
+        self.closing: dict = {}  # likewise
+        self.waiting: dict = {}
+        self.present: dict = {}
+        self.diseqs: dict = {}
+        self.log: list = []  # the lists of the last three, as extended
+        self.at: dict = {}
+
+    def mark(self) -> tuple[int, int, int]:
+        return len(self.dead), len(self.closing), len(self.log)
+
+    def undo(self, mark: tuple[int, int, int]) -> None:
+        while len(self.dead) > mark[0]:
+            self.dead.popitem()
+        while len(self.closing) > mark[1]:
+            self.closing.popitem()
+        while len(self.log) > mark[2]:
+            self.log.pop().pop()
+
+    def _push(self, index: dict, key, value) -> None:
+        self.log.append(index.setdefault(key, []))
+        self.log[-1].append(value)
+
+    def add(self, calc: Calculus, branch: Branch, added, memo: dict) -> None:
+        """Index what the members added complete, close or are."""
+        joined = list(added)
+        for i, s in enumerate(added, len(branch) - len(added)):
+            self.at[s] = i
+            closes, stated = side_pairs(branch.info(s))
+            if closes:
+                self._push(self.present, closes, s)
+                joined.append(closes)
+            if stated:
+                self._push(self.diseqs, stated, s)
+        for priority, key, row, cl in branching_instances(calc, branch, added, memo):
+            at = [self.at[p] for p in key[1]]
+            self._test(branch, ((priority, max(at), min(at)), key, row, cl), True)
+        for c in joined:
+            for entry in self.waiting.get(c, ()):
+                self._test(branch, entry, False)
+
+    def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
+        if entry[2].sides is None:
+            shut = [cl is None or any(c in branch for c in cl) for cl in entry[3]]
+        else:
+            get = self.present.get
+            shut = [any(x == y or get((x, y)) for x, y in alt) for alt in entry[3]]
+        if shut.count(False) <= 1:
+            self.closing.setdefault(entry[1], entry)
+        elif new:
+            for alt, done in zip(entry[3], shut):
+                for c in () if done else alt:
+                    self._push(self.waiting, c, entry)
+
+    def pick(self, branch: Branch, memo: dict) -> RuleInstance | None:
+        """The first closing instance whose alternatives all add something."""
+        for _, key, row, closers in sorted(self.closing.values()):
+            if key in self.dead:
+                continue
+            if row.sides is not None:
+                if all(not all(map(self.diseqs.get, alt)) for alt in closers):
+                    return memo_instance(memo, branch, row, key)
+            else:
+                r = memo_instance(memo, branch, row, key)
+                if all(any(f not in branch for f in a) for a in r.alternatives):
+                    return r
+            self.dead[key] = None
+        return None
+
+
 @dataclass
 class _Frame:
     instance: RuleInstance
     branch: Branch
-    dead_mark: int  # size of the dead set before this node added to it
+    mark: tuple  # the agenda's mark before this node added to it
     added: tuple = ()  # the members the current alternative added
     used: set = field(default_factory=set)  # members of branch its children use
     children: list = field(default_factory=list)
@@ -259,46 +345,39 @@ class _Frame:
 def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     """Develop a branch depth-first, backjumping over unused alternatives.
 
-    Each node applies the first of the calculus's `instances` at this
-    fuel, built over the search's memo.  The calculus's gate raises
-    FragmentViolation for members it cannot take, and sees each member
-    once, at the first open node that has it.  counter[0] counts the rule
-    applications of the whole search against cfg.max_nodes.  Returns
-    ("closed", Proof) when every branch closes, or ("open", Branch) for the
-    leftmost branch with no applicable instance.  Raises BudgetExceeded
-    when limits run out.
+    Each node applies the agenda's closing instance, or else the first of
+    the calculus's `instances` at this fuel, both over the search's memo.
+    The calculus's gate raises FragmentViolation for members it cannot
+    take, and sees each member once, at the first open node that has it.
+    counter[0] counts the rule applications of the whole search against
+    cfg.max_nodes.  Returns ("closed", Proof) when every branch closes, or
+    ("open", Branch) for the leftmost branch with no applicable instance.
+    Raises BudgetExceeded when limits run out.
 
-    Each closed subtree comes with the branch members its instances use:
-    their premises, plus what `forall-inst` admissibility reads (see
-    `_uses`).  When the subtree under an alternative uses none of the
-    members that alternative added, it closes the frame's own branch: the
-    frame is dropped, its other alternatives are never developed, and the
-    subtree is handed to the frame above, which makes the same test.  The
-    proof keeps only the instances on the way to the leaves, so it is an
-    ordinary proof that `check_proof` replays unchanged: every instance
+    A closed subtree comes with the members its instances use (see
+    `_uses`).  If it uses none that its alternative added, it closes the
+    frame's own branch, so it takes the frame's place and the frame's other
+    alternatives are dropped.  The result replays unchanged: every instance
     still finds its premises, a witness fresh on a branch is fresh on a
-    smaller one, and an instance not concluded on a branch is not
-    concluded on a smaller one.  Selection does not change, so a search
-    that closes applies a subset of the instances it applied without
-    backjumping.  In the restricted calculus the skipped alternatives would
-    have closed too, so open branches and models do not change either; in
+    smaller one, and an instance not concluded on a branch is not concluded
+    on a smaller one.  In the restricted calculus the skipped alternatives
+    would have closed too, so open branches and models do not change; in
     the unrestricted one a skipped alternative could have stayed open with
-    functional equations, so a fuel round can now close where it did not.
-
-    dead holds the keys of the instances found unproductive at the nodes
-    on the current path.  A key found at a node stays valid on every
-    alternative of the frame pushed there, so it is dropped when that frame
-    is popped, and never reaches a sibling subtree.
+    functional equations, so a fuel round can close where it would not
+    without backjumping.  The agenda's state, and so the choice at a node,
+    depends on the node's branch alone.
     """
     stack: list[_Frame] = []
-    dead: dict = {}  # insertion-ordered, so popitem drops the newest keys
+    agenda = _Agenda()
     cur, added = branch, branch.formulas
     while True:
         leaf = closing_instance(cur, cfg.eager_close)
         if leaf is None:
             calc.gate(cur, added)
-            mark = len(dead)
-            r = next(instances(calc, cur, fuel, cfg.reserved, memo, dead), None)
+            mark = agenda.mark()
+            rest = instances(calc, cur, fuel, cfg.reserved, memo, agenda.dead)
+            agenda.add(calc, cur, added, memo)
+            r = agenda.pick(cur, memo) or next(rest, None)
             if r is None:
                 return "open", cur
             counter[0] += 1
@@ -329,8 +408,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
                 used = frame.used
                 used.update(_uses(frame.branch, frame.instance))
             stack.pop()
-            while len(dead) > frame.dead_mark:
-                dead.popitem()
+            agenda.undo(frame.mark)
         else:
             return "closed", proof
 

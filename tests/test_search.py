@@ -29,6 +29,7 @@ from hotab.rules import (
     applicable_efo,
     applicable_stt,
     instances,
+    make_instance,
 )
 from hotab.search import (
     Proof,
@@ -528,6 +529,18 @@ def _first(instances):
     return instances[0] if instances else None
 
 
+def closing_first(br, listed):
+    """The instance search applies, chosen without caches from the list of
+    the instances applicable on br, in search order: the first with two or
+    more alternatives, all of which close at once but one at most, else the
+    first."""
+    for r in listed:
+        shut = [any(map(br.eager_closure, alt)) for alt in r.alternatives]
+        if len(shut) >= 2 and shut.count(False) <= 1:
+            return r
+    return _first(listed)
+
+
 def _in_search_order(br, instances) -> bool:
     """Rule priority first, then the insertion order of the last premise."""
     at = {s: i for i, s in enumerate(br.formulas)}
@@ -595,52 +608,81 @@ _REFERENCE = {
 }
 
 
-def _check_every_node(monkeypatch) -> list:
-    """Make search compare the instance it applies at every node with the
-    reference's first, read cold, with the memo, and with the memo and the
-    dead set; returns the list the visited branches are appended to."""
+def _check_every_node(monkeypatch, forced: list | None = None) -> list:
+    """Make search compare, at every node, the instance it applies with
+    `closing_first` over the cache-free reference list, and the lazy
+    generator's first instance with the list's first, read cold, with the
+    memo, and with the memo and the dead set; returns the list the visited
+    branches are appended to.  forced gets the branches where the choice
+    is not the list's first."""
     import hotab.search as search
 
     visited = []
+    choice = []  # the branch last visited and the reference's choice on it
 
     def checked(calc, b, fuel, reserved, memo, dead):
-        expected = _first(_REFERENCE[calc.name](b, fuel, reserved))
+        listed = _REFERENCE[calc.name](b, fuel, reserved)
+        expected = _first(listed)
         assert next(instances(calc, b, fuel, reserved), None) == expected
         assert next(instances(calc, b, fuel, reserved, memo), None) == expected
         assert next(instances(calc, b, fuel, reserved, memo, dead), None) == expected
         visited.append(b)
+        choice[:] = [b, closing_first(b, listed)]
+        if forced is not None and choice[1] != expected:
+            forced.append(b)
         return instances(calc, b, fuel, reserved, memo, dead)
 
+    def applied(r, b, *rest):
+        assert choice[0] is b and r == choice[1]
+        return frame(r, b, *rest)
+
+    frame = search._Frame
     monkeypatch.setattr(search, "instances", checked)
+    monkeypatch.setattr(search, "_Frame", applied)
     return visited
 
 
-def _search_chain_checked(monkeypatch, n: int):
-    """Search chain(n) under a 500-node budget, comparing the instance at
-    every node with the reference; returns the root, the verdict and the
-    branches visited."""
+def _search_chain_checked(monkeypatch, n: int, budget: int):
+    """Search chain(n) under a node budget, comparing the instance at every
+    node with the reference; returns the root, the verdict and the branches
+    visited."""
     from hotab.problems import parse
 
     root = parse(_chain_text(n)).branch()
     visited = _check_every_node(monkeypatch)
-    v = refute(root, SearchConfig(max_nodes=500, timeout=None))
+    v = refute(root, SearchConfig(max_nodes=budget, timeout=None))
     return root, v, visited
 
 
 def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
-    # backjumping refutes chain(2) well inside the budget
-    root, v, visited = _search_chain_checked(monkeypatch, 2)
+    # closing-first refutes chain(2) in 47 rule applications (170 without)
+    root, v, visited = _search_chain_checked(monkeypatch, 2, 500)
     assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
-    assert len(visited) == 170
+    assert len(visited) == 47
 
 
 def test_search_instance_is_the_reference_first_on_chain_to_the_budget(
     monkeypatch,
 ):
-    # chain(4) still runs out of nodes, so the budget path stays covered
-    root, v, visited = _search_chain_checked(monkeypatch, 4)
+    # chain(4) needs 220 rule applications, so 100 keep the budget path covered
+    root, v, visited = _search_chain_checked(monkeypatch, 4, 100)
     assert isinstance(v, Unknown) and "node budget" in v.reason
-    assert len(visited) == 501  # the instance fetched past the budget too
+    assert len(visited) == 101  # the instance fetched past the budget too
+
+
+def test_closing_first_reference():
+    # an instance with all alternatives but one closing at once comes
+    # first; one with two open alternatives does not, nor does a
+    # non-branching one; with no closing instance the first is chosen
+    p, q, r = (ref(Name(n, o)) for n in "pqr")
+    br = branch_of(neg(q))
+    closing = make_instance(RuleId.IMP, (imp(p, q),))  # alternatives: not p | q
+    split = make_instance(RuleId.BOOL_EQ, (eq(p, r),))
+    single = make_instance(RuleId.DOUBLE_NEG, (neg(neg(p)),))
+    assert closing_first(br, [single, split, closing]) == closing
+    assert closing_first(br, [single, split]) == single
+    assert closing_first(branch_of(), [split, closing]) == split
+    assert closing_first(br, []) is None
 
 
 def _clique_text(k: int, *lines: str) -> str:
@@ -659,7 +701,7 @@ def _clique_text(k: int, *lines: str) -> str:
             "efo",
             None,
             1,
-            32,
+            17,
             id="cliqueU5",
         ),
         # the unrestricted calculus under a node budget, with fresh
@@ -670,7 +712,7 @@ def _clique_text(k: int, *lines: str) -> str:
             "stt",
             200,
             1,
-            29,
+            18,
             id="funeq1",
         ),
         # two fuel rounds over one memo, each with its own unproductive set
@@ -730,18 +772,30 @@ def test_backjumping_keeps_the_disequation_a_discriminating_instance_needs():
 
 
 def test_backjumping_keeps_the_member_a_free_variable_instance_needs():
-    # the first witness x0 is the instance of the vacuous forall (x a) q;
-    # nothing else uses not (s x0), so only the member x0 is free in keeps
-    # its frame: on the root plus not (t x1), x0 would not be admissible
+    # the first witness x0 is the instance of the vacuous forall (x a) q and
+    # of forall (z a) (t z); nothing else uses not (s x0), so only the
+    # member x0 is free in keeps its frame: on the root plus the second
+    # witness's not (t x1), x0 would not be admissible.  The second negated
+    # quantifier is not the complement of forall (z a) (t z), so the
+    # implication does not close at once and is applied after both
     from hotab.problems import parse
 
     root = parse(
         "(sort a)(var s (> a o))(var t (> a o))(var q o)"
-        "(assume (not (forall (y a) (s y))))(assume (not (forall (z a) (t z))))"
+        "(assume (not (forall (y a) (s y))))"
+        "(assume (not (forall (z a) (not (not (t z))))))"
         "(assume (forall (x a) q))(assume (imp q (forall (z a) (t z))))"
     ).branch()
     v = refute(root, SearchConfig(calculus="efo"))
     assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
+    rules = [n.instance.rule.value for n in v.proof.nodes()]
+    assert rules[:5] == [
+        "forall-neg",
+        "forall-neg",
+        "double-neg",
+        "forall-inst",
+        "imp",
+    ]
     assert v.proof.rule_counts()["forall-neg"] == 2
 
 
@@ -768,6 +822,55 @@ def test_backjumping_refutes_within_the_benchmark_budgets(text, calculus, budget
     assert isinstance(v, Refuted)
     replayed = parse_proof(serialize_proof(v.proof), problem)
     assert check_proof(problem.branch(), replayed, calculus)
+
+
+@pytest.mark.parametrize(
+    "n, budget",
+    [
+        pytest.param(3, 500, id="chain3"),  # the efo-refute budget
+        pytest.param(4, 999, id="chain4"),
+        pytest.param(6, 2000, id="chain6"),
+    ],
+)
+def test_closing_first_refutes_chains_within_budgets(n, budget):
+    # all three ran out of nodes before closing-first selection
+    from hotab.problems import parse, parse_proof, serialize_proof
+
+    problem = parse(_chain_text(n))
+    cfg = SearchConfig(calculus="efo", max_nodes=budget, timeout=None)
+    v = refute(problem.branch(), cfg)
+    assert isinstance(v, Refuted)
+    replayed = parse_proof(serialize_proof(v.proof), problem)
+    assert check_proof(problem.branch(), replayed, "efo")
+
+
+def test_search_applies_the_reference_choice_on_random_branches(monkeypatch):
+    # the per-node check on random efo and stt branches (budgets keep the
+    # few slow stt branches short)
+    forced: list = []
+    visited = _check_every_node(monkeypatch, forced)
+    seen = Counter()
+    for seed in range(40):
+        g = Gen(seed + 25000)
+        efo_forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(3)]
+        efo_unsat = efo_forms[1:] + [normalize(neg(efo_forms[0])), efo_forms[0]]
+        g = Gen(seed + 26000)
+        stt_forms = [normalize(g.formula(2)) for _ in range(3)]
+        runs = [("efo", efo_forms, 3), ("efo", efo_unsat, 3)]
+        runs += [("stt", stt_forms, fuel) for fuel in (1, 2, 3)]
+        for calculus, forms, fuel in runs:
+            cfg = SearchConfig(
+                calculus=calculus, fuel_schedule=(fuel,), max_nodes=60, timeout=None
+            )
+            try:
+                v = refute(forms, cfg)
+            except FragmentViolation:
+                continue
+            seen[calculus, type(v).__name__] += 1
+    for calculus in ("efo", "stt"):
+        assert seen[calculus, "Refuted"] >= 10, seen
+        assert seen[calculus, "Satisfiable"] >= 10, seen
+    assert len(visited) >= 500 and len(forced) >= 30
 
 
 def test_backjumping_verdicts_certify_on_random_branches():
