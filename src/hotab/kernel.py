@@ -396,13 +396,16 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def names(t: Term) -> Iterator[Name]:
     """Every free-name occurrence in t (constants included), leftmost first."""
-    if type(t) is Ref:
-        yield t.name
-    elif type(t) is App:
-        yield from names(t.fun)
-        yield from names(t.arg)
-    elif type(t) is Lam:
-        yield from names(t.body)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is Ref:
+            yield s.name
+        elif type(s) is App:
+            stack.append(s.arg)
+            stack.append(s.fun)
+        elif type(s) is Lam:
+            stack.append(s.body)
 
 
 def free_vars(t: Term) -> frozenset[Name]:
@@ -436,12 +439,16 @@ def fresh_var(ty: Type, avoid: Iterable[Name]) -> Name:
 # Formula builders and destructurers (formulas are terms of type o)
 
 
+_NOT_REF = Ref(NOT)
+_IMP_REF = Ref(IMP)
+
+
 def neg(s: Term) -> Term:
-    return App(Ref(NOT), s)
+    return App(_NOT_REF, s)
 
 
 def imp(s: Term, t: Term) -> Term:
-    return App(App(Ref(IMP), s), t)
+    return App(App(_IMP_REF, s), t)
 
 
 def eq(s: Term, t: Term) -> Term:

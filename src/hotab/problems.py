@@ -28,19 +28,25 @@ instantiation is `(name type)` for the witness rules introducing a fresh
 variable, or `(term)` for the instantiation rules.  Conclusions are not
 written: they are recomputed from the rule, premises, and instantiation,
 and replay validates every step against the branch it claims to extend.
+
+Both formats are read from one regular-expression scan for tokens, and an
+error's line and column are worked out only when it is raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .branch import Branch, branch_of
 from .kernel import (
+    App,
     Base,
     Name,
+    Ref,
     Term,
     Type,
-    app,
+    diseq,
     eq,
     forall,
     fun,
@@ -49,7 +55,6 @@ from .kernel import (
     lam,
     neg,
     o,
-    ref,
     show_term,
     show_type,
     sort,
@@ -83,73 +88,52 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lexing and reading: tokens -> nested ("sym"|"list", payload, line, col)
+# Reading.  One regex scan gives the tokens: "(", ")" or a symbol, a maximal
+# run of characters other than space, tab, CR, LF, parentheses and ";".  The
+# list ends in "", so `tok not in "()"` holds for symbols only.  Readers build
+# terms and lines from it and raise `_Bad(message, token index)`; only then
+# come the checks the format puts first, for an unbalanced parenthesis
+# (`_located`, which also finds line and column) and a form's item count
+# (`_count`).  A `_Bad` with no message, a form cut short, is always replaced.
+
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+class _Bad(Exception):
+    """A reader error at a token index; see `_located`."""
 
 
-def _lex(text: str, first_line: int = 1):
-    toks = []
-    line, col = first_line, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
+def _count(toks: list[str], i: int) -> int:
+    """The number of items after toks[i] up to the parenthesis closing it."""
+    n = depth = 0
+    for tok in toks[i + 1 :]:
+        if depth == 0 and tok in ")":  # ")" or the end
+            break
+        n += depth == 0
+        depth += (tok == "(") - (tok == ")")
+    return n
+
+
+def _located(text: str, toks: list[str], bad, first_line: int = 1) -> ParseError:
+    opened: list[int] = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")":
+            if not opened:
+                msg, at = "unmatched ')'", k
+                break
+            opened.pop()
+    else:
+        if opened:
+            msg, at = "unclosed parenthesis", opened[-1]
+        elif isinstance(bad, ParseError):
+            return bad
         else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
-
-
-def _read(toks, i):
-    t = toks[i]
-    if t.text == "(":
-        items = []
-        i += 1
-        while True:
-            if i >= len(toks):
-                raise ParseError("unclosed parenthesis", t.line, t.col)
-            if toks[i].text == ")":
-                return ("list", tuple(items), t.line, t.col), i + 1
-            node, i = _read(toks, i)
-            items.append(node)
-    if t.text == ")":
-        raise ParseError("unmatched ')'", t.line, t.col)
-    return ("sym", t.text, t.line, t.col), i + 1
-
-
-def _read_all(toks):
-    out, i = [], 0
-    while i < len(toks):
-        node, i = _read(toks, i)
-        out.append(node)
-    return out
-
-
-def _is_sym(sx, text=None) -> bool:
-    return sx[0] == "sym" and (text is None or sx[1] == text)
+            msg, at = bad.args
+    pos = [m.start(1) for m in _TOKEN.finditer(text) if m.group(1)][at]
+    line = first_line + text.count("\n", 0, pos)
+    return ParseError(msg, line, pos - text.rfind("\n", 0, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -169,103 +153,105 @@ class Problem:
         return branch_of(*self.assumptions)
 
 
-def _parse_type(sx, sorts: dict[str, Base]) -> Type:
-    if _is_sym(sx):
-        if sx[1] == "o":
-            return o
-        ty = sorts.get(sx[1])
+def _type(toks, i, sorts: dict[str, Base]) -> tuple[Type, int]:
+    tok = toks[i]
+    if tok not in "()":
+        ty = o if tok == "o" else sorts.get(tok)
         if ty is None:
-            raise ParseError(f"undeclared sort {sx[1]!r}", sx[2], sx[3])
-        return ty
-    items = sx[1]
-    if not items or not _is_sym(items[0], ">"):
-        raise ParseError("expected a type: o, a sort, or (> ...)", sx[2], sx[3])
-    if len(items) < 3:
-        raise ParseError("(> ...) needs at least two types", sx[2], sx[3])
-    return fun(*(_parse_type(p, sorts) for p in items[1:]))
+            raise _Bad(f"undeclared sort {tok!r}", i)
+        return ty, i + 1
+    if tok != "(" or toks[i + 1] != ">":
+        raise _Bad("expected a type: o, a sort, or (> ...)", i)
+    parts, j = [], i + 2
+    try:
+        while toks[j] != ")":
+            ty, j = _type(toks, j, sorts)
+            parts.append(ty)
+        return fun(*parts), j + 1
+    except (_Bad, ValueError):  # fun() wants two types at least
+        if _count(toks, i) < 3:
+            raise _Bad("(> ...) needs at least two types", i) from None
+        raise
 
 
-def _parse_binder(sx, sorts: dict[str, Base]) -> Name:
-    if sx[0] != "list" or len(sx[1]) != 2 or not _is_sym(sx[1][0]):
-        raise ParseError("expected a binder: (name type)", sx[2], sx[3])
-    ident_sx, ty_sx = sx[1]
-    if ident_sx[1] in _RESERVED:
-        raise ParseError(f"{ident_sx[1]!r} is reserved", ident_sx[2], ident_sx[3])
-    return Name(ident_sx[1], _parse_type(ty_sx, sorts))
+def _binder(toks, i, sorts, k=1, shape="expected a binder: (name type)", taken=()):
+    """(name type) at toks[i], or the form there read from its k-th item."""
+    try:
+        ident = toks[i + k] if toks[i] == "(" else ")"
+        if ident in "()":
+            raise _Bad("", i)
+        if ident in _RESERVED:
+            raise _Bad(f"{ident!r} is reserved", i + k)
+        if ident in taken:
+            raise _Bad(f"duplicate variable {ident!r}", i + k)
+        ty, j = _type(toks, i + k + 1, sorts)
+        if toks[j] != ")":
+            raise _Bad("", j)
+    except _Bad:
+        if toks[i] != "(" or toks[i + k] in "()" or _count(toks, i) != k + 1:
+            raise _Bad(shape, i) from None
+        raise
+    return Name(ident, ty), j + 1
 
 
-def _parse_term(sx, variables, sorts, scope) -> Term:
-    if _is_sym(sx):
-        ident = sx[1]
-        for known, n in reversed(scope):
-            if known == ident:
-                return ref(n)
-        n = variables.get(ident)
+#: keyword -> items in its form, the keyword included, and its builder
+_FORMS = {
+    "not": (2, neg), "imp": (3, imp), "=": (3, eq), "neq": (3, diseq),
+    "forall": (3, lambda x, body: forall(lam(x, body))), "lam": (3, lam),
+}
+
+
+def _term(toks, i, variables, sorts, scope) -> tuple[Term, int]:
+    tok = toks[i]
+    if tok not in "()":
+        n = scope.get(tok) or variables.get(tok)
         if n is None:
-            raise ParseError(f"undeclared name {ident!r}", sx[2], sx[3])
-        return ref(n)
-    items = sx[1]
-    if not items:
-        raise ParseError("empty application", sx[2], sx[3])
-    head = items[0]
-    if _is_sym(head):
-        kw = head[1]
-        if kw == "not":
-            _arity(items, 2, sx)
-            return neg(_parse_term(items[1], variables, sorts, scope))
-        if kw == "imp":
-            _arity(items, 3, sx)
-            return imp(
-                _parse_term(items[1], variables, sorts, scope),
-                _parse_term(items[2], variables, sorts, scope),
-            )
-        if kw in ("=", "neq"):
-            _arity(items, 3, sx)
-            l = _parse_term(items[1], variables, sorts, scope)
-            r = _parse_term(items[2], variables, sorts, scope)
-            try:
-                e = eq(l, r)
-            except TypeError as ex:
-                raise ParseError(str(ex), sx[2], sx[3]) from None
-            return neg(e) if kw == "neq" else e
-        if kw in ("forall", "lam"):
-            _arity(items, 3, sx)
-            binder = _parse_binder(items[1], sorts)
-            if kw == "forall" and not is_sort(binder.ty):
-                raise ParseError(
-                    f"quantification needs a declared sort, got {show_type(binder.ty)}",
-                    items[1][2],
-                    items[1][3],
-                )
-            body = _parse_term(
-                items[2], variables, sorts, scope + ((binder.ident, binder),)
-            )
-            f = lam(binder, body)
-            if kw == "lam":
-                return f
-            try:
-                return forall(f)
-            except TypeError as ex:
-                raise ParseError(str(ex), sx[2], sx[3]) from None
-    t = _parse_term(head, variables, sorts, scope)
-    if len(items) == 1:
-        raise ParseError("application needs at least one argument", sx[2], sx[3])
-    for arg_sx in items[1:]:
-        u = _parse_term(arg_sx, variables, sorts, scope)
+            raise _Bad(f"undeclared name {tok!r}", i)
+        return Ref(n), i + 1
+    if tok != "(":
+        raise _Bad("expected a term", i)
+    kw = toks[i + 1]
+    form = _FORMS.get(kw)
+    if form is not None:
+        n, build = form
         try:
-            t = app(t, u)
+            if kw != "forall" and kw != "lam":
+                args, j = [], i + 2
+                for _ in range(n - 1):
+                    t, j = _term(toks, j, variables, sorts, scope)
+                    args.append(t)
+            else:
+                x, j = _binder(toks, i + 2, sorts)
+                if kw == "forall" and not is_sort(x.ty):
+                    msg = "quantification needs a declared sort, got "
+                    raise _Bad(msg + show_type(x.ty), i + 2)
+                body, j = _term(toks, j, variables, sorts, {**scope, x.ident: x})
+                args = [x, body]
+            if toks[j] != ")":
+                raise _Bad("", j)
+        except _Bad:
+            if _count(toks, i) != n:
+                raise _Bad(
+                    f"{kw} takes {n - 1} argument{'s' if n > 2 else ''}", i
+                ) from None
+            raise
+        try:
+            return build(*args), j + 1
         except TypeError as ex:
-            raise ParseError(str(ex), arg_sx[2], arg_sx[3]) from None
-    return t
-
-
-def _arity(items, n, sx) -> None:
-    if len(items) != n:
-        raise ParseError(
-            f"{items[0][1]} takes {n - 1} argument{'s' if n > 2 else ''}",
-            sx[2],
-            sx[3],
-        )
+            raise _Bad(str(ex), i) from None
+    if kw == ")":
+        raise _Bad("empty application", i)
+    t, j = _term(toks, i + 1, variables, sorts, scope)
+    if toks[j] == ")":
+        raise _Bad("application needs at least one argument", i)
+    while toks[j] != ")":
+        u, k = _term(toks, j, variables, sorts, scope)
+        try:
+            t = App(t, u)
+        except TypeError as ex:
+            raise _Bad(str(ex), j) from None
+        j = k
+    return t, j + 1
 
 
 def parse(text: str) -> Problem:
@@ -274,52 +260,51 @@ def parse(text: str) -> Problem:
     variables: dict[str, Name] = {}
     assumptions: list[Term] = []
     notices: list[str] = []
-    for form in _read_all(_lex(text)):
-        if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
-            raise ParseError(
-                "expected (sort ...), (var ...), or (assume ...)", form[2], form[3]
-            )
-        head, *args = form[1]
-        kw = head[1]
-        if kw == "sort":
-            if len(args) != 1 or not _is_sym(args[0]):
-                raise ParseError("expected (sort name)", form[2], form[3])
-            name = args[0][1]
-            if name in _RESERVED:
-                raise ParseError(f"{name!r} is reserved", args[0][2], args[0][3])
-            if name in sorts:
-                raise ParseError(f"duplicate sort {name!r}", args[0][2], args[0][3])
-            sorts[name] = sort(name)
-        elif kw == "var":
-            if len(args) != 2 or not _is_sym(args[0]):
-                raise ParseError("expected (var name type)", form[2], form[3])
-            name = args[0][1]
-            if name in _RESERVED:
-                raise ParseError(f"{name!r} is reserved", args[0][2], args[0][3])
-            if name in variables:
-                raise ParseError(
-                    f"duplicate variable {name!r}", args[0][2], args[0][3]
-                )
-            variables[name] = Name(name, _parse_type(args[1], sorts))
-        elif kw == "assume":
-            if len(args) != 1:
-                raise ParseError("expected (assume term)", form[2], form[3])
-            t = _parse_term(args[0], variables, sorts, ())
-            if t.ty != o:
-                raise ParseError(
-                    f"assumption must have type o, got {show_type(t.ty)}",
-                    args[0][2],
-                    args[0][3],
-                )
-            nt = normalize(t)
-            if nt != t:
-                notices.append(
-                    f"assumption {len(assumptions) + 1} was normalized to "
-                    + show_term(nt)
-                )
-            assumptions.append(nt)
-        else:
-            raise ParseError(f"unknown form {kw!r}", head[2], head[3])
+    toks = [*filter(None, _TOKEN.findall(text)), ""]
+    i = 0
+    try:
+        while toks[i]:
+            if toks[i] != "(" or toks[i + 1] in "()":
+                raise _Bad("expected (sort ...), (var ...), or (assume ...)", i)
+            kw, j = toks[i + 1], i + 2
+            if kw == "sort":
+                name = toks[j]
+                if name in "()" or toks[j + 1] != ")":
+                    raise _Bad("expected (sort name)", i)
+                if name in _RESERVED:
+                    raise _Bad(f"{name!r} is reserved", j)
+                if name in sorts:
+                    raise _Bad(f"duplicate sort {name!r}", j)
+                sorts[name] = sort(name)
+                i = j + 2
+            elif kw == "var":
+                x, i = _binder(toks, i, sorts, 2, "expected (var name type)", variables)
+                variables[x.ident] = x
+            elif kw == "assume":
+                try:
+                    t, k = _term(toks, j, variables, sorts, {})
+                    if toks[k] != ")":
+                        raise _Bad("", k)
+                except _Bad:
+                    if _count(toks, i) != 2:
+                        raise _Bad("expected (assume term)", i) from None
+                    raise
+                if t.ty != o:
+                    raise _Bad(
+                        f"assumption must have type o, got {show_type(t.ty)}", j
+                    )
+                nt = normalize(t)
+                if nt != t:
+                    notices.append(
+                        f"assumption {len(assumptions) + 1} was normalized to "
+                        + show_term(nt)
+                    )
+                assumptions.append(nt)
+                i = k + 1
+            else:
+                raise _Bad(f"unknown form {kw!r}", i + 1)
+    except _Bad as bad:
+        raise _located(text, toks, bad) from None
     return Problem(
         tuple(sorts.values()),
         tuple(variables.values()),
@@ -373,43 +358,52 @@ class _Node:
     children: list
 
 
-def _parse_proof_line(lineno, depth, sexps, variables, sorts):
-    """One proof line after the dots: rule, premises, optional inst."""
-    if not sexps or not _is_sym(sexps[0]):
+def _proof_line(toks, i, lineno, variables, sorts):
+    """One proof line from its rule name on: rule, premises, optional inst."""
+    name = toks[i]
+    if name in "()":
         raise ParseError("expected a rule name", lineno, 1)
     try:
-        rule = RuleId(sexps[0][1])
+        rule = RuleId(name)
     except ValueError:
-        raise ParseError(f"unknown rule {sexps[0][1]!r}", lineno, 1) from None
-    if len(sexps) < 2 or sexps[1][0] != "list":
+        raise ParseError(f"unknown rule {name!r}", lineno, 1) from None
+    if toks[i + 1] != "(":
         raise ParseError("expected a premise list", lineno, 1)
-    premises = tuple(
-        _parse_term(p, variables, sorts, ()) for p in sexps[1][1]
-    )
-    inst = None
-    fresh = None
+    premises, j = [], i + 2
+    while toks[j] != ")":
+        t, j = _term(toks, j, variables, sorts, {})
+        premises.append(t)
+    j += 1
+    inst = fresh = None
     taken = RULES[rule].inst
     if taken is not None:
-        if len(sexps) != 3 or sexps[2][0] != "list":
-            raise ParseError(f"{rule.value} needs an instantiation", lineno, 1)
-        box = sexps[2][1]
-        if taken == "fresh":
-            fresh = _parse_binder(sexps[2], sorts)
-            if fresh.ident in variables:
-                raise ParseError(
-                    f"witness {fresh.ident!r} is already in scope", lineno, 1
-                )
-            inst = ref(fresh)
-        else:
-            if len(box) != 1:
-                raise ParseError(
-                    f"{rule.value} takes one instantiation term", lineno, 1
-                )
-            inst = _parse_term(box[0], variables, sorts, ())
-    elif len(sexps) != 2:
+        try:
+            if toks[j] != "(":
+                raise _Bad("", j)
+            if taken == "fresh":
+                fresh, k = _binder(toks, j, sorts)
+                inst = Ref(fresh)
+            else:
+                inst, k = _term(toks, j + 1, variables, sorts, {})
+                if toks[k] != ")":
+                    raise _Bad("", k)
+                k += 1
+            if toks[k]:
+                raise _Bad("", k)
+        except _Bad:
+            if toks[j] != "(" or _count(toks, j - 1) != 1:
+                msg = f"{rule.value} needs an instantiation"
+            elif taken == "term" and _count(toks, j) != 1:
+                msg = f"{rule.value} takes one instantiation term"
+            else:
+                raise
+            raise ParseError(msg, lineno, 1) from None
+        if fresh is not None and fresh.ident in variables:
+            raise ParseError(f"witness {fresh.ident!r} is already in scope", lineno, 1)
+    elif toks[j]:
         raise ParseError(f"{rule.value} takes no instantiation", lineno, 1)
     try:
-        instance = make_instance(rule, premises, inst)
+        instance = make_instance(rule, tuple(premises), inst)
     except (TypeError, ValueError) as ex:
         raise ParseError(str(ex), lineno, 1) from None
     return instance, fresh
@@ -450,34 +444,33 @@ def parse_proof(text: str, problem: Problem) -> Proof:
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
-        depth = 0
-        while depth < len(line) and line[depth] == ".":
-            depth += 1
-        sexps = _read_all(_lex(line[depth:], first_line=lineno))
-        if depth:
-            if not sexps or not _is_sym(sexps[0]) or not sexps[0][1].isdigit():
-                raise ParseError("expected an alternative index", lineno, depth + 1)
-            alt = int(sexps[0][1])
-            sexps = sexps[1:]
-        finalize(depth)
-        if depth == 0:
-            if root is not None or stack:
-                raise ParseError("a proof has a single root line", lineno, 1)
-            scope = base_scope
-        else:
-            if len(stack) != depth:
-                raise ParseError("indentation skips a level", lineno, 1)
-            if alt != len(stack[-1].children):
-                raise ParseError(
-                    f"alternative {len(stack[-1].children)} expected, got {alt}",
-                    lineno,
-                    depth + 1,
-                )
-            scope = stack[-1].child_scope
-        instance, fresh = _parse_proof_line(lineno, depth, sexps, scope, sorts)
-        child_scope = scope
-        if fresh is not None:
-            child_scope = {**scope, fresh.ident: fresh}
+        content = line.lstrip(".")
+        depth = len(line) - len(content)
+        toks = [*filter(None, _TOKEN.findall(content)), ""]
+        try:
+            if depth:
+                if not toks[0].isdigit():
+                    raise ParseError("expected an alternative index", lineno, depth + 1)
+                alt = int(toks[0])
+            finalize(depth)
+            if depth == 0:
+                if root is not None or stack:
+                    raise ParseError("a proof has a single root line", lineno, 1)
+                scope = base_scope
+            else:
+                if len(stack) != depth:
+                    raise ParseError("indentation skips a level", lineno, 1)
+                if alt != len(stack[-1].children):
+                    raise ParseError(
+                        f"alternative {len(stack[-1].children)} expected, got {alt}",
+                        lineno,
+                        depth + 1,
+                    )
+                scope = stack[-1].child_scope
+            instance, fresh = _proof_line(toks, 1 if depth else 0, lineno, scope, sorts)
+        except (_Bad, ParseError) as bad:
+            raise _located(content, toks, bad, lineno) from None
+        child_scope = scope if fresh is None else {**scope, fresh.ident: fresh}
         stack.append(_Node(lineno, instance, child_scope, []))
     finalize(0)
     if root is None:

@@ -32,6 +32,7 @@ from hotab.kernel import (
     imp,
     instantiate,
     lam,
+    names,
     neg,
     o,
     ref,
@@ -150,6 +151,28 @@ def test_free_vars():
     y = Name("y", a)
     assert free_vars(lam(x, eq(ref(x), ref(y)))) == {y}
     assert free_vars_ordered(app(ref(f), ref(x))) == (f, x)
+
+
+def test_names_are_leftmost_first_across_binders_and_constants():
+    f = Name("f", fun(a, a, o))
+    x, y, z = Name("x", a), Name("y", a), Name("z", a)
+    p = Name("p", o)
+    # imp (forall z. f y z) (not (= x y)) and p
+    body = imp(forall(lam(z, app(ref(f), ref(y), ref(z)))), neg(eq(ref(x), ref(y))))
+    t = app(ref(Name("and", fun(o, o, o), is_var=False)), body, ref(p))
+    idents = [n.ident for n in names(t)]
+    assert idents == ["and", "imp", "forall", "f", "y", "not", "=", "x", "y", "p"]
+    assert free_vars_ordered(t) == (f, y, x, p)
+
+
+def test_name_walks_survive_deep_nesting():
+    p = Name("p", o)
+    t = ref(p)
+    for _ in range(5000):
+        t = neg(t)
+    assert free_vars(t) == {p}
+    assert free_vars_ordered(t) == (p,)
+    assert len(list(names(t))) == 5001
 
 
 def test_fresh_var():
