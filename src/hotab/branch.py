@@ -1,15 +1,16 @@
 """Tableau branches: immutable sets of normal formulas with lookup caches.
 
-A branch stores its members in insertion order together with a classification
-of each formula (what shape it has for rule application), per-sort equation
-and disequation indexes, atom indexes by head variable, and the free
-variables in first-occurrence order.  `add` returns a new branch and shares
-nothing mutable, so branches behave persistently; adding a member that is
-already present returns the branch itself (identity-preserving no-op).
+A branch stores its members in insertion order, a classification of each
+formula (what shape it has for rule application; its keys also answer
+membership, equality and hashing), the members of each kind in insertion
+order, and the free variables in first-occurrence order.  `add` returns a
+new branch and shares nothing mutable, so branches behave persistently;
+adding a member that is already present returns the branch itself
+(identity-preserving no-op).
 
-The discriminating terms of a sort (the sides of its disequations) and its
+The discriminating terms of a type (the sides of its disequations) and its
 discriminants — maximal sets of disequation sides with no disequation
-between members — are computed lazily per sort and memoized on the
+between members — are computed lazily per type and memoized on the
 branch.  The memo is idempotent, so concurrent readers at worst repeat
 the computation; nothing observable ever mutates.
 """
@@ -145,13 +146,8 @@ class Branch:
 
     __slots__ = (
         "formulas",
-        "_set",
         "_info",
         "_by_kind",
-        "_eqs_by_sort",
-        "_diseqs_by_sort",
-        "_pos_by_head",
-        "_neg_by_head",
         "free_names",
         "closing_witness",
         "eager_witness",
@@ -161,13 +157,8 @@ class Branch:
 
     def __init__(self):
         self.formulas: tuple[Term, ...] = ()
-        self._set: frozenset[Term] = frozenset()
         self._info: dict[Term, FormulaInfo] = {}
         self._by_kind: dict[FormulaKind, tuple[Term, ...]] = {}
-        self._eqs_by_sort: dict[Type, tuple[Term, ...]] = {}
-        self._diseqs_by_sort: dict[Type, tuple[Term, ...]] = {}
-        self._pos_by_head: dict[Name, tuple[Term, ...]] = {}
-        self._neg_by_head: dict[Name, tuple[Term, ...]] = {}
         self.free_names: tuple[Name, ...] = ()
         self.closing_witness: tuple | None = None
         self.eager_witness: tuple | None = None
@@ -181,7 +172,7 @@ class Branch:
     # -- queries --
 
     def __contains__(self, s: Term) -> bool:
-        return s in self._set
+        return s in self._info
 
     def __iter__(self):
         return iter(self.formulas)
@@ -190,10 +181,10 @@ class Branch:
         return len(self.formulas)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Branch) and self._set == other._set
+        return isinstance(other, Branch) and self._info.keys() == other._info.keys()
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(frozenset(self._info))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(f) for f in self.formulas) + "}"
@@ -204,26 +195,11 @@ class Branch:
     def members(self, kind: FormulaKind) -> tuple[Term, ...]:
         return self._by_kind.get(kind, ())
 
-    def equations(self, sorted_at: Type) -> tuple[Term, ...]:
-        return self._eqs_by_sort.get(sorted_at, ())
-
-    def disequations(self, sorted_at: Type) -> tuple[Term, ...]:
-        return self._diseqs_by_sort.get(sorted_at, ())
-
-    def diseq_sorts(self) -> tuple[Type, ...]:
-        return tuple(self._diseqs_by_sort)
-
-    def eq_sorts(self) -> tuple[Type, ...]:
-        return tuple(self._eqs_by_sort)
-
-    def pos_atoms(self, head: Name) -> tuple[Term, ...]:
-        return self._pos_by_head.get(head, ())
-
-    def neg_atoms(self, head: Name) -> tuple[Term, ...]:
-        return self._neg_by_head.get(head, ())
-
-    def atom_heads(self) -> tuple[Name, ...]:
-        return tuple(n for n in self._pos_by_head if n in self._neg_by_head)
+    def disequations(self, at: Type) -> tuple[Term, ...]:
+        """The disequations at a type (a sort, o or a function type), in order."""
+        k = FormulaKind
+        kind = k.BOOL_DISEQ if at == o else k.SORT_DISEQ if is_sort(at) else k.FUN_DISEQ
+        return tuple(d for d in self.members(kind) if self._info[d].ty == at)
 
     @property
     def is_closed(self) -> bool:
@@ -235,7 +211,7 @@ class Branch:
     # -- construction --
 
     def add(self, s: Term) -> "Branch":
-        if s in self._set:
+        if s in self._info:
             return self
         if s.ty != o:
             raise TypeError(f"branch member must be a formula, got {s!r}")
@@ -244,38 +220,19 @@ class Branch:
         info = classify(s)
         b = Branch()
         b.formulas = self.formulas + (s,)
-        b._set = self._set | {s}
         b._info = {**self._info, s: info}
         b._by_kind = {**self._by_kind}
         b._by_kind[info.kind] = b._by_kind.get(info.kind, ()) + (s,)
-        b._eqs_by_sort = self._eqs_by_sort
-        b._diseqs_by_sort = self._diseqs_by_sort
-        b._pos_by_head = self._pos_by_head
-        b._neg_by_head = self._neg_by_head
-        if info.kind is FormulaKind.SORT_EQ:
-            b._eqs_by_sort = {**self._eqs_by_sort}
-            b._eqs_by_sort[info.ty] = b._eqs_by_sort.get(info.ty, ()) + (s,)
-        elif info.kind is FormulaKind.SORT_DISEQ:
-            b._diseqs_by_sort = {**self._diseqs_by_sort}
-            b._diseqs_by_sort[info.ty] = b._diseqs_by_sort.get(info.ty, ()) + (s,)
-        elif info.kind is FormulaKind.POS_ATOM:
-            b._pos_by_head = {**self._pos_by_head}
-            b._pos_by_head[info.head] = b._pos_by_head.get(info.head, ()) + (s,)
-        elif info.kind is FormulaKind.NEG_ATOM:
-            b._neg_by_head = {**self._neg_by_head}
-            b._neg_by_head[info.head] = b._neg_by_head.get(info.head, ()) + (s,)
-        new_names = [
-            n for n in free_vars_ordered(s) if n not in set(self.free_names)
-        ]
-        b.free_names = self.free_names + tuple(new_names)
+        known = set(self.free_names)
+        b.free_names = self.free_names + tuple(
+            n for n in free_vars_ordered(s) if n not in known
+        )
         b.closing_witness = self.closing_witness
         if b.closing_witness is None:
             b.closing_witness = self._closing_after(s, info)
         b.eager_witness = self.eager_witness
         if b.eager_witness is None:
             b.eager_witness = self.eager_closure(s)
-        b._disc_terms_cache = {}
-        b._disc_cache = {}
         return b
 
     def add_all(self, formulas) -> "Branch":
@@ -286,11 +243,11 @@ class Branch:
 
     def _closing_after(self, s: Term, info: FormulaInfo) -> tuple | None:
         """Closure per the calculus: x with not x, or x != x at a sort."""
-        if is_var_ref(s) and neg(s) in self._set:
+        if is_var_ref(s) and neg(s) in self._info:
             return ("compl", s, neg(s))
         if info.kind is FormulaKind.NEG_ATOM and not info.args:
             x = Ref(info.head)
-            if x in self._set:
+            if x in self._info:
                 return ("compl", x, s)
         if (
             info.kind is FormulaKind.SORT_DISEQ
@@ -305,19 +262,19 @@ class Branch:
         with this branch: a complement of s on it, or s alone when it is a
         reflexive disequation."""
         for c in complements(s):
-            if c in self._set:
+            if c in self._info:
                 return ("compl", c, s) if neg(c) == s else ("compl", s, c)
         return ("refl", s) if is_reflexive(s) else None
 
     # -- discriminants --
 
     def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
-        """Sides of the disequations at the given sort, deduplicated."""
+        """Sides of the disequations at the given type, deduplicated."""
         cached = self._disc_terms_cache.get(at)
         if cached is not None:
             return cached
         seen: dict[Term, None] = {}
-        for d in self._diseqs_by_sort.get(at, ()):
+        for d in self.disequations(at):
             info = self._info[d]
             seen.setdefault(info.lhs)
             seen.setdefault(info.rhs)
@@ -335,7 +292,7 @@ class Branch:
             return cached
         vs = self.discriminating_terms(at)
         conflict: dict[Term, set[Term]] = {v: set() for v in vs}
-        for d in self._diseqs_by_sort.get(at, ()):
+        for d in self.disequations(at):
             info = self._info[d]
             conflict[info.lhs].add(info.rhs)
             conflict[info.rhs].add(info.lhs)

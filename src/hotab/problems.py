@@ -25,8 +25,11 @@ Proof files use one line per rule application:
 where the leading dots give the tree depth, <alt> is the index of the
 alternative the line's subtree closes (omitted on the root line), and the
 instantiation is `(name type)` for the witness rules introducing a fresh
-variable, or `(term)` for the instantiation rules.  Conclusions are not
-written: they are recomputed from the rule, premises, and instantiation,
+variable, or `(term)` for the instantiation rules.  A `(term)` that is one
+undeclared name introduces a new variable of the type the rule instantiates
+at (the quantifier's sort for `forall-inst`, the domain for `fun-eq`).  A
+new or fresh variable is in scope for the line's subtree.  Conclusions are
+not written: they are recomputed from the rule, premises, and instantiation,
 and replay validates every step against the branch it claims to extend.
 
 Both formats are read from one regular-expression scan for tokens, and an
@@ -38,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .branch import Branch, branch_of
+from .branch import Branch, branch_of, classify
 from .kernel import (
     App,
     Base,
@@ -60,7 +63,7 @@ from .kernel import (
     sort,
 )
 from .normalize import normalize
-from .rules import RULES, RuleId, RuleInstance, make_instance
+from .rules import RULES, RuleId, RuleInstance, inst_type, make_instance
 from .search import Proof
 
 __all__ = [
@@ -358,6 +361,19 @@ class _Node:
     children: list
 
 
+def _new_variable(toks, j, rule, premises, variables) -> Name | None:
+    """The variable that a term instantiation `(name)` at toks[j] introduces
+    when the name is undeclared and not reserved, typed as the rule
+    instantiates its one premise; None otherwise."""
+    ident = toks[j + 1]
+    if ident in "()" or ident in variables or ident in _RESERVED or toks[j + 2] != ")":
+        return None
+    if len(premises) != 1 or premises[0].ty != o:
+        return None
+    info = classify(premises[0])
+    return Name(ident, inst_type(info)) if info.kind in RULES[rule].kinds else None
+
+
 def _proof_line(toks, i, lineno, variables, sorts):
     """One proof line from its rule name on: rule, premises, optional inst."""
     name = toks[i]
@@ -384,7 +400,11 @@ def _proof_line(toks, i, lineno, variables, sorts):
                 fresh, k = _binder(toks, j, sorts)
                 inst = Ref(fresh)
             else:
-                inst, k = _term(toks, j + 1, variables, sorts, {})
+                fresh = _new_variable(toks, j, rule, premises, variables)
+                if fresh is not None:
+                    inst, k = Ref(fresh), j + 2
+                else:
+                    inst, k = _term(toks, j + 1, variables, sorts, {})
                 if toks[k] != ")":
                     raise _Bad("", k)
                 k += 1
@@ -412,9 +432,10 @@ def _proof_line(toks, i, lineno, variables, sorts):
 def parse_proof(text: str, problem: Problem) -> Proof:
     """Parse a proof file against a problem's declarations.
 
-    Witness rules bring their fresh variable into scope for the lines of
-    their subtree.  The resulting Proof still needs check_proof to be
-    believed; parsing validates shapes only.
+    Witness rules bring their fresh variable, and a term instantiation its
+    new variable, into scope for the lines of their subtree.  The resulting
+    Proof still needs check_proof to be believed; parsing validates shapes
+    only.
     """
     base_scope = {n.ident: n for n in problem.variables}
     sorts = {s.name: s for s in problem.sorts}
@@ -449,7 +470,7 @@ def parse_proof(text: str, problem: Problem) -> Proof:
         toks = [*filter(None, _TOKEN.findall(content)), ""]
         try:
             if depth:
-                if not toks[0].isdigit():
+                if not toks[0].isdecimal():
                     raise ParseError("expected an alternative index", lineno, depth + 1)
                 alt = int(toks[0])
             finalize(depth)

@@ -74,7 +74,6 @@ from .kernel import (
     eq,
     eq_const,
     fresh_var,
-    is_sort,
     is_var_ref,
     neg,
     o,
@@ -204,7 +203,7 @@ def match_schema(
     return False, None
 
 
-def _inst_type(info: FormulaInfo) -> Type:
+def inst_type(info: FormulaInfo) -> Type:
     """The type a rule instantiates a quantifier or functional premise at."""
     return info.sort if info.sort is not None else info.ty.dom
 
@@ -216,7 +215,7 @@ def _concluded(branch: Branch, rule: RuleId, info: FormulaInfo) -> bool:
     instantiation rule any term (or none, if the conclusion ignores it)
     counts.
     """
-    hole = Name(_HOLE_IDENT, _inst_type(info))
+    hole = Name(_HOLE_IDENT, inst_type(info))
     ((schema,),) = RULES[rule].alts(info, ref(hole))
     var_only = RULES[rule].inst == "fresh"
     for w in branch.formulas:
@@ -345,20 +344,6 @@ class TermEnumerator:
                 out.append(t)
 
 
-def _diseq_sides(branch: Branch, ty: Type) -> tuple[Term, ...]:
-    """Sides of the branch's disequations at an arbitrary type, in order."""
-    if is_sort(ty):
-        return branch.discriminating_terms(ty)
-    kind = FormulaKind.BOOL_DISEQ if ty == o else FormulaKind.FUN_DISEQ
-    seen: dict[Term, None] = {}
-    for d in branch.members(kind):
-        info = branch.info(d)
-        if info.ty == ty:
-            seen.setdefault(info.lhs)
-            seen.setdefault(info.rhs)
-    return tuple(seen)
-
-
 def branch_signature(branch: Branch) -> tuple[tuple[Name, ...], tuple[Type, ...]]:
     """Free variables (first occurrence order) and equality operand types."""
     eq_tys: dict[Type, None] = {}
@@ -378,11 +363,9 @@ def branch_signature(branch: Branch) -> tuple[tuple[Name, ...], tuple[Type, ...]
 def instantiation_candidates(branch: Branch, ty: Type, fuel: int):
     """Candidate instances at a type: discriminating sides, then enumerated
     normal terms of size up to fuel, deduplicated, deterministic."""
-    seen: set[Term] = set()
-    for u in _diseq_sides(branch, ty):
-        if u not in seen:
-            seen.add(u)
-            yield u
+    discs = branch.discriminating_terms(ty)
+    yield from discs
+    seen = set(discs)
     variables, eq_tys = branch_signature(branch)
     for u in TermEnumerator(variables, eq_tys).terms(ty, fuel):
         if u not in seen:
@@ -713,7 +696,7 @@ def instances(
             for rule, name, row, at in uses[info.kind]:
                 if row.inst == "fresh":
                     if not _concluded(branch, rule, info):
-                        x = _fresh_witness(branch, _inst_type(info), reserved)
+                        x = _fresh_witness(branch, inst_type(info), reserved)
                         alts = row.alts(info, x)
                         if productive(alts):
                             yield RuleInstance(rule, (s,), alts, x)
@@ -860,7 +843,7 @@ CALCULI: dict[str, Calculus] = {
         STT_RULES,
         stt_gate,
         lambda b, info, fuel, reserved: instantiation_candidates(
-            b, _inst_type(info), fuel
+            b, inst_type(info), fuel
         ),
     ),
 }
@@ -974,7 +957,7 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
     if taken is None:
         return True
     info, u = infos[0], r.inst
-    if u.ty != _inst_type(info):
+    if u.ty != inst_type(info):
         return False
     if taken == "fresh":
         return (

@@ -79,6 +79,7 @@ from .semantics import (
     DEFAULT_MAX_TABLE,
     CardinalityError,
     Model,
+    NotEvident,
     extract_model,
 )
 
@@ -445,7 +446,9 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
 
     Returns Refuted (with a checkable proof), Satisfiable (with a certified
     model and the saturated branch), or Unknown.  Raises FragmentViolation
-    when the input fits no calculus (or not the requested one).
+    when the input fits no calculus (or not the requested one), and
+    NotEvident when a saturated branch fails `is_evident`, before any model
+    is extracted from it.
 
     One saturation runs per fuel of the schedule, over one memo, node count
     and deadline.  A round that ends open without functional equations is
@@ -467,6 +470,9 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
             if status == "closed":
                 return Refuted(payload, calc.name)
             if not payload.members(FormulaKind.FUN_EQ):
+                report = is_evident(payload)
+                if not report.evident:
+                    raise NotEvident(report)
                 try:
                     model = extract_model(payload, max_table=cfg.max_table)
                 except CardinalityError as e:
@@ -579,45 +585,27 @@ def _check_forall(branch, s, info, out) -> None:
 
 
 def _check_mate_pairs(branch, out) -> None:
-    for head in branch.atom_heads():
-        for p in branch.pos_atoms(head):
-            pi = branch.info(p)
-            for q in branch.neg_atoms(head):
-                qi = branch.info(q)
-                if not any(
-                    diseq_st in branch
-                    for diseq_st in (
-                        neg(eq(a, b)) for a, b in zip(pi.args, qi.args)
-                    )
-                ):
-                    out.append(
-                        Violation(
-                            "mate",
-                            (p, q),
-                            "no argument disequation separates the pair",
-                        )
-                    )
+    for p in branch.members(FormulaKind.POS_ATOM):
+        pi = branch.info(p)
+        for q in branch.members(FormulaKind.NEG_ATOM):
+            qi = branch.info(q)
+            if qi.head == pi.head and not any(
+                neg(eq(a, b)) in branch for a, b in zip(pi.args, qi.args)
+            ):
+                msg = "no argument disequation separates the pair"
+                out.append(Violation("mate", (p, q), msg))
 
 
 def _check_confront_pairs(branch, out) -> None:
-    for sort_ty in branch.eq_sorts():
-        for e in branch.equations(sort_ty):
-            ei = branch.info(e)
-            for d in branch.disequations(sort_ty):
-                di = branch.info(d)
-                left = (neg(eq(ei.lhs, di.lhs)), neg(eq(ei.rhs, di.lhs)))
-                right = (neg(eq(ei.lhs, di.rhs)), neg(eq(ei.rhs, di.rhs)))
-                if not (
-                    all(f in branch for f in left)
-                    or all(f in branch for f in right)
-                ):
-                    out.append(
-                        Violation(
-                            "confront",
-                            (e, d),
-                            "equation is not confronted with the disequation",
-                        )
-                    )
+    for e in branch.members(FormulaKind.SORT_EQ):
+        ei = branch.info(e)
+        for d in branch.disequations(ei.ty):
+            di = branch.info(d)
+            left = (neg(eq(ei.lhs, di.lhs)), neg(eq(ei.rhs, di.lhs)))
+            right = (neg(eq(ei.lhs, di.rhs)), neg(eq(ei.rhs, di.rhs)))
+            if not (all(f in branch for f in left) or all(f in branch for f in right)):
+                msg = "equation is not confronted with the disequation"
+                out.append(Violation("confront", (e, d), msg))
 
 
 def is_evident(

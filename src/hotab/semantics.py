@@ -66,7 +66,7 @@ class CardinalityError(Exception):
 
 
 class NotEvident(Exception):
-    """extract_model was handed a branch that is not actually saturated."""
+    """A saturated branch failed the model-existence check (`is_evident`)."""
 
     def __init__(self, report):
         self.report = report
@@ -262,9 +262,7 @@ def variables_in(formulas: Iterable[Term]) -> tuple[Name, ...]:
 # Model extraction from a saturated branch
 
 
-def extract_model(
-    branch: Branch, max_table: int = DEFAULT_MAX_TABLE, check_evidence: bool = True
-) -> Model:
+def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
     """Build a finite model of a saturated (evident) branch.
 
     Sorts take their discriminants as domains; a sort variable that is itself
@@ -277,18 +275,13 @@ def extract_model(
     with an explicit stack of these streams, each member is checked as soon
     as its variables are assigned, and the result is certified by
     check_model before it is returned.  The table ceiling is checked before
-    each stream is opened.
+    each stream is opened.  Evidence is the caller's to check (`refute` runs
+    `search.is_evident` first); on a branch that is not evident, extraction
+    may fail with ExtractionFailure.
     """
-    if check_evidence:
-        from .search import is_evident
-
-        report = is_evident(branch)
-        if not report.evident or report.bounded:
-            raise NotEvident(report)
-
     sorts = dict.fromkeys(sorts_in(branch.formulas))
-    for s in branch.diseq_sorts():
-        sorts.setdefault(s)
+    for d in branch.members(FormulaKind.SORT_DISEQ):
+        sorts.setdefault(branch.info(d).ty)
     discs: dict[Base, tuple[frozenset, ...]] = {
         s: branch.discriminants(s) for s in sorts
     }
@@ -389,10 +382,12 @@ def _cell_candidates(
 
     shown: dict[tuple[int, ...], dict[int, None]] = {}
     if res == o:
-        for value, atoms in ((1, branch.pos_atoms(n)), (0, branch.neg_atoms(n))):
-            for s in atoms:
-                for cell in cells_of(branch.info(s).args):
-                    shown.setdefault(cell, {})[value] = None
+        for value, kind in ((1, FormulaKind.POS_ATOM), (0, FormulaKind.NEG_ATOM)):
+            for s in branch.members(kind):
+                info = branch.info(s)
+                if info.head == n:
+                    for cell in cells_of(info.args):
+                        shown.setdefault(cell, {})[value] = None
     else:
         for j, d in enumerate(discs[res]):
             for t in d:

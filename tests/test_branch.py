@@ -109,14 +109,31 @@ def test_free_names_in_first_occurrence_order():
     assert b1.vars_of_type(a) == (x, y)
 
 
-def test_atom_indexes():
+def test_members_by_kind_keep_insertion_order_across_heads():
     s, t = app(ref(g), ref(x)), neg(app(ref(g), ref(y)))
-    b1 = branch_of(s, t, ref(p))
-    assert b1.pos_atoms(g) == (s,)
-    assert b1.neg_atoms(g) == (t,)
-    assert b1.pos_atoms(p) == (ref(p),)
-    # g occurs both positively and negatively, p only positively
-    assert b1.atom_heads() == (g,)
+    u = app(ref(g), ref(z))
+    b1 = branch_of(s, t, ref(p), neg(ref(q)), u)
+    assert b1.members(FormulaKind.POS_ATOM) == (s, ref(p), u)
+    assert b1.members(FormulaKind.NEG_ATOM) == (t, neg(ref(q)))
+    assert b1.members(FormulaKind.FORALL) == ()
+
+
+def test_disequations_and_their_sides_at_every_type():
+    h, k = Name("h", fun(a, a)), Name("k", fun(a, o))
+    pq, qp = diseq(ref(p), ref(q)), diseq(ref(q), ref(p))
+    fh, gk, xy = diseq(ref(f), ref(h)), diseq(ref(g), ref(k)), diseq(ref(x), ref(y))
+    b1 = branch_of(pq, fh, xy, gk, qp, eq(ref(x), ref(z)))
+    assert b1.disequations(o) == (pq, qp)
+    assert b1.disequations(fun(a, a)) == (fh,)
+    assert b1.disequations(fun(a, o)) == (gk,)
+    assert b1.disequations(a) == (xy,)
+    assert b1.disequations(b) == () and b1.disequations(fun(a, b)) == ()
+    assert b1.discriminating_terms(o) == (ref(p), ref(q))
+    assert b1.discriminating_terms(fun(a, a)) == (ref(f), ref(h))
+    assert b1.discriminating_terms(fun(a, o)) == (ref(g), ref(k))
+    assert b1.discriminating_terms(fun(a, b)) == ()
+    assert b1.discriminating_terms(o) is b1.discriminating_terms(o)  # memoized
+    assert set(b1.discriminants(o)) == {frozenset([ref(p)]), frozenset([ref(q)])}
 
 
 # ---------------------------------------------------------------------------

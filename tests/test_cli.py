@@ -377,6 +377,14 @@ def test_parse_proof_witness_scope_reaches_subtrees():
     assert check_proof(problem.branch(), proof) is False
 
 
+def test_parse_proof_types_a_new_variable_as_its_rule_instantiates():
+    # fun-eq's new variable has the domain type a, and its subtree sees it
+    problem = parse("(sort a)(var f (> a o))(var g (> a o))(assume (= f g))")
+    text = "fun-eq ((= f g)) (w)\n. 0 decompose ((neq w (f w)))"
+    with pytest.raises(ParseError, match="equation between distinct types a and o"):
+        parse_proof(text, problem)
+
+
 # ---------------------------------------------------------------------------
 # Command line
 
@@ -420,6 +428,23 @@ def test_cli_witnesses_avoid_declared_names_the_assumptions_never_use(
     assert _run(tmp_path, text, "--proof-out", str(proof_path)) == 20
     capsys.readouterr()
     assert "(x0 a)" not in proof_path.read_text()
+    assert _run(tmp_path, text, "--check-proof", str(proof_path)) == 0
+    assert capsys.readouterr().out.strip() == "proof ok"
+
+
+def test_cli_checks_a_proof_that_instantiates_with_an_undeclared_variable(
+    tmp_path, capsys
+):
+    # sort a has no term on the branch, so forall-inst takes a variable the
+    # problem never declares; the proof reader brings it into scope
+    text = (
+        "(sort a)(var p (> a o))"
+        "(assume (forall (x a) (p x)))(assume (forall (x a) (not (p x))))"
+    )
+    proof_path = tmp_path / "out.proof"
+    assert _run(tmp_path, text, "--proof-out", str(proof_path)) == 20
+    capsys.readouterr()
+    assert "forall-inst ((forall (x a) (p x))) (x0)" in proof_path.read_text()
     assert _run(tmp_path, text, "--check-proof", str(proof_path)) == 0
     assert capsys.readouterr().out.strip() == "proof ok"
 

@@ -2,11 +2,13 @@
 
 Each entry of the error tables gives the message, line and column that an
 earlier reader (a character lexer, an s-expression tree, then a walk over
-the tree) reported, and that the one-pass reader must keep reporting.  They
-cover each place `hotab.problems` raises a `ParseError`, the precedence of
-an unbalanced parenthesis over errors found earlier in the text, and inputs
-with tabs, CRLF line ends, comments and characters that are whitespace to
-Python but part of a symbol here.
+the tree) reported, and that the one-pass reader must keep reporting,
+except in two marked rows where the reader now accepts more or reports a
+`ParseError` in place of a `ValueError`.  They cover each place
+`hotab.problems` raises a `ParseError`, the precedence of an unbalanced
+parenthesis over errors found earlier in the text, and inputs with tabs,
+CRLF line ends, comments and characters that are whitespace to Python but
+part of a symbol here.
 """
 
 from __future__ import annotations
@@ -193,7 +195,13 @@ PROOF_ERRORS = [
         "forall-inst ((forall (y a) (neq y y))) (zz) (x)",
         "forall-inst needs an instantiation", 1, 1,
     ),
-    (ALL, "forall-inst ((forall (y a) (neq y y))) (zz)", "undeclared name 'zz'", 1, 41),
+    # an undeclared name as the whole instantiation is a new variable of the
+    # quantifier's sort (the earlier reader said "undeclared name 'zz'")
+    (
+        ALL,
+        "forall-inst ((forall (y a) (neq y y))) (zz)",
+        "forall-inst has 1 alternatives, 0 subtrees given", 1, 1,
+    ),
     (
         ALL,
         "forall-inst ((forall (y a) (neq y y))) x",
@@ -285,6 +293,12 @@ PROOF_ERRORS = [
         IMPS,
         "imp ((imp p q))\n. \u0661 mate (p (not p))",
         "alternative 0 expected, got 1", 2, 2,
+    ),
+    # a digit that int() cannot read (the earlier reader raised ValueError)
+    (
+        IMPS,
+        "imp ((imp p q))\n. \u00b2 mate (p (not p))",
+        "expected an alternative index", 2, 2,
     ),
 ]
 

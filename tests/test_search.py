@@ -462,6 +462,46 @@ def test_closed_branches_are_never_evident():
     assert [w.condition for w in rep.violations] == ["decompose"]
 
 
+def test_mate_and_confront_violations_pair_by_head_and_by_sort():
+    r, s = V("r", fun(a, o)), V("s", fun(b, o))
+    x1, x2, x3 = V("x1", a), V("x2", a), V("x3", a)
+    u1, u2, u3, u4 = V("u1", b), V("u2", b), V("u3", b), V("u4", b)
+    rx1, rx2, rx3 = (app(ref(r), ref(x)) for x in (x1, x2, x3))
+    su1, su2 = app(ref(s), ref(u1)), app(ref(s), ref(u2))
+    e1, e2 = eq(ref(x1), ref(x2)), eq(ref(u1), ref(u2))
+    d2 = diseq(ref(u3), ref(u4))
+    br = branch_of(
+        rx1, su1, neg(su2), neg(rx2), rx3, e1, e2, d2,
+        diseq(ref(x3), ref(x2)),  # separates r x3 from not (r x2) ...
+        diseq(ref(x1), ref(x3)),  # ... and with the next confronts e1 with it
+        diseq(ref(x2), ref(x3)),
+    )
+    rep = is_evident(br)
+    got = [(v.condition, v.members) for v in rep.violations]
+    assert len(got) == 3 and set(got) == {
+        ("mate", (rx1, neg(rx2))),
+        ("mate", (su1, neg(su2))),
+        ("confront", (e2, d2)),
+    }
+
+
+def test_refute_raises_not_evident_before_extracting(monkeypatch):
+    import hotab.search as search
+    from hotab.semantics import NotEvident
+
+    def extract(*args, **kwargs):
+        raise AssertionError("extraction ran on a branch that is not evident")
+
+    report = search.EvidenceReport(
+        False, "efo", False, None, (search.Violation("mate", (), "pinned"),)
+    )
+    monkeypatch.setattr(search, "is_evident", lambda branch: report)
+    monkeypatch.setattr(search, "extract_model", extract)
+    with pytest.raises(NotEvident) as e:
+        refute([ref(V("p", o))])
+    assert e.value.report is report
+
+
 def test_evident_iff_no_applicable_instance_restricted():
     agree = 0
     for seed in range(140):

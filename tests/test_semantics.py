@@ -206,7 +206,7 @@ def test_sorts_and_variables_collection():
 
 def test_extract_model_simple_disequation():
     e = branch_of(diseq(ref(x), ref(y)))
-    m = extract_model(e, check_evidence=False)
+    m = extract_model(e)
     assert m.frame.sort_sizes[a] == 2
     assert m.interp[x] != m.interp[y]
     assert check_model(m, e.formulas)
@@ -218,7 +218,7 @@ def test_extract_model_simple_disequation():
 def test_extract_model_seeds_truth_variables():
     g = Name("g", fun(a, o))
     e = branch_of(app(ref(g), ref(x)), neg(app(ref(g), ref(y))), diseq(ref(x), ref(y)))
-    m = extract_model(e, check_evidence=False)
+    m = extract_model(e)
     assert check_model(m, e.formulas)
     gv = m.interp[g]
     assert gv[m.interp[x]] == 1 and gv[m.interp[y]] == 0
@@ -226,7 +226,7 @@ def test_extract_model_seeds_truth_variables():
 
 def test_extract_model_no_disequations_gives_singletons():
     e = branch_of(eq(ref(x), ref(y)))
-    m = extract_model(e, check_evidence=False)
+    m = extract_model(e)
     assert m.frame.sort_sizes[a] == 1
     assert m.interp[x] == m.interp[y] == 0
 
@@ -235,7 +235,7 @@ def test_extract_model_fails_loudly_when_unrealizable():
     # not evident and in fact unsatisfiable: mechanics must refuse
     e = branch_of(ref(p), neg(ref(p)))
     with pytest.raises(ExtractionFailure):
-        extract_model(e, check_evidence=False)
+        extract_model(e)
 
 
 def test_extract_model_backtracks_past_the_branch_read_table():
@@ -248,7 +248,7 @@ def test_extract_model_backtracks_past_the_branch_read_table():
         app(ref(r), ref(c)),
         imp(app(ref(r), ref(c)), app(ref(r), ref(d))),
     )
-    m = extract_model(e, check_evidence=False)
+    m = extract_model(e)
     assert m.frame.sort_labels[a] == (frozenset([ref(c)]), frozenset([ref(d)]))
     assert m.interp[r] == (1, 1)
     assert check_model(m, e.formulas)
@@ -256,7 +256,7 @@ def test_extract_model_backtracks_past_the_branch_read_table():
 
 def test_show_model_format():
     e = branch_of(diseq(ref(x), ref(y)))
-    m = extract_model(e, check_evidence=False)
+    m = extract_model(e)
     text = show_model(m)
     assert "sort a : 2 elements" in text
     assert "var x : a = a" in text
