@@ -11,7 +11,8 @@ The restricted calculus decides three branch classes outright:
 `classify_branch` reports, for each fragment flag, the first violating
 member and subterm; `decide` runs budget-free restricted-calculus search on
 branches inside one of the decidable classes and refuses everything else
-loudly.
+loudly.  `efo_violation`, `quasi_efo_violation` and `FragmentViolation`
+come from `rules`, whose restricted-calculus gate uses them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 
 from .branch import Branch
 from .kernel import (
-    IMP,
-    NOT,
     App,
     Base,
     Fun,
@@ -33,54 +32,17 @@ from .kernel import (
     as_forall,
     as_imp,
     as_neg,
-    eq_operand_type,
-    forall_sort,
     is_sort,
     o,
     show_term,
 )
-
-
-class FragmentViolation(Exception):
-    """Input lies outside the fragment a caller committed to."""
+from .rules import FragmentViolation, efo_violation, quasi_efo_violation
+from .search import SearchConfig, refute
 
 
 # ---------------------------------------------------------------------------
 # Term- and formula-level classifiers.  Each returns the first offending
 # subterm, or None when the property holds, so reports carry witnesses.
-
-
-def efo_violation(t: Term) -> Term | None:
-    """First subterm using a constant outside the restricted signature.
-
-    Allowed: negation, implication, equality at sorts, quantifiers at sorts.
-    Variables of any type and abstractions are fine.
-    """
-    if type(t) is Ref:
-        n = t.name
-        if n.is_var or n == NOT or n == IMP:
-            return None
-        ty = eq_operand_type(n)
-        if ty is None:
-            ty = forall_sort(n)
-        if ty is not None and is_sort(ty):
-            return None
-        return t
-    if type(t) is App:
-        return efo_violation(t.fun) or efo_violation(t.arg)
-    if type(t) is Lam:
-        return efo_violation(t.body)
-    return None
-
-
-def quasi_efo_violation(t: Term) -> Term | None:
-    """Restricted formula, or a disequation (at any type) between such terms."""
-    if efo_violation(t) is None:
-        return None
-    d = as_diseq(t)
-    if d is not None:
-        return efo_violation(d[1]) or efo_violation(d[2])
-    return efo_violation(t)
 
 
 def lam_subterm(t: Term) -> Term | None:
@@ -245,8 +207,6 @@ def decide(branch: Branch):
     limits.  (`refute` in auto mode takes the same path on this input, as
     the command line does.)
     """
-    from .search import SearchConfig, refute
-
     report = classify_branch(branch)
     if not report.decidable():
         raise FragmentViolation(

@@ -333,14 +333,14 @@ def lam(x: Name, body: Term) -> Lam:
     return Lam(x.ty, _abstract(body, x, 0))
 
 
-def _shift(t: Term, by: int, cutoff: int = 0) -> Term:
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Raise dangling de Bruijn indices (>= cutoff) by the given amount."""
     if type(t) is Bound:
         return Bound(t.index + by, t.ty) if t.index >= cutoff else t
     if type(t) is App:
-        return App(_shift(t.fun, by, cutoff), _shift(t.arg, by, cutoff))
+        return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
     if type(t) is Lam:
-        return Lam(t.dom, _shift(t.body, by, cutoff + 1))
+        return Lam(t.dom, shift(t.body, by, cutoff + 1))
     return t
 
 
@@ -354,7 +354,7 @@ def instantiate(body: Term, u: Term) -> Term:
     def go(t: Term, depth: int) -> Term:
         if type(t) is Bound:
             if t.index == depth:
-                return u if depth == 0 else _shift(u, depth)
+                return u if depth == 0 else shift(u, depth)
             if t.index > depth:
                 return Bound(t.index - 1, t.ty)
             return t

@@ -45,6 +45,8 @@ from .branch import Branch, branch_of, classify
 from .kernel import (
     App,
     Base,
+    Bound,
+    Lam,
     Name,
     Ref,
     Term,
@@ -52,12 +54,14 @@ from .kernel import (
     diseq,
     eq,
     forall,
+    forall_sort,
     fun,
     imp,
     is_sort,
     lam,
     neg,
     o,
+    shift,
     show_term,
     show_type,
     sort,
@@ -317,11 +321,28 @@ def parse(text: str) -> Problem:
 
 
 def serialize_problem(p: Problem) -> str:
-    """Problem as grammar text; parses back to an equal Problem."""
+    """Problem as grammar text.  It parses back to the same Problem, except
+    that a quantifier over a term that is not an abstraction, `forall p`,
+    has no grammar form and is written as `forall x. p x`; the Problem
+    parsed from the text serializes to the same text."""
     lines = [f"(sort {s.name})" for s in p.sorts]
     lines += [f"(var {n.ident} {show_type(n.ty)})" for n in p.variables]
-    lines += [f"(assume {show_term(s)})" for s in p.assumptions]
+    lines += [f"(assume {show_term(_eta_quantifiers(s))})" for s in p.assumptions]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _eta_quantifiers(t: Term) -> Term:
+    """t with each quantifier operand p that is not an abstraction replaced
+    by its eta-expansion `lam x. p x`."""
+    if type(t) is Lam:
+        body = _eta_quantifiers(t.body)
+        return t if body is t.body else Lam(t.dom, body)
+    if type(t) is not App:
+        return t
+    f, u = _eta_quantifiers(t.fun), _eta_quantifiers(t.arg)
+    if type(f) is Ref and forall_sort(f.name) is not None and type(u) is not Lam:
+        u = Lam(u.ty.dom, App(shift(u, 1), Bound(0, u.ty.dom)))
+    return t if f is t.fun and u is t.arg else App(f, u)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +483,18 @@ def parse_proof(text: str, problem: Problem) -> Proof:
                 root = proof
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split(";", 1)[0].strip()
+        body = raw.split(";", 1)[0]
+        line = body.strip()
         if not line:
             continue
         content = line.lstrip(".")
         depth = len(line) - len(content)
+        start = len(body) - len(body.lstrip()) + depth  # content's offset in raw
         toks = [*filter(None, _TOKEN.findall(content)), ""]
         try:
             if depth:
                 if not toks[0].isdecimal():
-                    raise ParseError("expected an alternative index", lineno, depth + 1)
+                    raise ParseError("expected an alternative index", lineno, start + 1)
                 alt = int(toks[0])
             finalize(depth)
             if depth == 0:
@@ -485,12 +508,13 @@ def parse_proof(text: str, problem: Problem) -> Proof:
                     raise ParseError(
                         f"alternative {len(stack[-1].children)} expected, got {alt}",
                         lineno,
-                        depth + 1,
+                        start + 1,
                     )
                 scope = stack[-1].child_scope
             instance, fresh = _proof_line(toks, 1 if depth else 0, lineno, scope, sorts)
         except (_Bad, ParseError) as bad:
-            raise _located(content, toks, bad, lineno) from None
+            # padded, so that columns count from the line as written
+            raise _located(" " * start + content, toks, bad, lineno) from None
         child_scope = scope if fresh is None else {**scope, fresh.ident: fresh}
         stack.append(_Node(lineno, instance, child_scope, []))
     finalize(0)

@@ -24,7 +24,8 @@ it:
     one of its alternatives is already contained in the branch.  Together
     with the admissibility restrictions below this makes "no instance
     applicable" coincide with the closure conditions that guarantee a model
-    exists (see `search.is_evident`).  Its caller owns its two caches (see
+    exists (`search.is_evident` reads the table backwards, with
+    `concluded` for the witness rules).  Its caller owns its two caches (see
     `instances`); `applicable_efo` and `applicable_stt` are the gate plus
     the full list, without them: the reference search is tested against.
   * `branching_instances` builds over the same memo the branching
@@ -35,7 +36,8 @@ it:
     branch-dependent admissibility conditions hold.  It is the trusted core
     behind proof checking, and rebuilds every instance from the table.
 
-The restricted calculus enforces, per branch A:
+The restricted calculus (its language is checked by `quasi_efo_violation`
+here) enforces, per branch A:
 
   * witness rules (functional disequations, negated quantifiers) only fire
     when no variable already witnesses them in A, and introduce a variable
@@ -58,8 +60,8 @@ from typing import Callable, Iterator
 
 from .branch import Branch, FormulaInfo, FormulaKind, classify
 from .branch import complements, is_reflexive
-from .fragments import FragmentViolation, efo_violation, quasi_efo_violation
 from .kernel import (
+    IMP,
     NOT,
     App,
     Bound,
@@ -73,7 +75,10 @@ from .kernel import (
     diseq,
     eq,
     eq_const,
+    eq_operand_type,
+    forall_sort,
     fresh_var,
+    is_sort,
     is_var_ref,
     neg,
     o,
@@ -208,7 +213,7 @@ def inst_type(info: FormulaInfo) -> Type:
     return info.sort if info.sort is not None else info.ty.dom
 
 
-def _concluded(branch: Branch, rule: RuleId, info: FormulaInfo) -> bool:
+def concluded(branch: Branch, rule: RuleId, info: FormulaInfo) -> bool:
     """Is the rule's conclusion from this premise already on the branch?
 
     For a witness rule the instance must be a variable; for an
@@ -223,24 +228,6 @@ def _concluded(branch: Branch, rule: RuleId, info: FormulaInfo) -> bool:
         if ok and (not var_only or filler is None or is_var_ref(filler)):
             return True
     return False
-
-
-def has_witness_diseq(branch: Branch, l: Term, r: Term) -> bool:
-    """Is there a variable x with [l x] != [r x] on the branch?"""
-    info = FormulaInfo(FormulaKind.FUN_DISEQ, ty=l.ty, lhs=l, rhs=r)
-    return _concluded(branch, RuleId.FUN_EXT, info)
-
-
-def has_witness_neg_inst(branch: Branch, sort: Type, pred: Term) -> bool:
-    """Is there a variable x with not [pred x] on the branch?"""
-    info = FormulaInfo(FormulaKind.NEG_FORALL, sort=sort, pred=pred)
-    return _concluded(branch, RuleId.FORALL_NEG, info)
-
-
-def has_instance(branch: Branch, sort: Type, pred: Term) -> bool:
-    """Is there any normal term u with [pred u] on the branch?"""
-    info = FormulaInfo(FormulaKind.FORALL, sort=sort, pred=pred)
-    return _concluded(branch, RuleId.FORALL_INST, info)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +585,41 @@ def make_instance(
 
 
 # ---------------------------------------------------------------------------
+# The restricted language.  Each check returns the first offending subterm,
+# or None when the term is inside, so reports carry witnesses.
+
+
+class FragmentViolation(Exception):
+    """Input lies outside the fragment a caller committed to."""
+
+
+def efo_violation(t: Term) -> Term | None:
+    """First subterm using a constant outside the restricted signature.
+
+    Allowed: negation, implication, equality at sorts, quantifiers at sorts.
+    Variables of any type and abstractions are fine.
+    """
+    if type(t) is Ref:
+        n = t.name
+        if n.is_var or n == NOT or n == IMP:
+            return None
+        ty = eq_operand_type(n) or forall_sort(n)
+        return None if ty is not None and is_sort(ty) else t
+    if type(t) is App:
+        return efo_violation(t.fun) or efo_violation(t.arg)
+    if type(t) is Lam:
+        return efo_violation(t.body)
+    return None
+
+
+def quasi_efo_violation(t: Term) -> Term | None:
+    """Restricted formula, or a disequation (at any type) between such terms."""
+    w = efo_violation(t)
+    d = None if w is None else as_diseq(t)
+    return w if d is None else efo_violation(d[1]) or efo_violation(d[2])
+
+
+# ---------------------------------------------------------------------------
 # Applicability
 
 
@@ -695,7 +717,7 @@ def instances(
             info = branch.info(s)
             for rule, name, row, at in uses[info.kind]:
                 if row.inst == "fresh":
-                    if not _concluded(branch, rule, info):
+                    if not concluded(branch, rule, info):
                         x = _fresh_witness(branch, inst_type(info), reserved)
                         alts = row.alts(info, x)
                         if productive(alts):
@@ -804,7 +826,7 @@ def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
     discs = branch.discriminating_terms(info.sort)
     if discs:
         return list(discs)
-    if _concluded(branch, RuleId.FORALL_INST, info):
+    if concluded(branch, RuleId.FORALL_INST, info):
         return []
     xs = branch.vars_of_type(info.sort)
     if xs:
@@ -891,7 +913,7 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
     discs = branch.discriminating_terms(info.sort)
     if discs:
         return u in discs
-    if _concluded(branch, RuleId.FORALL_INST, info) or not is_var_ref(u):
+    if concluded(branch, RuleId.FORALL_INST, info) or not is_var_ref(u):
         return False
     xs = branch.vars_of_type(info.sort)
     return u.name in xs if xs else u.name not in branch.free_names
@@ -963,7 +985,7 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
         return (
             is_var_ref(u)
             and u.name not in branch.free_names
-            and not _concluded(branch, r.rule, info)
+            and not concluded(branch, r.rule, info)
         )
     if not is_normal(u):
         return False

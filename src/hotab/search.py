@@ -38,11 +38,12 @@ instances with no alternatives, witnessing closure.  `check_proof` replays
 a proof against the initial branch using only `rules.check_instance`, so
 its soundness rests on the instance checker alone.
 
-`is_evident` reports the model-existence conditions member by member; on a
-branch in the restricted language it is exact, and agrees with "no
-applicable instance" on non-closed branches.  In the unrestricted language
-the conditions on functional equations are checked up to a fuel bound and
-the report says so (`bounded`).
+`is_evident` reports the model-existence conditions member by member: the
+rule table read backwards (some alternative of each instance is on the
+branch).  On a branch in the restricted language it is exact, and agrees
+with "no applicable instance" on non-closed branches.  In the unrestricted
+language the conditions on functional equations are checked up to a fuel
+bound and the report says so (`bounded`).
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .branch import Branch, FormulaKind, branch_of
-from .fragments import FragmentViolation, quasi_efo_violation
-from .kernel import Name, Term, eq, free_vars, is_var_ref, neg, show_term
-from .normalize import apply_norm, normalize
+from .kernel import Name, Term, free_vars, is_var_ref, show_term
+from .normalize import apply_norm  # noqa: F401  (callers look it up here)
+from .normalize import normalize
 from .rules import (
     CALCULI,
     EAGER_RULES,
     EFO_ONLY_KINDS,
+    RULES,
     Calculus,
+    FragmentViolation,
     RuleId,
     RuleInstance,
     applicable_efo,  # noqa: F401  (callers look these two up here)
@@ -67,12 +70,11 @@ from .rules import (
     branching_instances,
     check_instance,
     closing_instance,
-    has_instance,
-    has_witness_diseq,
-    has_witness_neg_inst,
+    concluded,
     instances,
     instantiation_candidates,
     memo_instance,
+    quasi_efo_violation,
     side_pairs,
 )
 from .semantics import (
@@ -566,46 +568,42 @@ class EvidenceReport:
         return "\n".join(lines)
 
 
-def _check_forall(branch, s, info, out) -> None:
-    discs = branch.discriminating_terms(info.sort)
-    for u in discs:
-        if apply_norm(info.pred, u) not in branch:
-            out.append(
-                Violation(
-                    "forall-inst",
-                    (s,),
-                    f"discriminating term {show_term(u)} is not instantiated",
-                )
-            )
-            break
-    if not has_instance(branch, info.sort, info.pred):
-        out.append(
-            Violation("forall-inst-default", (s,), "no instance on the branch")
-        )
+_K = FormulaKind
+_MATE = RULES[RuleId.MATE].kinds
+_CONFRONT = RULES[RuleId.CONFRONT].kinds
+
+#: Per member kind (per premise kinds for the pair rules), the rule that
+#: evidence reads backwards and the detail of a violation.
+_CONDITIONS = {
+    _K.DOUBLE_NEG: (RuleId.DOUBLE_NEG, "body is missing"),
+    _K.BOOL_EQ: (RuleId.BOOL_EQ, "sides are not jointly settled"),
+    _K.BOOL_DISEQ: (RuleId.BOOL_EXT, "sides are not settled opposite"),
+    _K.FUN_EQ: (RuleId.FUN_EQ, "instance {} is missing"),
+    _K.FUN_DISEQ: (RuleId.FUN_EXT, "no variable witnesses the sides apart"),
+    _K.IMP: (RuleId.IMP, "neither side is settled"),
+    _K.NEG_IMP: (RuleId.IMP_NEG, "components are missing"),
+    _K.FORALL: (RuleId.FORALL_INST, "discriminating term {} is not instantiated"),
+    _K.NEG_FORALL: (RuleId.FORALL_NEG, "no variable witnesses the negation"),
+    _K.SORT_DISEQ: (
+        RuleId.DECOMPOSE, "no argument disequation supports the disequation"
+    ),
+    _MATE: (RuleId.MATE, "no argument disequation separates the pair"),
+    _CONFRONT: (RuleId.CONFRONT, "equation is not confronted with the disequation"),
+}
 
 
-def _check_mate_pairs(branch, out) -> None:
-    for p in branch.members(FormulaKind.POS_ATOM):
-        pi = branch.info(p)
-        for q in branch.members(FormulaKind.NEG_ATOM):
-            qi = branch.info(q)
-            if qi.head == pi.head and not any(
-                neg(eq(a, b)) in branch for a, b in zip(pi.args, qi.args)
-            ):
-                msg = "no argument disequation separates the pair"
-                out.append(Violation("mate", (p, q), msg))
-
-
-def _check_confront_pairs(branch, out) -> None:
-    for e in branch.members(FormulaKind.SORT_EQ):
-        ei = branch.info(e)
-        for d in branch.disequations(ei.ty):
-            di = branch.info(d)
-            left = (neg(eq(ei.lhs, di.lhs)), neg(eq(ei.rhs, di.lhs)))
-            right = (neg(eq(ei.lhs, di.rhs)), neg(eq(ei.rhs, di.rhs)))
-            if not (all(f in branch for f in left) or all(f in branch for f in right)):
-                msg = "equation is not confronted with the disequation"
-                out.append(Violation("confront", (e, d), msg))
+def _concluded_on(branch: Branch, rule: RuleId, premises, inst=()) -> bool:
+    """Whether the branch holds the rule's conclusion from these premises
+    (and instantiation term): vacuously where the row's shape rejects them;
+    for a witness rule, some variable's instance (`concluded`); otherwise
+    all of some alternative of the instance the row builds."""
+    row = RULES[rule]
+    infos = tuple(map(branch.info, premises))
+    if row.shape is not None and not row.shape(premises, infos):
+        return True
+    if row.inst == "fresh":
+        return concluded(branch, rule, infos[0])
+    return any(all(f in branch for f in alt) for alt in row.alts(*infos, *inst))
 
 
 def is_evident(
@@ -628,75 +626,41 @@ def is_evident(
     out: list[Violation] = []
     bounded = False
 
+    def check(premises, key, inst=()) -> bool:
+        rule, detail = _CONDITIONS[key]
+        if _concluded_on(branch, rule, premises, inst):
+            return True
+        shown = map(show_term, inst)
+        out.append(Violation(rule.value, premises, detail.format(*shown)))
+        return False
+
     for s in branch.formulas:
         info = branch.info(s)
         kind = info.kind
-        if kind is FormulaKind.DOUBLE_NEG:
-            if info.lhs not in branch:
-                out.append(Violation("double-neg", (s,), "body is missing"))
-        elif kind is FormulaKind.BOOL_EQ:
-            if not (
-                (info.lhs in branch and info.rhs in branch)
-                or (neg(info.lhs) in branch and neg(info.rhs) in branch)
-            ):
-                out.append(
-                    Violation("bool-eq", (s,), "sides are not jointly settled")
-                )
-        elif kind is FormulaKind.BOOL_DISEQ:
-            if not (
-                (info.lhs in branch and neg(info.rhs) in branch)
-                or (neg(info.lhs) in branch and info.rhs in branch)
-            ):
-                out.append(
-                    Violation("bool-ext", (s,), "sides are not settled opposite")
-                )
-        elif kind is FormulaKind.FUN_EQ:
+        if kind is FormulaKind.FUN_EQ:
             bounded = True
             for u in instantiation_candidates(branch, info.ty.dom, fuel):
-                concl = eq(apply_norm(info.lhs, u), apply_norm(info.rhs, u))
-                if concl not in branch:
-                    out.append(
-                        Violation(
-                            "fun-eq",
-                            (s,),
-                            f"instance {show_term(u)} is missing",
-                        )
-                    )
+                if not check((s,), kind, (u,)):
                     break
-        elif kind is FormulaKind.FUN_DISEQ:
-            if not has_witness_diseq(branch, info.lhs, info.rhs):
-                out.append(
-                    Violation("fun-ext", (s,), "no variable witnesses the sides apart")
-                )
-        elif kind is FormulaKind.IMP:
-            if neg(info.lhs) not in branch and info.rhs not in branch:
-                out.append(Violation("imp", (s,), "neither side is settled"))
-        elif kind is FormulaKind.NEG_IMP:
-            if info.lhs not in branch or neg(info.rhs) not in branch:
-                out.append(Violation("imp-neg", (s,), "components are missing"))
         elif kind is FormulaKind.FORALL:
-            _check_forall(branch, s, info, out)
-        elif kind is FormulaKind.NEG_FORALL:
-            if not has_witness_neg_inst(branch, info.sort, info.pred):
+            for u in branch.discriminating_terms(info.sort):
+                if not check((s,), kind, (u,)):
+                    break
+            if not concluded(branch, RuleId.FORALL_INST, info):
                 out.append(
-                    Violation("forall-neg", (s,), "no variable witnesses the negation")
-                )
-        elif kind is FormulaKind.SORT_DISEQ:
-            if info.decomposable and not any(
-                neg(eq(a, b)) in branch for a, b in zip(info.largs, info.rargs)
-            ):
-                out.append(
-                    Violation(
-                        "decompose",
-                        (s,),
-                        "no argument disequation supports the disequation",
-                    )
+                    Violation("forall-inst-default", (s,), "no instance on the branch")
                 )
         elif kind is FormulaKind.OTHER:
             raise FragmentViolation(f"no conditions cover {show_term(s)}")
+        elif kind in _CONDITIONS:
+            check((s,), kind)
 
-    _check_mate_pairs(branch, out)
-    _check_confront_pairs(branch, out)
+    for p in branch.members(FormulaKind.POS_ATOM):
+        for q in branch.members(FormulaKind.NEG_ATOM):
+            check((p, q), _MATE)
+    for e in branch.members(FormulaKind.SORT_EQ):
+        for d in branch.disequations(branch.info(e).ty):
+            check((e, d), _CONFRONT)
 
     return EvidenceReport(
         evident=not out,

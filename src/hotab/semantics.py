@@ -184,7 +184,12 @@ class Model:
 
 
 def eval_term(model: Model, t: Term, env: dict[Name, object] | None = None):
-    """Evaluate t in the model; env overrides values of free names."""
+    """Evaluate t in the model; env overrides values of free names.
+
+    An applied negation, implication, equation or quantifier is evaluated
+    from its definition, so no table of a logical constant is built: a
+    quantifier's table would index the whole space D(s -> o).
+    """
     frame = model.frame
 
     def go(t: Term, stack: list):
@@ -195,6 +200,19 @@ def eval_term(model: Model, t: Term, env: dict[Name, object] | None = None):
         if type(t) is Bound:
             return stack[-1 - t.index]
         if type(t) is App:
+            h = t.fun
+            if type(h) is Ref and not h.name.is_var:
+                if h.name.ident == "not":
+                    return 1 - go(t.arg, stack)
+                if h.name.ident == "forall":
+                    return int(all(go(t.arg, stack)))
+            elif type(h) is App and type(h.fun) is Ref and not h.fun.name.is_var:
+                if h.fun.name.ident == "imp":
+                    x = go(h.arg, stack)
+                    return int(go(t.arg, stack) >= x)
+                if h.fun.name.ident == "=":
+                    x = go(h.arg, stack)
+                    return int(go(t.arg, stack) == x)
             f = go(t.fun, stack)
             a = go(t.arg, stack)
             return frame.apply(t.fun.ty, f, a)

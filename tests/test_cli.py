@@ -17,6 +17,7 @@ from hotab.kernel import (
     Base,
     Fun,
     Name,
+    app,
     eq,
     forall,
     fun,
@@ -202,6 +203,33 @@ def test_serialize_problem_round_trips():
         again = parse(serialize_problem(p))
         assert again == p
         assert serialize_problem(again) == serialize_problem(p)
+
+
+def test_serialize_problem_eta_expands_a_bare_quantifier():
+    # a quantifier over a term that is not an abstraction has no grammar form:
+    # it is written eta-expanded, parsing gives the expanded problem, and its
+    # text is the same
+    f, r = Name("f", fun(a, o)), Name("r", fun(a, a, o))
+    x, y = Name("x0", a), Name("y", a)
+    cases = [
+        # acceptance corpus entry 1 (lambda-free)
+        (
+            (forall(ref(f)), neg(app(ref(f), ref(y)))),
+            (forall(lam(x, app(ref(f), ref(x)))), neg(app(ref(f), ref(y)))),
+        ),
+        # under a binder, where the operand has a dangling index
+        (
+            (neg(forall(lam(y, forall(app(ref(r), ref(y)))))),),
+            (neg(forall(lam(y, forall(lam(x, app(ref(r), ref(y), ref(x))))))),),
+        ),
+    ]
+    for built, expanded in cases:
+        p = Problem(sorts_in(built), variables_in(built), built)
+        text = serialize_problem(p)
+        again = parse(text)
+        assert (again.sorts, again.variables) == (p.sorts, p.variables)
+        assert again.assumptions == expanded, text
+        assert serialize_problem(again) == text
 
 
 def _decls_for(formulas):

@@ -4,7 +4,8 @@ Each entry of the error tables gives the message, line and column that an
 earlier reader (a character lexer, an s-expression tree, then a walk over
 the tree) reported, and that the one-pass reader must keep reporting,
 except in two marked rows where the reader now accepts more or reports a
-`ParseError` in place of a `ValueError`.  They cover each place
+`ParseError` in place of a `ValueError`, and in the proof rows whose columns
+now count from the line as written (marked re-pinned).  They cover each place
 `hotab.problems` raises a `ParseError`, the precedence of an unbalanced
 parenthesis over errors found earlier in the text, and inputs with tabs,
 CRLF line ends, comments and characters that are whitespace to Python but
@@ -125,7 +126,9 @@ PROBLEM_ERRORS = [
 ]
 
 # (problem text, proof text, message, line, column); a proof text is read
-# line by line, and its columns count from the first character after the dots
+# line by line, and its columns count from the line as written (the earlier
+# readers counted term errors from the first character after the dots, and
+# alternative-index errors from the first one that is not whitespace)
 PROOF_ERRORS = [
     (SELF, "", "empty proof", None, None),
     (SELF, "; only a comment\n\n", "empty proof", None, None),
@@ -156,6 +159,9 @@ PROOF_ERRORS = [
     (SELF, "; header\ndecompose ((neq x zz)) ; why", "undeclared name 'zz'", 2, 19),
     (SELF, "decompose ((neq x zz))\r\n", "undeclared name 'zz'", 1, 19),
     (SELF, "  decompose ((neq x x))  \n  . 0 frob", "unknown rule 'frob'", 2, 1),
+    # leading whitespace counts (added with the true columns)
+    (SELF, "  decompose ((neq x zz))", "undeclared name 'zz'", 1, 21),
+    (SELF, "\t. decompose ((neq x x))", "expected an alternative index", 1, 3),
     (
         SELF,
         "decompose ((= x x))",
@@ -215,7 +221,7 @@ PROOF_ERRORS = [
     (
         ALL,
         "forall-inst ((forall (y a) (neq y y))) (x)\n. 0 decompose ((neq x zz))",
-        "undeclared name 'zz'", 2, 22,
+        "undeclared name 'zz'", 2, 23,  # re-pinned: 2, 22 before
     ),
     (FUNS, "fun-ext ((neq f f)) (x a)", "witness 'x' is already in scope", 1, 1),
     (FUNS, "fun-ext ((neq f f)) x", "fun-ext needs an instantiation", 1, 1),
@@ -229,7 +235,7 @@ PROOF_ERRORS = [
         "fun-ext ((neq f f)) (w a)\n"
         ". 0 decompose ((neq (f w) (f w)))\n"
         ".. 0 decompose ((neq w zz))",
-        "undeclared name 'zz'", 3, 22,
+        "undeclared name 'zz'", 3, 24,  # re-pinned: 3, 22 before
     ),
     (
         FUNS,
@@ -242,6 +248,11 @@ PROOF_ERRORS = [
         IMPS,
         "imp ((imp p q))\n. 1 mate (p (not p))",
         "alternative 0 expected, got 1", 2, 2,
+    ),
+    (
+        IMPS,
+        "imp ((imp p q))\n   . 1 mate (p (not p))",
+        "alternative 0 expected, got 1", 2, 5,
     ),
     (
         IMPS,

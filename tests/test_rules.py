@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hotab.branch import branch_of
+from hotab.branch import branch_of, classify
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
     Name,
@@ -29,9 +29,7 @@ from hotab.rules import (
     applicable_stt,
     check_instance,
     closing_instance,
-    has_instance,
-    has_witness_diseq,
-    has_witness_neg_inst,
+    concluded,
     instantiation_candidates,
     make_instance,
     match_schema,
@@ -96,20 +94,23 @@ def test_witness_queries():
     f = V("f", fun(a, o))
     g = V("g", fun(a, o))
     x = V("x", a)
+    fg = classify(diseq(ref(f), ref(g)))
     base = branch_of(diseq(ref(f), ref(g)))
-    assert not has_witness_diseq(base, ref(f), ref(g))
+    assert not concluded(base, RuleId.FUN_EXT, fg)
     extended = base.add(diseq(app(ref(f), ref(x)), app(ref(g), ref(x))))
-    assert has_witness_diseq(extended, ref(f), ref(g))
+    assert concluded(extended, RuleId.FUN_EXT, fg)
 
     p = V("p", fun(a, o))
     y = V("y", a)
     pred = lam(y, app(ref(p), ref(y)))
+    no_px = classify(neg(forall(pred)))
+    all_px = classify(forall(pred))
     br = branch_of(neg(forall(pred)))
-    assert not has_witness_neg_inst(br, a, pred)
+    assert not concluded(br, RuleId.FORALL_NEG, no_px)
     br2 = br.add(neg(app(ref(p), ref(x))))
-    assert has_witness_neg_inst(br2, a, pred)
-    assert has_instance(br2.add(app(ref(p), ref(x))), a, pred)
-    assert not has_instance(br2, a, pred)
+    assert concluded(br2, RuleId.FORALL_NEG, no_px)
+    assert concluded(br2.add(app(ref(p), ref(x))), RuleId.FORALL_INST, all_px)
+    assert not concluded(br2, RuleId.FORALL_INST, all_px)
 
 
 def test_witness_query_constant_function_sides():
@@ -120,7 +121,7 @@ def test_witness_query_constant_function_sides():
     l = lam(x, ref(p))
     r = lam(x, ref(q))
     br = branch_of(diseq(ref(p), ref(q)))
-    assert has_witness_diseq(br, l, r)
+    assert concluded(br, RuleId.FUN_EXT, classify(diseq(l, r)))
 
 
 # ---------------------------------------------------------------------------

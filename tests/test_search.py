@@ -485,6 +485,93 @@ def test_mate_and_confront_violations_pair_by_head_and_by_sort():
     }
 
 
+def _evidence_cases():
+    """Per model-existence condition: a minimal branch that violates it and
+    no other, with the report's pinned text."""
+    p, q = ref(V("p", o)), ref(V("q", o))
+    x, z, w, u = (ref(V(n, a)) for n in ("x", "z", "w", "u"))
+    f, g = ref(V("f", fun(a, a))), ref(V("g", fun(a, a)))
+    P = V("P", fun(a, o))
+    all_P = forall(lam(V("y", a), app(ref(P), ref(V("y", a)))))
+    efo, stt = "not evident [efo]\n  ", "not evident [stt] (bounded check)\n  "
+    return [
+        (
+            "double-neg",
+            (neg(neg(p)),),
+            efo + "double-neg: body is missing (on (not (not p)))",
+        ),
+        (
+            "bool-eq",
+            (eq(p, q),),
+            "not evident [stt]\n  bool-eq: sides are not jointly settled (on (= p q))",
+        ),
+        (
+            "bool-ext",
+            (diseq(p, q),),
+            efo + "bool-ext: sides are not settled opposite (on (not (= p q)))",
+        ),
+        (
+            "fun-eq",
+            (eq(f, g), app(ref(P), x)),
+            stt + "fun-eq: instance x is missing (on (= f g))",
+        ),
+        (
+            "fun-ext",
+            (diseq(f, g),),
+            efo + "fun-ext: no variable witnesses the sides apart (on (not (= f g)))",
+        ),
+        ("imp", (imp(p, q),), efo + "imp: neither side is settled (on (imp p q))"),
+        (
+            "imp-neg",
+            (neg(imp(p, q)),),
+            efo + "imp-neg: components are missing (on (not (imp p q)))",
+        ),
+        (
+            "forall-inst",
+            (all_P, diseq(x, z), app(ref(P), z)),
+            efo + "forall-inst: discriminating term x is not instantiated "
+            "(on (forall (x a) (P x)))",
+        ),
+        (
+            "forall-inst-default",
+            (all_P,),
+            efo + "forall-inst-default: no instance on the branch "
+            "(on (forall (x a) (P x)))",
+        ),
+        (
+            "forall-neg",
+            (neg(all_P),),
+            efo + "forall-neg: no variable witnesses the negation "
+            "(on (not (forall (x a) (P x))))",
+        ),
+        (
+            "decompose",
+            (diseq(app(f, x), app(f, z)),),
+            efo + "decompose: no argument disequation supports the disequation "
+            "(on (not (= (f x) (f z))))",
+        ),
+        (
+            "mate",
+            (app(ref(P), x), neg(app(ref(P), z))),
+            efo + "mate: no argument disequation separates the pair "
+            "(on (P x), (not (P z)))",
+        ),
+        (
+            "confront",
+            (eq(x, z), diseq(w, u)),
+            efo + "confront: equation is not confronted with the disequation "
+            "(on (= x z), (not (= w u)))",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("condition, formulas, text", _evidence_cases())
+def test_each_evidence_condition_describes_its_violation(condition, formulas, text):
+    rep = is_evident(formulas)
+    assert [v.condition for v in rep.violations] == [condition]
+    assert rep.describe() == text
+
+
 def test_refute_raises_not_evident_before_extracting(monkeypatch):
     import hotab.search as search
     from hotab.semantics import NotEvident
