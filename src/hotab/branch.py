@@ -3,10 +3,11 @@
 A branch stores its members in insertion order, a classification of each
 formula (what shape it has for rule application; its keys also answer
 membership, equality and hashing), the members of each kind in insertion
-order, and the free variables in first-occurrence order.  `add` returns a
-new branch and shares nothing mutable, so branches behave persistently;
-adding a member that is already present returns the branch itself
-(identity-preserving no-op).
+order, the free variables in first-occurrence order, and the witness of
+closure proper (a variable with its negation, or x != x at a sort).  `add`
+returns a new branch and shares nothing mutable, so branches behave
+persistently; adding a member that is already present returns the branch
+itself (identity-preserving no-op).
 
 The discriminating terms of a type (the sides of its disequations) and its
 discriminants — maximal sets of disequation sides with no disequation
@@ -25,7 +26,6 @@ from .kernel import (
     Ref,
     Term,
     Type,
-    as_diseq,
     as_eq,
     as_forall,
     as_imp,
@@ -161,7 +161,6 @@ class Branch:
         self._by_kind: dict[FormulaKind, tuple[Term, ...]] = {}
         self.free_names: tuple[Name, ...] = ()
         self.closing_witness: tuple | None = None
-        self.eager_witness: tuple | None = None
         self._disc_terms_cache: dict[Type, tuple[Term, ...]] = {}
         self._disc_cache: dict[Type, tuple[frozenset[Term], ...]] = {}
 
@@ -230,9 +229,6 @@ class Branch:
         b.closing_witness = self.closing_witness
         if b.closing_witness is None:
             b.closing_witness = self._closing_after(s, info)
-        b.eager_witness = self.eager_witness
-        if b.eager_witness is None:
-            b.eager_witness = self.eager_closure(s)
         return b
 
     def add_all(self, formulas) -> "Branch":
@@ -256,15 +252,6 @@ class Branch:
         ):
             return ("refl", s)
         return None
-
-    def eager_closure(self, s: Term) -> tuple | None:
-        """The wider closure of the optional eager-closing mode that s makes
-        with this branch: a complement of s on it, or s alone when it is a
-        reflexive disequation."""
-        for c in complements(s):
-            if c in self._info:
-                return ("compl", c, s) if neg(c) == s else ("compl", s, c)
-        return ("refl", s) if is_reflexive(s) else None
 
     # -- discriminants --
 
@@ -299,19 +286,6 @@ class Branch:
         out = _max_independent_sets(vs, conflict)
         self._disc_cache[at] = out
         return out
-
-
-def complements(s: Term) -> tuple[Term, ...]:
-    """The formulas that close a branch with s under eager closure, either
-    way round: the body of s when s is a negation, then the negation of s."""
-    w = as_neg(s)
-    return (neg(s),) if w is None else (w, neg(s))
-
-
-def is_reflexive(s: Term) -> bool:
-    """Is s a disequation between identical sides?"""
-    d = as_diseq(s)
-    return d is not None and d[1] == d[2]
 
 
 def branch_of(*formulas: Term) -> Branch:

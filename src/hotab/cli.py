@@ -12,17 +12,10 @@ import argparse
 import sys
 
 from .fragments import FragmentViolation, classify_branch
-from .problems import (
-    ParseError,
-    Problem,
-    parse,
-    parse_proof,
-    serialize_problem,
-    serialize_proof,
-)
+from .problems import ParseError, Problem, parse, parse_proof, serialize_proof
 from .rules import EAGER_RULES
 from .search import Refuted, Satisfiable, SearchConfig, Unknown, check_proof, refute
-from .semantics import DEFAULT_MAX_TABLE, show_model
+from .semantics import show_model
 
 __all__ = ["main", "Problem", "parse"]
 
@@ -34,6 +27,7 @@ EXIT_INTERNAL = 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    default = SearchConfig()
     ap = argparse.ArgumentParser(
         prog="hotab",
         description="refutation search for higher-order tableau problems",
@@ -50,15 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report which decidable fragments the input falls in, then exit",
     )
-    ap.add_argument("--max-nodes", type=_limit(int), default=100_000, metavar="N")
     ap.add_argument(
-        "--timeout", type=_limit(float), default=10.0, metavar="SECONDS"
+        "--max-nodes", type=_limit(int), default=default.max_nodes, metavar="N"
     )
     ap.add_argument(
+        "--timeout", type=_limit(float), default=default.timeout, metavar="SECONDS"
+    )
+    schedule = ",".join(map(str, default.fuel_schedule))
+    ap.add_argument(
         "--fuel-schedule",
-        default="1,2,3,4",
+        default=schedule,
         metavar="A,B,...",
-        help="instantiation depths for iterative deepening (default 1,2,3,4)",
+        help=f"instantiation depths for iterative deepening (default {schedule})",
     )
     ap.add_argument(
         "--eager-close",
@@ -75,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-domain",
         type=_limit(int),
-        default=DEFAULT_MAX_TABLE,
+        default=default.max_table,
         metavar="N",
         help="cap on interpretation table sizes during model extraction",
     )

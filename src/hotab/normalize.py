@@ -20,7 +20,7 @@ Laws relied on elsewhere (and pinned by the test suite):
 
 from __future__ import annotations
 
-from .kernel import App, Bound, Lam, Name, Ref, Term, instantiate
+from .kernel import App, Lam, Name, Ref, Term, instantiate
 
 Substitution = dict[Name, Term]
 

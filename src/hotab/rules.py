@@ -59,7 +59,6 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .branch import Branch, FormulaInfo, FormulaKind, classify
-from .branch import complements, is_reflexive
 from .kernel import (
     IMP,
     NOT,
@@ -72,6 +71,7 @@ from .kernel import (
     Term,
     Type,
     as_diseq,
+    as_neg,
     diseq,
     eq,
     eq_const,
@@ -801,17 +801,6 @@ def branching_instances(
                         yield row.priority, key, row, closers
 
 
-def side_pairs(info: FormulaInfo) -> tuple[tuple | None, tuple | None]:
-    """The side pairs (x, y) of the disequations that a member of this info
-    closes at once (it is x = y or not not (x != y)) and that it is."""
-    if info.kind in (_K.BOOL_EQ, _K.FUN_EQ, _K.SORT_EQ):
-        return (info.lhs, info.rhs), None
-    if info.kind in (_K.BOOL_DISEQ, _K.FUN_DISEQ, _K.SORT_DISEQ):
-        return None, (info.lhs, info.rhs)
-    d = as_diseq(info.lhs) if info.kind is _K.DOUBLE_NEG else None
-    return d and d[1:], None
-
-
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
     return ref(fresh_var(ty, branch.free_names + tuple(reserved)))
 
@@ -920,17 +909,42 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closing leaves
+# Closing at once: a formula whose complement is on the branch, or a
+# reflexive disequation.  Eager closing, the closers of an instance and the
+# side pairs search indexes all read these two.
 
 
-def closing_instance(branch: Branch, eager: bool = False) -> RuleInstance | None:
+def complements(s: Term) -> tuple[Term, ...]:
+    """The formulas that close a branch with s at once, either way round:
+    the body of s when s is a negation, then the negation of s."""
+    w = as_neg(s)
+    return (neg(s),) if w is None else (w, neg(s))
+
+
+def is_reflexive(s: Term) -> bool:
+    """Is s a disequation between identical sides?"""
+    d = as_diseq(s)
+    return d is not None and d[1] == d[2]
+
+
+def side_pairs(s: Term) -> tuple[Term, Term] | None:
+    """The sides (x, y) of the disequation among the `complements` of s (s
+    is x = y or not not (x = y)): the side pair s closes at once."""
+    return next((d[1:] for d in map(as_diseq, complements(s)) if d), None)
+
+
+def closing_instance(
+    branch: Branch, eager: bool = False, added: tuple[Term, ...] | None = None
+) -> RuleInstance | None:
     """The leaf instance witnessing that the branch is closed, if any.
 
     Closure proper: a variable with its negation, or a reflexive
     disequation between identical variables at a sort — witnessed by a
     zero-alternative mate or decompose instance.  With eager=True the wider
-    conditions (any formula with its negation, any reflexive disequation)
-    are also reported, as dedicated leaf rules.
+    conditions are also reported, as dedicated leaf rules, for the first
+    member of added (by default every member), in insertion order, that has
+    a complement before it or is reflexive.  Search passes a node's new
+    members, as the others closed nothing at its parent.
     """
     w = branch.closing_witness
     if w is not None:
@@ -938,11 +952,16 @@ def closing_instance(branch: Branch, eager: bool = False) -> RuleInstance | None
             return RuleInstance(RuleId.MATE, (w[1], w[2]), ())
         return RuleInstance(RuleId.DECOMPOSE, (w[1],), ())
     if eager:
-        w = branch.eager_witness
-        if w is not None:
-            if w[0] == "compl":
-                return RuleInstance(RuleId.CLOSE_COMPL, (w[1], w[2]), ())
-            return RuleInstance(RuleId.CLOSE_REFL, (w[1],), ())
+        added = branch.formulas if added is None else added
+        later = set(added)
+        for s in added:
+            later.discard(s)
+            for c in complements(s):
+                if c in branch and c not in later:
+                    pair = (c, s) if as_neg(s) == c else (s, c)
+                    return RuleInstance(RuleId.CLOSE_COMPL, pair, ())
+            if is_reflexive(s):
+                return RuleInstance(RuleId.CLOSE_REFL, (s,), ())
     return None
 
 

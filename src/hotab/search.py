@@ -6,8 +6,8 @@ the rule set, the fragment gate and the instantiation terms.  It develops
 a branch depth-first and puts off real splits (Hähnle, "Tableaux and
 related methods", 2001; leanTAP): each node applies the first instance in
 search order (rule priority, then member insertion order) with two or
-more alternatives that all close at once but one at most
-(`Branch.eager_closure`), else the first applicable instance, read lazily
+more alternatives that all close at once but one at most (`rules.complements`,
+`rules.is_reflexive`), else the first applicable instance, read lazily
 from `rules.instances`.  Runs are deterministic.  Instances that take no
 fresh witness are memoised for one `refute` call.  The rest of the state
 is scoped to the path from the root (`_Agenda`), and what a node finds
@@ -259,9 +259,9 @@ class _Agenda:
     unproductive instances.  closing: (search order, key, row, closers)
     entries of branching instances with one open alternative at most (a
     closed one stays so).  waiting: per closer, the entries that had two
-    open or more.  present, diseqs: per side pair (x, y), the members that
-    close x != y at once, and that are x != y.  at: member positions (the
-    last write holds, so it is never cut back).
+    open or more.  present: per side pair (x, y), the members that close
+    x != y at once (`side_pairs`).  at: member positions (the last write
+    holds, so it is never cut back).
     """
 
     def __init__(self):
@@ -269,8 +269,7 @@ class _Agenda:
         self.closing: dict = {}  # likewise
         self.waiting: dict = {}
         self.present: dict = {}
-        self.diseqs: dict = {}
-        self.log: list = []  # the lists of the last three, as extended
+        self.log: list = []  # the lists of the last two, as extended
         self.at: dict = {}
 
     def mark(self) -> tuple[int, int, int]:
@@ -293,12 +292,10 @@ class _Agenda:
         joined = list(added)
         for i, s in enumerate(added, len(branch) - len(added)):
             self.at[s] = i
-            closes, stated = side_pairs(branch.info(s))
+            closes = side_pairs(s)
             if closes:
                 self._push(self.present, closes, s)
                 joined.append(closes)
-            if stated:
-                self._push(self.diseqs, stated, s)
         for priority, key, row, cl in branching_instances(calc, branch, added, memo):
             at = [self.at[p] for p in key[1]]
             self._test(branch, ((priority, max(at), min(at)), key, row, cl), True)
@@ -321,16 +318,12 @@ class _Agenda:
 
     def pick(self, branch: Branch, memo: dict) -> RuleInstance | None:
         """The first closing instance whose alternatives all add something."""
-        for _, key, row, closers in sorted(self.closing.values()):
+        for _, key, row, _ in sorted(self.closing.values()):
             if key in self.dead:
                 continue
-            if row.sides is not None:
-                if all(not all(map(self.diseqs.get, alt)) for alt in closers):
-                    return memo_instance(memo, branch, row, key)
-            else:
-                r = memo_instance(memo, branch, row, key)
-                if all(any(f not in branch for f in a) for a in r.alternatives):
-                    return r
+            r = memo_instance(memo, branch, row, key)
+            if all(any(f not in branch for f in a) for a in r.alternatives):
+                return r
             self.dead[key] = None
         return None
 
@@ -374,7 +367,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     agenda = _Agenda()
     cur, added = branch, branch.formulas
     while True:
-        leaf = closing_instance(cur, cfg.eager_close)
+        leaf = closing_instance(cur, cfg.eager_close, added)
         if leaf is None:
             calc.gate(cur, added)
             mark = agenda.mark()

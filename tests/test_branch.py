@@ -161,15 +161,6 @@ def test_not_closed_by_compound_witnesses():
     assert not branch_of(diseq(ref(p), ref(p))).is_closed  # o is not a sort
 
 
-def test_eager_witness_is_wider():
-    s = app(ref(g), ref(x))
-    b1 = branch_of(s, neg(s))
-    assert b1.eager_witness == ("compl", s, neg(s))
-    t = app(ref(f), ref(x))
-    assert branch_of(diseq(t, t)).eager_witness == ("refl", diseq(t, t))
-    assert branch_of(s, eq(ref(x), ref(y))).eager_witness is None
-
-
 # ---------------------------------------------------------------------------
 # Discriminants
 

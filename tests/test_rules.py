@@ -464,6 +464,30 @@ def test_eager_leaves_need_the_flag():
     assert check_instance(br2, leaf2, eager=True)
 
 
+def test_eager_leaf_is_the_first_member_closing_at_once():
+    # a non-variable atom with its negation, a reflexive disequation between
+    # non-variables; of two complementary pairs, the one whose later member
+    # comes first, even where the other's first member comes first
+    x, y = V("x", a), V("y", a)
+    f, g = V("f", fun(a, a)), V("g", fun(a, o))
+    s, t, u = app(ref(g), ref(x)), app(ref(f), ref(x)), app(ref(g), ref(y))
+
+    def leaf(*formulas, added=None):
+        return closing_instance(branch_of(*formulas), eager=True, added=added)
+
+    compl = RuleInstance(RuleId.CLOSE_COMPL, (s, neg(s)), ())
+    assert leaf(s, neg(s)) == compl
+    refl = RuleInstance(RuleId.CLOSE_REFL, (diseq(t, t),), ())
+    assert leaf(diseq(t, t)) == refl
+    assert leaf(s, eq(ref(x), ref(y))) is None
+    pair = RuleInstance(RuleId.CLOSE_COMPL, (u, neg(u)), ())
+    assert leaf(s, u, neg(u), neg(s)) == pair
+    # a complement before the first of added counts; added is searched alone
+    assert leaf(s, u, neg(u), neg(s), added=(neg(u), neg(s))) == pair
+    assert leaf(neg(s), s, added=(s,)) == compl
+    assert leaf(s, neg(s), added=()) is None
+
+
 # ---------------------------------------------------------------------------
 # check_instance rejections
 

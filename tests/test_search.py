@@ -28,7 +28,9 @@ from hotab.rules import (
     RuleId,
     applicable_efo,
     applicable_stt,
+    complements,
     instances,
+    is_reflexive,
     make_instance,
 )
 from hotab.search import (
@@ -659,10 +661,14 @@ def _first(instances):
 def closing_first(br, listed):
     """The instance search applies, chosen without caches from the list of
     the instances applicable on br, in search order: the first with two or
-    more alternatives, all of which close at once but one at most, else the
-    first."""
+    more alternatives, all of which close at once but one at most (a
+    formula has a complement on br, or is reflexive), else the first."""
+
+    def closes(s):
+        return is_reflexive(s) or any(c in br for c in complements(s))
+
     for r in listed:
-        shut = [any(map(br.eager_closure, alt)) for alt in r.alternatives]
+        shut = [any(map(closes, alt)) for alt in r.alternatives]
         if len(shut) >= 2 and shut.count(False) <= 1:
             return r
     return _first(listed)
@@ -812,6 +818,16 @@ def test_closing_first_reference():
     assert closing_first(br, []) is None
 
 
+def _double_neg_mate_text(rel: str) -> str:
+    """not not (x rel y), not not (u rel v), p x z u and not (p y z v)."""
+    return (
+        "(sort a)(var p (> a a a o))"
+        + "".join(f"(var {n} a)" for n in "xyzuv")
+        + f"(assume (not (not ({rel} x y))))(assume (not (not ({rel} u v))))"
+        "(assume (p x z u))(assume (not (p y z v)))"
+    )
+
+
 def _clique_text(k: int, *lines: str) -> str:
     decls = ["(sort a)"] + [f"(var c{i} a)" for i in range(k)]
     decls += [f"(assume (neq c{i} c{j}))" for i in range(k) for j in range(i + 1, k)]
@@ -851,6 +867,11 @@ def _clique_text(k: int, *lines: str) -> str:
             9,
             id="boolean-lambda",
         ),
+        # not not (x = y) closes x != y at once, so the mate comes first:
+        # all its alternatives but z != z close
+        pytest.param(
+            _double_neg_mate_text("="), "efo", None, 1, 6, id="double-neg-eq"
+        ),
     ],
 )
 def test_search_instance_is_the_reference_first_at_every_node(
@@ -866,6 +887,21 @@ def test_search_instance_is_the_reference_first_at_every_node(
     assert check_proof(root, v.proof, calculus)
     assert len(visited) == visits
     assert sum(1 for b in visited if b is root) == rounds
+
+
+def test_search_instance_is_the_reference_first_with_double_neg_diseqs(
+    monkeypatch,
+):
+    # the mirror of double-neg-eq: not not (x != y) closes no alternative of
+    # the mate, so double-neg comes first; the budget stops the search after
+    # that choice, before it saturates the (satisfiable) branch
+    from hotab.problems import parse
+
+    visited = _check_every_node(monkeypatch)
+    root = parse(_double_neg_mate_text("neq")).branch()
+    v = refute(root, SearchConfig(calculus="efo", max_nodes=1, timeout=None))
+    assert isinstance(v, Unknown) and "node budget" in v.reason
+    assert len(visited) == 2
 
 
 # ---------------------------------------------------------------------------
