@@ -150,7 +150,6 @@ class Branch:
         "_by_kind",
         "free_names",
         "closing_witness",
-        "eager_witness",
         "_disc_terms_cache",
         "_disc_cache",
     )

@@ -9,7 +9,7 @@ alternatives is a leaf — it witnesses that the branch is closed.
 `RULES` has one row per rule.  A row gives the formula kind of each premise,
 any further shape condition on the premises, the builder of the
 alternatives, the instantiation the rule takes (none, a term, or a fresh
-witness variable), and the rule's priority in search.  Three consumers read
+witness variable), and the rule's priority in search.  Four consumers read
 it:
 
   * `make_instance` validates premises against the row and builds the
@@ -28,9 +28,11 @@ it:
     `concluded` for the witness rules).  Its caller owns its two caches (see
     `instances`); `applicable_efo` and `applicable_stt` are the gate plus
     the full list, without them: the reference search is tested against.
-  * `branching_instances` builds over the same memo the branching
-    instances that a branch's newest members complete, for search to find
-    the ones that close at once in all alternatives but one.
+  * `Agenda`, search's closing-first index, builds over the same memo and
+    in the same search order the branching instances that a branch's
+    newest members complete, and picks the first that closes at once in
+    all alternatives but one.  It keeps the dead set `instances` skips,
+    scoped to the path from the root, and shares `productive` with it.
   * `check_instance` validates a claimed instance against a branch: its
     premises are members, it equals what the row builds from them, and the
     branch-dependent admissibility conditions hold.  It is the trusted core
@@ -696,17 +698,14 @@ def instances(
     name, premises[, term]) (see `memo_instance`).  An instance found
     unproductive stays so on every extension of the branch, so its key
     goes into dead (an insertion-ordered dict), and the generator skips the
-    keys there.  The caller owns both: search scopes dead to the path from
-    the root, and leaving them out makes the walk cache-free.
+    keys there.  The caller owns both: search passes an `Agenda`'s, which
+    scopes dead to the path from the root, and leaving them out makes the
+    walk cache-free.
     """
     if branch.is_closed:
         return
     memo = {} if memo is None else memo
     dead = {} if dead is None else dead
-
-    def productive(alternatives) -> bool:
-        return all(any(f not in branch for f in alt) for alt in alternatives)
-
     for uses in _groups(calculus.rules):
         if len(uses) == 1:
             members = branch.members(next(iter(uses)))
@@ -720,7 +719,7 @@ def instances(
                     if not concluded(branch, rule, info):
                         x = _fresh_witness(branch, inst_type(info), reserved)
                         alts = row.alts(info, x)
-                        if productive(alts):
+                        if productive(branch, alts):
                             yield RuleInstance(rule, (s,), alts, x)
                     continue
                 if row.inst == "term":
@@ -742,11 +741,16 @@ def instances(
                     r = memo.get(key) or memo_instance(memo, branch, row, key)
                     if r is _REJECTED:
                         continue
-                    if productive(r.alternatives):
+                    if productive(branch, r.alternatives):
                         yield r
                     else:
                         dead[key] = None
             earlier[info.kind].append(s)
+
+
+def productive(branch: Branch, alternatives) -> bool:
+    """Does every alternative add something the branch lacks?"""
+    return all(any(f not in branch for f in alt) for alt in alternatives)
 
 
 #: The memo entry of premises that a row's shape rejects.
@@ -765,40 +769,6 @@ def memo_instance(memo: dict, branch: Branch, row: Rule, key: tuple):
             alts = row.alts(*infos, *inst)
             memo[key] = RuleInstance(RuleId(name), premises, alts, *inst)
     return memo[key]
-
-
-def branching_instances(
-    calculus: Calculus, branch: Branch, added: tuple[Term, ...], memo: dict
-) -> Iterator[tuple]:
-    """(priority, memo key, row, closers) for each instance of the
-    calculus's branching rules that has two or more alternatives and its
-    last premise among added, the branch's newest members; a pair rule
-    pairs it with each earlier member of the other premise's kind.  A rule
-    with sides is not built: its closers are its side pairs (x, y), each
-    closing at once where x == y or a member closes x != y (see
-    `side_pairs`).  The others give the `closers` of the instance built
-    over the memo."""
-    groups, later = _groups(calculus.rules & BRANCHING_RULES), set(added)
-    for s in added:
-        later.discard(s)
-        info = branch.info(s)
-        for uses in groups:
-            for rule, name, row, at in uses.get(info.kind, ()):
-                keys = [(name, (s,))]
-                if len(row.kinds) == 2:
-                    others = branch.members(row.kinds[1 - at])
-                    others = [p for p in others if p not in later]
-                    keys = [(name, (p, s) if at else (s, p)) for p in others]
-                for key in keys:
-                    if row.sides is None:
-                        r = memo_instance(memo, branch, row, key)
-                        closers = () if r is _REJECTED else r.closers
-                    else:
-                        infos = tuple(map(branch.info, key[1]))
-                        ok = row.shape is None or row.shape(key[1], infos)
-                        closers = row.sides(*infos) if ok else ()
-                    if len(closers) >= 2:
-                        yield row.priority, key, row, closers
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
@@ -911,7 +881,7 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Closing at once: a formula whose complement is on the branch, or a
 # reflexive disequation.  Eager closing, the closers of an instance and the
-# side pairs search indexes all read these two.
+# side pairs the agenda indexes all read these two.
 
 
 def complements(s: Term) -> tuple[Term, ...]:
@@ -963,6 +933,115 @@ def closing_instance(
             if is_reflexive(s):
                 return RuleInstance(RuleId.CLOSE_REFL, (s,), ())
     return None
+
+
+# ---------------------------------------------------------------------------
+# Closing-first selection
+
+
+class Agenda:
+    """What one saturation found on the path from the root, for search to
+    apply first a branching instance whose alternatives all close at once
+    but one at most.  `undo` cuts it back to the `mark` of a node whose
+    frame is popped.
+
+    dead: the keys of unproductive instances, which `instances` skips.
+    closing: (search order, memo key, row, closers) entries with one open
+    alternative at most (a closed one stays so).  waiting: per closer, the
+    entries that had two open or more.  present: per side pair (x, y), the
+    members that close x != y at once (`side_pairs`).
+    """
+
+    def __init__(self, calculus: Calculus, memo: dict):
+        self.groups = _groups(calculus.rules & BRANCHING_RULES)
+        self.memo = memo
+        self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
+        self.closing: dict = {}  # likewise
+        self.waiting: dict = {}
+        self.present: dict = {}
+        self.log: list = []  # the lists of the last two, as extended
+
+    def mark(self) -> tuple[int, int, int]:
+        return len(self.dead), len(self.closing), len(self.log)
+
+    def undo(self, mark: tuple[int, int, int]) -> None:
+        while len(self.dead) > mark[0]:
+            self.dead.popitem()
+        while len(self.closing) > mark[1]:
+            self.closing.popitem()
+        while len(self.log) > mark[2]:
+            self.log.pop().pop()
+
+    def _push(self, index: dict, key, value) -> None:
+        self.log.append(index.setdefault(key, []))
+        self.log[-1].append(value)
+
+    def add(self, branch: Branch, added: tuple[Term, ...]) -> None:
+        """Index what added, the branch's newest members, complete, close or
+        are.  An instance is completed by its last premise; a pair rule pairs
+        it with each earlier member of the other premise's kind.  Its search
+        order is that of `instances`: priority, position of the last premise,
+        rank of the other among the members of its kind.  A rule with sides
+        is not built: its closers are its side pairs (x, y), each closing at
+        once where x == y or a member closes x != y.  The others give the
+        `closers` of the instance built over the memo."""
+        joined = list(added)
+        for s in added:
+            closes = side_pairs(s)
+            if closes:
+                self._push(self.present, closes, s)
+                joined.append(closes)
+        later = set(added)
+        for i, s in enumerate(added, len(branch) - len(added)):
+            later.discard(s)
+            info = branch.info(s)
+            for uses in self.groups:
+                for _, name, row, at in uses.get(info.kind, ()):
+                    keys = [((row.priority, i, 0), (name, (s,)))]
+                    if len(row.kinds) == 2:
+                        others = enumerate(branch.members(row.kinds[1 - at]))
+                        keys = [
+                            ((row.priority, i, j), (name, (p, s) if at else (s, p)))
+                            for j, p in others
+                            if p not in later
+                        ]
+                    for order, key in keys:
+                        if row.sides is None:
+                            r = memo_instance(self.memo, branch, row, key)
+                            closers = () if r is _REJECTED else r.closers
+                        else:
+                            infos = tuple(map(branch.info, key[1]))
+                            ok = row.shape is None or row.shape(key[1], infos)
+                            closers = row.sides(*infos) if ok else ()
+                        if len(closers) >= 2:
+                            self._test(branch, (order, key, row, closers), True)
+        for c in joined:
+            for entry in self.waiting.get(c, ()):
+                self._test(branch, entry, False)
+
+    def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
+        if entry[2].sides is None:
+            shut = [cl is None or any(c in branch for c in cl) for cl in entry[3]]
+        else:
+            get = self.present.get
+            shut = [any(x == y or get((x, y)) for x, y in alt) for alt in entry[3]]
+        if shut.count(False) <= 1:
+            self.closing.setdefault(entry[1], entry)
+        elif new:
+            for alt, done in zip(entry[3], shut):
+                for c in () if done else alt:
+                    self._push(self.waiting, c, entry)
+
+    def pick(self, branch: Branch) -> RuleInstance | None:
+        """The first closing instance in search order that is productive."""
+        for _, key, row, _ in sorted(self.closing.values()):
+            if key in self.dead:
+                continue
+            r = memo_instance(self.memo, branch, row, key)
+            if productive(branch, r.alternatives):
+                return r
+            self.dead[key] = None
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,14 @@ the rule set, the fragment gate and the instantiation terms.  It develops
 a branch depth-first and puts off real splits (Hähnle, "Tableaux and
 related methods", 2001; leanTAP): each node applies the first instance in
 search order (rule priority, then member insertion order) with two or
-more alternatives that all close at once but one at most (`rules.complements`,
-`rules.is_reflexive`), else the first applicable instance, read lazily
-from `rules.instances`.  Runs are deterministic.  Instances that take no
-fresh witness are memoised for one `refute` call.  The rest of the state
-is scoped to the path from the root (`_Agenda`), and what a node finds
-goes when its frame is popped: the keys of unproductive instances, skipped
-untested, and an index of the closing instances that builds only what a
-node's new members complete and re-tests only what waits on them.  No
-cache changes which instance is applied.
+more alternatives that all close at once but one at most, found by
+`rules.Agenda`, else the first applicable instance, read lazily from
+`rules.instances`.  Runs are deterministic.  Instances that take no fresh
+witness are memoised for one `refute` call.  The agenda's state is scoped
+to the path from the root: search marks it before a node adds to it and
+undoes it to that mark when the node's frame is popped.  No cache changes
+which instance is applied.  This module keeps the depth-first path,
+backjumping and the budgets.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used: the premises of its instances, plus, for each
@@ -61,21 +60,20 @@ from .rules import (
     EAGER_RULES,
     EFO_ONLY_KINDS,
     RULES,
+    Agenda,
     Calculus,
     FragmentViolation,
     RuleId,
     RuleInstance,
     applicable_efo,  # noqa: F401  (callers look these two up here)
     applicable_stt,  # noqa: F401
-    branching_instances,
     check_instance,
     closing_instance,
     concluded,
     instances,
     instantiation_candidates,
-    memo_instance,
+    productive,
     quasi_efo_violation,
-    side_pairs,
 )
 from .semantics import (
     DEFAULT_MAX_TABLE,
@@ -183,14 +181,14 @@ class SearchConfig:
     """Search parameters; defaults suit interactive use.
 
     calculus: "stt", "efo", or "auto" (route by the input's language).
-    fuel_schedule: strictly increasing instantiation-size bounds tried in
-    turn by the unrestricted calculus.  max_nodes counts rule applications
-    across the whole run; timeout is wall-clock seconds; neither may be
-    negative, and either may be None for no limit.  eager_close also
+    fuel_schedule: strictly increasing integer instantiation-size bounds
+    tried in turn by the unrestricted calculus.  max_nodes counts rule
+    applications across the whole run; timeout is wall-clock seconds;
+    neither may be negative, and either may be None for no limit.  eager_close also
     closes on complementary non-atoms and reflexive disequations, recorded
     with dedicated leaf rules.  reserved names are never chosen for
     introduced variables.  max_table bounds function-space enumeration
-    during model extraction.
+    during model extraction; it may not be negative or None.
     """
 
     calculus: str = "auto"
@@ -205,13 +203,19 @@ class SearchConfig:
         if self.calculus != "auto":
             _calculus(self.calculus)
         sched = tuple(self.fuel_schedule)
-        if not sched or any(f < 1 for f in sched) or list(sched) != sorted(set(sched)):
-            raise ValueError("fuel_schedule must be strictly increasing, >= 1")
+        if (
+            not sched
+            or not all(isinstance(f, int) and f >= 1 for f in sched)
+            or list(sched) != sorted(set(sched))
+        ):
+            raise ValueError("fuel_schedule must be strictly increasing integers >= 1")
         object.__setattr__(self, "fuel_schedule", sched)
         for name in ("max_nodes", "timeout"):
             limit = getattr(self, name)
             if limit is not None and not limit >= 0:  # also rejects nan
                 raise ValueError(f"{name} must be >= 0 or None, got {limit}")
+        if self.max_table is None or not self.max_table >= 0:
+            raise ValueError(f"max_table must be >= 0, got {self.max_table}")
 
 
 def _as_branch(obj) -> Branch:
@@ -253,81 +257,6 @@ def route_calculus(branch: Branch) -> str:
 # Depth-first saturation
 
 
-class _Agenda:
-    """What one saturation found on the current path; `undo` cuts it back to
-    the `mark` of a node whose frame is popped.  dead: the keys of
-    unproductive instances.  closing: (search order, key, row, closers)
-    entries of branching instances with one open alternative at most (a
-    closed one stays so).  waiting: per closer, the entries that had two
-    open or more.  present: per side pair (x, y), the members that close
-    x != y at once (`side_pairs`).  at: member positions (the last write
-    holds, so it is never cut back).
-    """
-
-    def __init__(self):
-        self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
-        self.closing: dict = {}  # likewise
-        self.waiting: dict = {}
-        self.present: dict = {}
-        self.log: list = []  # the lists of the last two, as extended
-        self.at: dict = {}
-
-    def mark(self) -> tuple[int, int, int]:
-        return len(self.dead), len(self.closing), len(self.log)
-
-    def undo(self, mark: tuple[int, int, int]) -> None:
-        while len(self.dead) > mark[0]:
-            self.dead.popitem()
-        while len(self.closing) > mark[1]:
-            self.closing.popitem()
-        while len(self.log) > mark[2]:
-            self.log.pop().pop()
-
-    def _push(self, index: dict, key, value) -> None:
-        self.log.append(index.setdefault(key, []))
-        self.log[-1].append(value)
-
-    def add(self, calc: Calculus, branch: Branch, added, memo: dict) -> None:
-        """Index what the members added complete, close or are."""
-        joined = list(added)
-        for i, s in enumerate(added, len(branch) - len(added)):
-            self.at[s] = i
-            closes = side_pairs(s)
-            if closes:
-                self._push(self.present, closes, s)
-                joined.append(closes)
-        for priority, key, row, cl in branching_instances(calc, branch, added, memo):
-            at = [self.at[p] for p in key[1]]
-            self._test(branch, ((priority, max(at), min(at)), key, row, cl), True)
-        for c in joined:
-            for entry in self.waiting.get(c, ()):
-                self._test(branch, entry, False)
-
-    def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
-        if entry[2].sides is None:
-            shut = [cl is None or any(c in branch for c in cl) for cl in entry[3]]
-        else:
-            get = self.present.get
-            shut = [any(x == y or get((x, y)) for x, y in alt) for alt in entry[3]]
-        if shut.count(False) <= 1:
-            self.closing.setdefault(entry[1], entry)
-        elif new:
-            for alt, done in zip(entry[3], shut):
-                for c in () if done else alt:
-                    self._push(self.waiting, c, entry)
-
-    def pick(self, branch: Branch, memo: dict) -> RuleInstance | None:
-        """The first closing instance whose alternatives all add something."""
-        for _, key, row, _ in sorted(self.closing.values()):
-            if key in self.dead:
-                continue
-            r = memo_instance(memo, branch, row, key)
-            if all(any(f not in branch for f in a) for a in r.alternatives):
-                return r
-            self.dead[key] = None
-        return None
-
-
 @dataclass
 class _Frame:
     instance: RuleInstance
@@ -364,7 +293,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     depends on the node's branch alone.
     """
     stack: list[_Frame] = []
-    agenda = _Agenda()
+    agenda = Agenda(calc, memo)
     cur, added = branch, branch.formulas
     while True:
         leaf = closing_instance(cur, cfg.eager_close, added)
@@ -372,8 +301,8 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
             calc.gate(cur, added)
             mark = agenda.mark()
             rest = instances(calc, cur, fuel, cfg.reserved, memo, agenda.dead)
-            agenda.add(calc, cur, added, memo)
-            r = agenda.pick(cur, memo) or next(rest, None)
+            agenda.add(cur, added)
+            r = agenda.pick(cur) or next(rest, None)
             if r is None:
                 return "open", cur
             counter[0] += 1
@@ -596,7 +525,7 @@ def _concluded_on(branch: Branch, rule: RuleId, premises, inst=()) -> bool:
         return True
     if row.inst == "fresh":
         return concluded(branch, rule, infos[0])
-    return any(all(f in branch for f in alt) for alt in row.alts(*infos, *inst))
+    return not productive(branch, row.alts(*infos, *inst))
 
 
 def is_evident(

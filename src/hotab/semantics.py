@@ -13,15 +13,14 @@ test); a model therefore only carries values for variables.
 
 `extract_model` realizes a saturated branch as a finite model, following
 the model-existence argument: each sort's domain is the branch's
-discriminants at that sort, base-type variables are seeded by branch
-membership, and first-order relation and function tables are read off the
-branch (a cell, one tuple of discriminants, takes the truth value of the
-atoms or the discriminant of the applications found there).  Each function
-variable's tables are streamed lazily as the product of per-cell candidate
-lists, branch-read values first, so the whole function space is still
-searched but never built.  Backtracking over these streams keeps an
-explicit stack, and the result is certified by `check_model` before it is
-returned.
+discriminants at that sort, and first-order variables' values are read off
+the branch (a cell, one tuple of discriminants, takes the truth value of the
+atoms or the discriminant of the applications found there; a sort or truth
+variable is one cell with no arguments).  Each variable's values are
+streamed lazily as the product of per-cell candidate lists, branch-read
+values first, so the whole function space is still searched but never
+built.  Backtracking over these streams keeps an explicit stack, and the
+result is certified by `check_model` before it is returned.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .kernel import (
     free_vars,
     free_vars_ordered,
     is_sort,
-    neg,
     o,
     result_type,
     show_term,
@@ -283,13 +281,13 @@ def variables_in(formulas: Iterable[Term]) -> tuple[Name, ...]:
 def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
     """Build a finite model of a saturated (evident) branch.
 
-    Sorts take their discriminants as domains; a sort variable that is itself
-    a discriminating term must land in a discriminant containing it; a truth
-    variable in the branch must be true, a negated one false.  A function or
-    relation variable gets a lazy stream of tables, the product of one
-    candidate list per cell, where a first-order variable's cells offer the
-    values read off the branch first (`_cell_candidates`); each stream still
-    covers the whole function space.  Variables are assigned depth-first
+    Sorts take their discriminants as domains.  Every variable gets a lazy
+    stream of values, the product of one candidate list per cell of its
+    table (a sort or truth variable has one cell), where a first-order
+    variable's cells offer the values read off the branch first
+    (`_cell_candidates`): a sort variable's discriminants that hold it, a
+    truth variable's sign on the branch.  Each stream still covers the
+    whole space of the variable's type.  Variables are assigned depth-first
     with an explicit stack of these streams, each member is checked as soon
     as its variables are assigned, and the result is certified by
     check_model before it is returned.  The table ceiling is checked before
@@ -297,11 +295,8 @@ def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
     `search.is_evident` first); on a branch that is not evident, extraction
     may fail with ExtractionFailure.
     """
-    sorts = dict.fromkeys(sorts_in(branch.formulas))
-    for d in branch.members(FormulaKind.SORT_DISEQ):
-        sorts.setdefault(branch.info(d).ty)
     discs: dict[Base, tuple[frozenset, ...]] = {
-        s: branch.discriminants(s) for s in sorts
+        s: branch.discriminants(s) for s in sorts_in(branch.formulas)
     }
     frame = Frame(
         {s: len(d) for s, d in discs.items()},
@@ -309,25 +304,13 @@ def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
         max_table=max_table,
     )
 
-    variables = variables_in(branch.formulas)
+    variables = branch.free_names
     sort_vars = [n for n in variables if is_sort(n.ty)]
     bool_vars = [n for n in variables if n.ty == o]
     fun_vars = [n for n in variables if type(n.ty) is Fun]
     order = sort_vars + bool_vars + fun_vars
 
-    def candidates(n: Name) -> Iterable:
-        if is_sort(n.ty):
-            ds = discs[n.ty]
-            if Ref(n) in branch.discriminating_terms(n.ty):
-                return [i for i, d in enumerate(ds) if Ref(n) in d]
-            return list(range(len(ds)))
-        if n.ty == o:
-            out = []
-            if Ref(n) not in branch:  # may be false unless asserted true
-                out.append(0)
-            if neg(Ref(n)) not in branch:  # may be true unless denied
-                out.append(1)
-            return out
+    def candidates(n: Name) -> Iterator:
         frame.size(n.ty)  # ceiling check before streaming any table
         cells, shape = _cell_candidates(branch, frame, discs, n)
         return (_nest(row, shape) for row in itertools.product(*cells))
@@ -381,7 +364,8 @@ def _cell_candidates(
     first the values the branch shows there: 1 for a positive and 0 for a
     negative atom of n whose arguments lie in those discriminants, or each
     discriminant holding an application of n to such arguments.  The other
-    values follow in ascending order.  A higher-order variable's cells are
+    values follow in ascending order.  A sort or truth variable is the case
+    with no arguments: one cell, and the shape ().  A higher-order variable's cells are
     the points of its domain, each ranging over the whole codomain.
     """
     args, res = arg_types(n.ty), result_type(n.ty)
@@ -423,7 +407,10 @@ def _cell_candidates(
 
 
 def _nest(row: tuple, shape: tuple[int, ...]) -> tuple:
-    """Regroup a row of cell values into the curried table of that shape."""
+    """Regroup a row of cell values into the curried table of that shape;
+    the shape () takes one cell, whose value is returned."""
+    if not shape:
+        return row[0]
     for m in reversed(shape[1:]):
         row = tuple(row[i : i + m] for i in range(0, len(row), m))
     return row

@@ -295,10 +295,18 @@ def test_search_config_validation():
         SearchConfig(fuel_schedule=(1, 1))
     with pytest.raises(ValueError):
         SearchConfig(fuel_schedule=(0, 1))
+    with pytest.raises(ValueError):
+        SearchConfig(fuel_schedule=(1.5,))
 
 
 def test_search_config_rejects_negative_limits():
-    for limits in ({"max_nodes": -1}, {"timeout": -1.0}, {"timeout": float("nan")}):
+    for limits in (
+        {"max_nodes": -1},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"max_table": -1},
+        {"max_table": float("nan")},
+    ):
         with pytest.raises(ValueError, match=next(iter(limits))):
             SearchConfig(**limits)
     # zero keeps its meaning: the first rule application exceeds the budget
