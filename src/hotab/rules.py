@@ -1,4 +1,5 @@
-"""Tableau rules: one table, read by search, proof parsing and checking.
+"""Tableau rules: one table, read by search, proof parsing, checking and
+evidence.  Every rule condition search relies on is stated here, once.
 
 A rule instance names the rule, the branch members it consumes, an optional
 instantiation term (the chosen instance of a functional equation or a
@@ -9,23 +10,22 @@ alternatives is a leaf — it witnesses that the branch is closed.
 `RULES` has one row per rule.  A row gives the formula kind of each premise,
 any further shape condition on the premises, the builder of the
 alternatives, the instantiation the rule takes (none, a term, or a fresh
-witness variable), and the rule's priority in search.  Four consumers read
+witness variable), and the rule's priority in search.  Five consumers read
 it:
 
   * `make_instance` validates premises against the row and builds the
     alternatives; proof files therefore carry no conclusions.  It uses
     neither cache below.
   * One lazy instance generator, `instances`, run with a row of the
-    calculus table `CALCULI` (the rule set, the fragment gate, and the
-    source of instantiation terms of "efo" and "stt"), yields the
-    instances the calculus admits on a branch in a deterministic order
-    (rule priority first, then member insertion order), and skips
-    instances that cannot make progress: an instance is withheld whenever
-    one of its alternatives is already contained in the branch.  Together
-    with the admissibility restrictions below this makes "no instance
-    applicable" coincide with the closure conditions that guarantee a model
-    exists (`search.is_evident` reads the table backwards, with
-    `concluded` for the witness rules).  Its caller owns its two caches (see
+    calculus table `CALCULI` (the rule set, the language test its gate and
+    `route_calculus` read, and the source of instantiation terms of "efo"
+    and "stt"), yields the instances the calculus admits on a branch in a
+    deterministic order (rule priority first, then member insertion order),
+    and skips instances that cannot make progress: an instance is withheld
+    whenever one of its alternatives is already contained in the branch.
+    Together with the admissibility restrictions below this makes "no
+    instance applicable" coincide with the closure conditions that
+    guarantee a model exists.  Its caller owns its two caches (see
     `instances`); `applicable_efo` and `applicable_stt` are the gate plus
     the full list, without them: the reference search is tested against.
   * `Agenda`, search's closing-first index, builds over the same memo and
@@ -37,6 +37,12 @@ it:
     premises are members, it equals what the row builds from them, and the
     branch-dependent admissibility conditions hold.  It is the trusted core
     behind proof checking, and rebuilds every instance from the table.
+    `support` names the members an instance needs to keep passing it on a
+    smaller branch, which search's backjumping relies on.
+  * `is_evident` reads the table backwards: each member, and each pair of
+    members, meets the model-existence condition of the row that takes
+    premises of their kinds (some alternative is on the branch, or, for a
+    witness rule, some variable's instance: `concluded`).
 
 The restricted calculus (its language is checked by `quasi_efo_violation`
 here) enforces, per branch A:
@@ -60,7 +66,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .branch import Branch, FormulaInfo, FormulaKind, classify
+from .branch import Branch, FormulaInfo, FormulaKind, branch_of, classify
 from .kernel import (
     IMP,
     NOT,
@@ -79,6 +85,7 @@ from .kernel import (
     eq_const,
     eq_operand_type,
     forall_sort,
+    free_vars,
     fresh_var,
     is_sort,
     is_var_ref,
@@ -87,7 +94,7 @@ from .kernel import (
     ref,
     show_term,
 )
-from .normalize import apply_norm, is_normal
+from .normalize import apply_norm, is_normal, normalize
 
 
 class RuleId(Enum):
@@ -625,38 +632,27 @@ def quasi_efo_violation(t: Term) -> Term | None:
 # Applicability
 
 
-def efo_gate(branch: Branch, members) -> None:
-    """Raise FragmentViolation for the first of the branch's members that the
-    restricted calculus cannot take: a formula outside its fragment, or, on
-    an open branch, one no rule consumes."""
-    for s in members:
-        w = quasi_efo_violation(s)
-        if w is not None:
-            raise FragmentViolation(
-                f"{show_term(s)} is outside the restricted fragment "
-                f"(offending subterm {show_term(w)})"
-            )
-    _ruleless_gate(branch, members)
+def _outside_efo(branch: Branch, s: Term) -> str | None:
+    """Why the restricted calculus cannot take member s: it is outside the
+    fragment.  None when it is inside."""
+    w = quasi_efo_violation(s)
+    if w is None:
+        return None
+    return (
+        f"{show_term(s)} is outside the restricted fragment "
+        f"(offending subterm {show_term(w)})"
+    )
 
 
-def stt_gate(branch: Branch, members) -> None:
-    """Raise FragmentViolation for the first of the branch's members that the
-    unrestricted calculus cannot take: an implication or quantifier, or, on
-    an open branch, a formula no rule consumes."""
-    for s in members:
-        if branch.info(s).kind in EFO_ONLY_KINDS:
-            raise FragmentViolation(
-                f"no rule for {show_term(s)}: implication and quantifiers "
-                "are outside this calculus — use the restricted calculus"
-            )
-    _ruleless_gate(branch, members)
-
-
-def _ruleless_gate(branch: Branch, members) -> None:
-    if not branch.is_closed:
-        for s in members:
-            if branch.info(s).kind is FormulaKind.OTHER:
-                raise FragmentViolation(f"no rule for {show_term(s)}")
+def _outside_stt(branch: Branch, s: Term) -> str | None:
+    """Why the unrestricted calculus cannot take member s: it is an
+    implication or a quantifier.  None when it is neither."""
+    if branch.info(s).kind not in EFO_ONLY_KINDS:
+        return None
+    return (
+        f"no rule for {show_term(s)}: implication and quantifiers "
+        "are outside this calculus — use the restricted calculus"
+    )
 
 
 @functools.cache
@@ -797,37 +793,85 @@ def _forall_instances(branch: Branch, info, reserved) -> list[Term]:
 class Calculus:
     """One row of the calculus table: a rule set over the shared engine.
 
-    rules: the rules search applies.  gate(branch, members): raises
-    FragmentViolation for the first of the members the calculus cannot
-    take.  candidates(branch, info, fuel, reserved): the instantiation
-    terms of a "term" rule's premise with this info, in search order.
+    rules: the rules search applies.  outside(branch, s): the calculus's
+    language test, the reason member s is outside it, or None.
+    candidates(branch, info, fuel, reserved): the instantiation terms of a
+    "term" rule's premise with this info, in search order.
     """
 
     name: str
     rules: frozenset[RuleId]
-    gate: Callable[[Branch, object], None]
+    outside: Callable[[Branch, Term], str | None]
     candidates: Callable[..., object]
 
+    def gate(self, branch: Branch, members) -> None:
+        """Raise FragmentViolation for the first of the branch's members the
+        calculus cannot take: one outside its language, or, on an open
+        branch, one no rule consumes."""
+        for s in members:
+            reason = self.outside(branch, s)
+            if reason is not None:
+                raise FragmentViolation(reason)
+        if not branch.is_closed:
+            for s in members:
+                if branch.info(s).kind is FormulaKind.OTHER:
+                    raise FragmentViolation(f"no rule for {show_term(s)}")
 
-#: The two calculi.  The restricted one instantiates quantifiers under its
-#: restrictions, independently of fuel; the unrestricted one enumerates
-#: instances of functional equations up to the fuel.
+
+#: The two calculi, in the order `route_calculus` tries them.  The
+#: restricted one instantiates quantifiers under its restrictions,
+#: independently of fuel; the unrestricted one enumerates instances of
+#: functional equations up to the fuel.
 CALCULI: dict[str, Calculus] = {
     "efo": Calculus(
         "efo",
         EFO_RULES,
-        efo_gate,
+        _outside_efo,
         lambda b, info, fuel, reserved: _forall_instances(b, info, reserved),
     ),
     "stt": Calculus(
         "stt",
         STT_RULES,
-        stt_gate,
+        _outside_stt,
         lambda b, info, fuel, reserved: instantiation_candidates(
             b, inst_type(info), fuel
         ),
     ),
 }
+
+
+def calculus_named(name: str) -> Calculus:
+    """The named row of the calculus table; ValueError for any other name."""
+    row = CALCULI.get(name)
+    if row is None:
+        raise ValueError(f"unknown calculus {name!r}")
+    return row
+
+
+def route_calculus(branch: Branch) -> str:
+    """Pick the calculus for a branch by its language: the first row whose
+    language takes every member.
+
+    Branches of restricted formulas (and disequations between restricted
+    terms) go to the restricted calculus; branches in the pure negation and
+    equality language go to the unrestricted one.  A branch mixing the two
+    extensions fits neither and raises FragmentViolation.
+    """
+    for row in CALCULI.values():
+        offender = next((s for s in branch.formulas if row.outside(branch, s)), None)
+        if offender is None:
+            return row.name
+    raise FragmentViolation(
+        f"mixed input: {show_term(offender)} needs the restricted calculus, "
+        "but other members use equality outside its fragment"
+    )
+
+
+def as_branch(obj) -> Branch:
+    """A branch as given, or the branch of the normalized formulas."""
+    if isinstance(obj, Branch):
+        return obj
+    return branch_of(*(normalize(s) for s in obj))
 
 
 def applicable_stt(
@@ -841,7 +885,7 @@ def applicable_stt(
     members outside the negation-and-equality language.  Search reads the
     same instances lazily (`instances`).
     """
-    stt_gate(branch, branch.formulas)
+    CALCULI["stt"].gate(branch, branch.formulas)
     return list(instances(CALCULI["stt"], branch, fuel, reserved))
 
 
@@ -856,7 +900,7 @@ def applicable_efo(
     branch is closed or satisfies the model-existence conditions.  Search
     reads the same instances lazily (`instances`).
     """
-    efo_gate(branch, branch.formulas)
+    CALCULI["efo"].gate(branch, branch.formulas)
     return list(instances(CALCULI["efo"], branch, reserved=reserved))
 
 
@@ -876,6 +920,28 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
         return False
     xs = branch.vars_of_type(info.sort)
     return u.name in xs if xs else u.name not in branch.free_names
+
+
+def support(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
+    """The members of branch that instance r needs to pass `check_instance`
+    on a smaller branch: its premises, and for `forall-inst` one member that
+    keeps its term admissible (`_forall_admissible`).  A discriminating term
+    needs a disequation at the sort with it as a side; otherwise a term that
+    is a free variable of the branch needs a member it is free in.  (A
+    variable not free on the branch stays so on a smaller one, and
+    witnesses, "not concluded" and openness all survive shrinking the
+    branch.)  Search's backjumping rests on this set."""
+    if r.rule is not RuleId.FORALL_INST:
+        return r.premises
+    u = r.inst
+    for d in branch.disequations(u.ty):
+        info = branch.info(d)
+        if u == info.lhs or u == info.rhs:
+            return r.premises + (d,)
+    if is_var_ref(u) and u.name in branch.free_names:
+        s = next(s for s in branch.formulas if u.name in free_vars(s))
+        return r.premises + (s,)
+    return r.premises
 
 
 # ---------------------------------------------------------------------------
@@ -1088,3 +1154,143 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
     if not is_normal(u):
         return False
     return r.rule is not RuleId.FORALL_INST or _forall_admissible(branch, info, u)
+
+
+# ---------------------------------------------------------------------------
+# Evidence: the rule table read backwards
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One unmet model-existence condition."""
+
+    condition: str
+    members: tuple[Term, ...]
+    detail: str
+
+
+@dataclass(frozen=True)
+class EvidenceReport:
+    """Outcome of the member-by-member model-existence check.
+
+    bounded is True when conditions ranging over all terms (instances of
+    functional equations) were only checked up to the fuel bound, so
+    `evident` is then an "up to this bound" statement.
+    """
+
+    evident: bool
+    scope: str
+    bounded: bool
+    fuel: int | None
+    violations: tuple[Violation, ...]
+
+    def describe(self) -> str:
+        head = "evident" if self.evident else "not evident"
+        qual = " (bounded check)" if self.bounded else ""
+        lines = [f"{head} [{self.scope}]{qual}"]
+        for v in self.violations:
+            on = ", ".join(show_term(m) for m in v.members)
+            lines.append(f"  {v.condition}: {v.detail} (on {on})")
+        return "\n".join(lines)
+
+
+#: Per rule that search applies, the detail of a violation of its condition.
+_VIOLATED = {
+    RuleId.DOUBLE_NEG: "body is missing",
+    RuleId.BOOL_EQ: "sides are not jointly settled",
+    RuleId.BOOL_EXT: "sides are not settled opposite",
+    RuleId.FUN_EQ: "instance {} is missing",
+    RuleId.FUN_EXT: "no variable witnesses the sides apart",
+    RuleId.IMP: "neither side is settled",
+    RuleId.IMP_NEG: "components are missing",
+    RuleId.FORALL_INST: "discriminating term {} is not instantiated",
+    RuleId.FORALL_NEG: "no variable witnesses the negation",
+    RuleId.DECOMPOSE: "no argument disequation supports the disequation",
+    RuleId.MATE: "no argument disequation separates the pair",
+    RuleId.CONFRONT: "equation is not confronted with the disequation",
+}
+
+#: The rule that search applies to premises of these kinds, in table order.
+_RULE_OF = {row.kinds: rule for rule, row in RULES.items() if rule in _VIOLATED}
+
+
+def _concluded_on(branch: Branch, rule: RuleId, premises, inst=()) -> bool:
+    """Whether the branch holds the rule's conclusion from these premises
+    (and instantiation term): vacuously where the row's shape rejects them;
+    for a witness rule, some variable's instance (`concluded`); otherwise
+    all of some alternative of the instance the row builds."""
+    row = RULES[rule]
+    infos = tuple(map(branch.info, premises))
+    if row.shape is not None and not row.shape(premises, infos):
+        return True
+    if row.inst == "fresh":
+        return concluded(branch, rule, infos[0])
+    return not productive(branch, row.alts(*infos, *inst))
+
+
+def is_evident(
+    branch_or_formulas, scope: str = "auto", fuel: int = 3
+) -> EvidenceReport:
+    """Check the model-existence conditions member by member.
+
+    A member, then a pair of members, violates the condition of the rule
+    that takes premises of their kinds unless the rule's conclusion from
+    them is on the branch (`_concluded_on`); a quantifier also needs some
+    instance.  scope "efo" checks the restricted-calculus conditions (exact); "stt"
+    checks the unrestricted ones, where instance conditions on functional
+    equations are bounded by fuel; "auto" picks by language.  A forced
+    scope runs its calculus's gate first; any other name raises ValueError.
+    On non-closed branches in the restricted language, evident coincides
+    with `applicable_efo` returning nothing.
+    """
+    branch = as_branch(branch_or_formulas)
+    if scope == "auto":
+        scope = route_calculus(branch)
+    else:
+        calculus_named(scope).gate(branch, branch.formulas)
+    out: list[Violation] = []
+    bounded = False
+
+    def check(rule, premises, inst=()) -> bool:
+        if _concluded_on(branch, rule, premises, inst):
+            return True
+        detail = _VIOLATED[rule].format(*map(show_term, inst))
+        out.append(Violation(rule.value, premises, detail))
+        return False
+
+    for s in branch.formulas:
+        info = branch.info(s)
+        if info.kind is FormulaKind.OTHER:
+            raise FragmentViolation(f"no conditions cover {show_term(s)}")
+        rule = _RULE_OF.get((info.kind,))
+        if rule is None:
+            continue
+        if RULES[rule].inst != "term":
+            check(rule, (s,))
+            continue
+        if rule is RuleId.FUN_EQ:
+            bounded = True
+            terms = instantiation_candidates(branch, inst_type(info), fuel)
+        else:
+            terms = branch.discriminating_terms(inst_type(info))
+        for u in terms:
+            if not check(rule, (s,), (u,)):
+                break
+        if rule is RuleId.FORALL_INST and not concluded(branch, rule, info):
+            out.append(
+                Violation("forall-inst-default", (s,), "no instance on the branch")
+            )
+
+    for kinds, rule in _RULE_OF.items():
+        if len(kinds) == 2:
+            for p in branch.members(kinds[0]):
+                for q in branch.members(kinds[1]):
+                    check(rule, (p, q))
+
+    return EvidenceReport(
+        evident=not out,
+        scope=scope,
+        bounded=bounded,
+        fuel=fuel if bounded else None,
+        violations=tuple(out),
+    )

@@ -40,8 +40,6 @@ from .kernel import (
     Term,
     Type,
     arg_types,
-    eq_operand_type,
-    forall_sort,
     free_vars,
     free_vars_ordered,
     is_sort,
@@ -64,7 +62,7 @@ class CardinalityError(Exception):
 
 
 class NotEvident(Exception):
-    """A saturated branch failed the model-existence check (`is_evident`)."""
+    """A saturated branch is not evident (`rules.is_evident`)."""
 
     def __init__(self, report):
         self.report = report
@@ -138,25 +136,20 @@ class Frame:
         return fval[self.index(fty.dom, aval)]
 
     def constant(self, n: Name):
-        """Canonical value of a logical constant in this frame."""
+        """Canonical value of a logical constant in this frame: its
+        eta-expansion (λx. not x, λx y. imp x y, λx y. x = y, λp. forall p)
+        evaluated by `eval_term`, whose applied cases define all four."""
         v = self._consts.get(n)
-        if v is not None:
-            return v
-        if n.ident == "not":
-            v = (1, 0)
-        elif n.ident == "imp":
-            v = ((1, 1), (0, 1))
-        elif n.ident == "=":
-            ty = eq_operand_type(n)
-            dom = self.domain(ty)
-            v = tuple(tuple(1 if x == y else 0 for y in dom) for x in dom)
-        elif n.ident == "forall":
-            s = forall_sort(n)
-            preds = self.domain(Fun(s, o))
-            v = tuple(1 if all(b == 1 for b in f) else 0 for f in preds)
-        else:
-            raise ValueError(f"unknown logical constant {n!r}")
-        self._consts[n] = v
+        if v is None:
+            if n.ident not in ("not", "imp", "=", "forall"):
+                raise ValueError(f"unknown logical constant {n!r}")
+            args = arg_types(n.ty)
+            t = Ref(n)
+            for i, ty in enumerate(args):
+                t = App(t, Bound(len(args) - 1 - i, ty))
+            for ty in reversed(args):
+                t = Lam(ty, t)
+            v = self._consts[n] = eval_term(Model(self, {}), t)
         return v
 
 
@@ -292,7 +285,7 @@ def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
     as its variables are assigned, and the result is certified by
     check_model before it is returned.  The table ceiling is checked before
     each stream is opened.  Evidence is the caller's to check (`refute` runs
-    `search.is_evident` first); on a branch that is not evident, extraction
+    `rules.is_evident` first); on a branch that is not evident, extraction
     may fail with ExtractionFailure.
     """
     discs: dict[Base, tuple[frozenset, ...]] = {

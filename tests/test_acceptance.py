@@ -34,8 +34,14 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import apply_norm, normalize, substitute
-from hotab.rules import applicable_efo, applicable_stt, check_instance, make_instance
-from hotab.search import Refuted, Satisfiable, check_proof, is_evident, refute
+from hotab.rules import (
+    applicable_efo,
+    applicable_stt,
+    check_instance,
+    is_evident,
+    make_instance,
+)
+from hotab.search import Refuted, Satisfiable, check_proof, refute
 from hotab.semantics import (
     CardinalityError,
     Frame,

@@ -1,6 +1,7 @@
 """Rule engine: schema matching, enumeration, applicability, checking."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -33,8 +34,9 @@ from hotab.rules import (
     instantiation_candidates,
     make_instance,
     match_schema,
+    support,
 )
-from hotab.search import Proof, check_proof
+from hotab.search import Proof, check_proof, refute
 from hotab.semantics import Model, enumerate_models, eval_term, variables_in
 
 from helpers import Gen
@@ -575,6 +577,54 @@ def test_efo_rejects_non_quasi_members():
     # ...but the corresponding disequations are quasi-members
     applicable_efo(branch_of(diseq(ref(p), ref(q))))
     applicable_efo(branch_of(diseq(ref(f), lam(V("z", a), app(ref(f), ref(V("z", a)))))))
+
+
+def test_gate_and_routing_messages():
+    # the texts that tell a user why the input fits no calculus
+    def message(call, *args):
+        with pytest.raises(FragmentViolation) as e:
+            call(*args)
+        return str(e.value)
+
+    p, q, x = V("p", o), V("q", o), V("x", a)
+    f, g = V("f", fun(a, a)), V("g", fun(a, a))
+    funeq = eq(ref(f), ref(g))
+    quant = forall(lam(x, eq(ref(x), ref(x))))
+    top = ref(Name("top", o, is_var=False))  # a constant atom: no rule takes it
+    assert message(applicable_efo, branch_of(funeq)) == (
+        "(= f g) is outside the restricted fragment (offending subterm =)"
+    )
+    assert message(applicable_stt, branch_of(imp(ref(p), ref(q)))) == (
+        "no rule for (imp p q): implication and quantifiers are outside this "
+        "calculus — use the restricted calculus"
+    )
+    assert message(applicable_stt, branch_of(top)) == "no rule for top"
+    # ...but a closed branch needs no rule for it
+    assert applicable_stt(branch_of(top, ref(p), neg(ref(p)))) == []
+    # routing: top is outside the restricted language, so it goes to stt
+    assert message(refute, [top]) == "no rule for top"
+    assert message(refute, [quant, funeq]) == (
+        "mixed input: (forall (x a) (= x x)) needs the restricted calculus, "
+        "but other members use equality outside its fragment"
+    )
+
+
+def test_support_keeps_every_instance_checkable():
+    # backjumping keeps a closed subtree where only its instances' supports
+    # are known to be on the branch, so each instance must check on the
+    # branch of its support alone; for forall-inst that takes the member
+    # that keeps the term admissible, not only the premise
+    seen = Counter()
+    for seed in range(1500):
+        g = Gen(seed + 27000)
+        efo = branch_of(*(normalize(g.efo_formula(2, quasi=True)) for _ in range(3)))
+        g = Gen(seed + 28000)
+        stt = branch_of(*(normalize(g.formula(2)) for _ in range(3)))
+        for br, listed in ((efo, applicable_efo(efo)), (stt, applicable_stt(stt, 2))):
+            for r in listed:
+                assert check_instance(branch_of(*support(br, r)), r), (seed, r)
+                seen[r.rule] += 1
+    assert sum(seen.values()) >= 5000 and seen[RuleId.FORALL_INST] >= 1000, seen
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ from hotab.rules import (
     applicable_stt,
     complements,
     instances,
+    is_evident,
     is_reflexive,
     make_instance,
+    route_calculus,
 )
 from hotab.search import (
     Proof,
@@ -40,9 +42,7 @@ from hotab.search import (
     SearchConfig,
     Unknown,
     check_proof,
-    is_evident,
     refute,
-    route_calculus,
 )
 from hotab.semantics import check_model, enumerate_models, eval_term
 
@@ -584,13 +584,14 @@ def test_each_evidence_condition_describes_its_violation(condition, formulas, te
 
 def test_refute_raises_not_evident_before_extracting(monkeypatch):
     import hotab.search as search
+    from hotab.rules import EvidenceReport, Violation
     from hotab.semantics import NotEvident
 
     def extract(*args, **kwargs):
         raise AssertionError("extraction ran on a branch that is not evident")
 
-    report = search.EvidenceReport(
-        False, "efo", False, None, (search.Violation("mate", (), "pinned"),)
+    report = EvidenceReport(
+        False, "efo", False, None, (Violation("mate", (), "pinned"),)
     )
     monkeypatch.setattr(search, "is_evident", lambda branch: report)
     monkeypatch.setattr(search, "extract_model", extract)
