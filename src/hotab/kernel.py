@@ -6,6 +6,10 @@ equality therefore coincides with alpha-equivalence, and substitution can
 never capture.  Everything is immutable with a cached hash, so terms are
 shared freely across tableau branches and used as set/dict keys.
 
+Binding (`lam`), shifting, instantiation and substitution are leaf maps
+over one traversal, `rebuild`, which counts the binders above each leaf
+and returns every subterm it leaves unchanged as the same object.
+
 The logical signature is fixed: negation, implication, equality at every
 type, and universal quantification at every sort.  Equality and quantifier
 constants are instantiated lazily per type and interned.
@@ -26,8 +30,14 @@ class Type:
 
     __slots__ = ("_hash",)
 
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("Type is immutable")
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return show_type(self)
 
 
 class Base(Type):
@@ -39,14 +49,8 @@ class Base(Type):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("Base", name)))
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Type is immutable")
-
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is Base and self.name == other.name)
-
-    def __repr__(self) -> str:
-        return show_type(self)
 
 
 class Fun(Type):
@@ -59,9 +63,6 @@ class Fun(Type):
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "_hash", hash(("Fun", dom, cod)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Type is immutable")
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -71,9 +72,6 @@ class Fun(Type):
             and self.dom == other.dom
             and self.cod == other.cod
         )
-
-    def __repr__(self) -> str:
-        return show_type(self)
 
 
 #: The type of truth values.  Every other base type is a sort.
@@ -193,6 +191,9 @@ class Term:
 
     __slots__ = ("ty", "_hash")
 
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("Term is immutable")
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -212,9 +213,6 @@ class Ref(Term):
         object.__setattr__(self, "ty", name.ty)
         object.__setattr__(self, "_hash", hash(("Ref", name)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Term is immutable")
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -232,9 +230,6 @@ class Bound(Term):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ty", ty)
         object.__setattr__(self, "_hash", hash(("Bound", index, ty)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Term is immutable")
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -265,9 +260,6 @@ class App(Term):
         object.__setattr__(self, "ty", fty.cod)
         object.__setattr__(self, "_hash", hash(("App", f._hash, a._hash)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Term is immutable")
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -292,9 +284,6 @@ class Lam(Term):
         object.__setattr__(self, "ty", Fun(dom, body.ty))
         object.__setattr__(self, "_hash", hash(("Lam", dom, body._hash)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Term is immutable")
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -316,32 +305,35 @@ def app(f: Term, *args: Term) -> Term:
     return f
 
 
-def _abstract(t: Term, x: Name, depth: int) -> Term:
-    if type(t) is Ref:
-        return Bound(depth, x.ty) if t.name == x else t
-    if type(t) is Bound:
-        return t
+def rebuild(t: Term, leaf, depth: int = 0) -> Term:
+    """t with each leaf s (a Ref or a Bound) replaced by leaf(s, d), where d is
+    depth plus the number of binders around s in t.  A subterm in which leaf
+    changed nothing is returned as the same object, not as a copy.
+    """
     if type(t) is App:
-        return App(_abstract(t.fun, x, depth), _abstract(t.arg, x, depth))
-    return Lam(t.dom, _abstract(t.body, x, depth + 1))
+        f, a = rebuild(t.fun, leaf, depth), rebuild(t.arg, leaf, depth)
+        return t if f is t.fun and a is t.arg else App(f, a)
+    if type(t) is Lam:
+        b = rebuild(t.body, leaf, depth + 1)
+        return t if b is t.body else Lam(t.dom, b)
+    return leaf(t, depth)
 
 
 def lam(x: Name, body: Term) -> Lam:
     """Bind the free variable x in body, yielding the abstraction over x."""
     if not x.is_var:
         raise ValueError(f"cannot bind logical constant {x!r}")
-    return Lam(x.ty, _abstract(body, x, 0))
+    v = Ref(x)
+    return Lam(x.ty, rebuild(body, lambda s, d: Bound(d, x.ty) if s == v else s))
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Raise dangling de Bruijn indices (>= cutoff) by the given amount."""
-    if type(t) is Bound:
-        return Bound(t.index + by, t.ty) if t.index >= cutoff else t
-    if type(t) is App:
-        return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
-    if type(t) is Lam:
-        return Lam(t.dom, shift(t.body, by, cutoff + 1))
-    return t
+def shift(t: Term, by: int) -> Term:
+    """Raise dangling de Bruijn indices by the given amount."""
+
+    def lift(s: Term, d: int) -> Term:
+        return Bound(s.index + by, s.ty) if type(s) is Bound and s.index >= d else s
+
+    return rebuild(t, lift)
 
 
 def instantiate(body: Term, u: Term) -> Term:
@@ -351,20 +343,14 @@ def instantiate(body: Term, u: Term) -> Term:
     the redex); they are shifted past the binders u is pushed under.
     """
 
-    def go(t: Term, depth: int) -> Term:
-        if type(t) is Bound:
-            if t.index == depth:
-                return u if depth == 0 else shift(u, depth)
-            if t.index > depth:
-                return Bound(t.index - 1, t.ty)
-            return t
-        if type(t) is App:
-            return App(go(t.fun, depth), go(t.arg, depth))
-        if type(t) is Lam:
-            return Lam(t.dom, go(t.body, depth + 1))
-        return t
+    def put(s: Term, d: int) -> Term:
+        if type(s) is not Bound or s.index < d:
+            return s
+        if s.index == d:
+            return u if d == 0 else shift(u, d)
+        return Bound(s.index - 1, s.ty)
 
-    return go(body, 0)
+    return rebuild(body, put)
 
 
 def type_of(t: Term) -> Type:

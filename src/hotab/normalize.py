@@ -5,9 +5,10 @@ outermost redex first; on simply typed terms every strategy reaches the same
 unique normal form, so the choice only fixes the reduction order.  In the
 index-based term representation name-keyed substitution cannot capture:
 replacement terms carry no loose indices and bound variables carry no names.
-Index instantiation inside a redex can meet loose indices (the argument may
-refer to binders enclosing the redex); the kernel shifts them as it pushes
-the argument under binders.
+Substitution is a leaf map over `kernel.rebuild`, so a term it leaves
+unchanged comes back as the same object.  Index instantiation inside a redex
+can meet loose indices (the argument may refer to binders enclosing the
+redex); the kernel shifts them as it pushes the argument under binders.
 
 Laws relied on elsewhere (and pinned by the test suite):
   * normalize is idempotent and type-preserving;
@@ -20,7 +21,7 @@ Laws relied on elsewhere (and pinned by the test suite):
 
 from __future__ import annotations
 
-from .kernel import App, Lam, Name, Ref, Term, instantiate
+from .kernel import App, Lam, Name, Ref, Term, instantiate, rebuild
 
 Substitution = dict[Name, Term]
 
@@ -42,19 +43,7 @@ def substitute(theta: Substitution, t: Term) -> Term:
         return t
     check_substitution(theta)
 
-    def go(t: Term) -> Term:
-        if type(t) is Ref:
-            u = theta.get(t.name)
-            return u if u is not None else t
-        if type(t) is App:
-            f, a = go(t.fun), go(t.arg)
-            return t if f is t.fun and a is t.arg else App(f, a)
-        if type(t) is Lam:
-            b = go(t.body)
-            return t if b is t.body else Lam(t.dom, b)
-        return t
-
-    return go(t)
+    return rebuild(t, lambda s, d: theta.get(s.name, s) if type(s) is Ref else s)
 
 
 def normalize(t: Term) -> Term:

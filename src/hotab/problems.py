@@ -349,7 +349,9 @@ def _eta_quantifiers(t: Term) -> Term:
 # Proof files
 
 def serialize_proof(proof: Proof) -> str:
-    """One line per rule application, children indented under parents."""
+    """One line per rule application, children indented under parents.
+    Terms are written as `serialize_problem` writes assumptions, so the proof
+    of a problem parses against that problem's text."""
     lines = []
     stack = [(proof, 0, None)]
     while stack:
@@ -360,14 +362,15 @@ def serialize_proof(proof: Proof) -> str:
             parts.append("." * depth)
             parts.append(str(alt))
         parts.append(r.rule.value)
-        parts.append("(" + " ".join(show_term(p) for p in r.premises) + ")")
+        premises = (show_term(_eta_quantifiers(p)) for p in r.premises)
+        parts.append("(" + " ".join(premises) + ")")
         if r.inst is not None:
             if RULES[r.rule].inst == "fresh":
                 parts.append(
                     f"({r.inst.name.ident} {show_type(r.inst.name.ty)})"
                 )
             else:
-                parts.append(f"({show_term(r.inst)})")
+                parts.append(f"({show_term(_eta_quantifiers(r.inst))})")
         lines.append(" ".join(parts))
         for i in range(len(node.children) - 1, -1, -1):
             stack.append((node.children[i], depth + 1, i))

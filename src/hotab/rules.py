@@ -92,6 +92,7 @@ from .kernel import (
     neg,
     o,
     ref,
+    shift,
     show_term,
 )
 from .normalize import apply_norm, is_normal, normalize
@@ -169,16 +170,6 @@ class RuleInstance:
 _HOLE_IDENT = "•"  # not producible by the grammar or fresh_var
 
 
-def _locally_closed(t: Term, depth: int = 0) -> bool:
-    if type(t) is Bound:
-        return t.index < depth
-    if type(t) is App:
-        return _locally_closed(t.fun, depth) and _locally_closed(t.arg, depth)
-    if type(t) is Lam:
-        return _locally_closed(t.body, depth + 1)
-    return True
-
-
 def match_schema(
     schema: Term, w: Term, hole: Name
 ) -> tuple[bool, Term | None]:
@@ -194,7 +185,9 @@ def match_schema(
 
     def go(a: Term, b: Term) -> bool:
         if type(a) is Ref and a.name == hole:
-            if b.ty != hole.ty or not _locally_closed(b):
+            # b is locally closed (no dangling index) exactly when shifting
+            # its dangling indices leaves it the same object
+            if b.ty != hole.ty or shift(b, 1) is not b:
                 return False
             if found:
                 return found[0] == b
@@ -202,15 +195,11 @@ def match_schema(
             return True
         if type(a) is not type(b):
             return False
-        if type(a) is Ref:
-            return a.name == b.name
-        if type(a) is Bound:
-            return a.index == b.index
         if type(a) is App:
             return go(a.fun, b.fun) and go(a.arg, b.arg)
         if type(a) is Lam:
             return a.dom == b.dom and go(a.body, b.body)
-        raise AssertionError(f"unknown term node {a!r}")
+        return a == b
 
     if go(schema, w):
         return True, (found[0] if found else None)

@@ -1,4 +1,5 @@
-"""Shared test machinery: a naive named-term oracle and seeded random generators.
+"""Shared test machinery: a naive named-term oracle, seeded random
+generators, problem texts and the acceptance corpus.
 
 The named representation here is deliberately primitive (nested tuples with
 string binders, alpha-equivalence by parallel binder stacks) so it can serve
@@ -10,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from hotab.branch import FormulaKind, branch_of
+from hotab.fragments import classify_branch, lam_subterm
 from hotab.kernel import (
     Fun,
     Lam,
@@ -27,7 +30,9 @@ from hotab.kernel import (
     o,
     ref,
     sort,
+    spine,
 )
+from hotab.normalize import normalize
 
 # ---------------------------------------------------------------------------
 # Named terms (oracle representation)
@@ -351,3 +356,195 @@ class Gen:
         for b in reversed(binders):
             body = forall(lam(b, body))
         return body
+
+
+# ---------------------------------------------------------------------------
+# Problem texts
+
+
+def chain_text(n: int) -> str:
+    """r c0 c1, ..., r c(n-1) cn, transitivity of r, and not r c0 cn."""
+    decls = ["(sort a)(var r (> a a o))"] + [f"(var c{i} a)" for i in range(n + 1)]
+    decls += [f"(assume (r c{i} c{i + 1}))" for i in range(n)]
+    decls += [
+        "(assume (forall (x a) (forall (y a) (forall (z a)"
+        " (imp (r x y) (imp (r y z) (r x z)))))))",
+        f"(assume (not (r c0 c{n})))",
+    ]
+    return "".join(decls)
+
+
+def double_neg_mate_text(rel: str) -> str:
+    """not not (x rel y), not not (u rel v), p x z u and not (p y z v)."""
+    return (
+        "(sort a)(var p (> a a a o))"
+        + "".join(f"(var {n} a)" for n in "xyzuv")
+        + f"(assume (not (not ({rel} x y))))(assume (not (not ({rel} u v))))"
+        "(assume (p x z u))(assume (not (p y z v)))"
+    )
+
+
+def clique_text(k: int, *lines: str) -> str:
+    """k pairwise distinct constants c0 .. c(k-1), then lines."""
+    decls = ["(sort a)"] + [f"(var c{i} a)" for i in range(k)]
+    decls += [f"(assume (neq c{i} c{j}))" for i in range(k) for j in range(i + 1, k)]
+    return "".join(decls + list(lines))
+
+
+def rel_text(k: int) -> str:
+    return clique_text(
+        k,
+        "(var r (> a a o))",
+        "(assume (forall (x a) (r x x)))",
+        "(assume (not (r c0 c1)))",
+    )
+
+
+def fclique_text(k: int) -> str:
+    return clique_text(k, "(var f (> a a))", "(assume (neq (f c0) c0))")
+
+
+# ---------------------------------------------------------------------------
+# The acceptance corpus, over one sort
+
+a = sort("a")
+
+
+def _random_lambda_free(g: Gen, n: int):
+    forms = []
+    while len(forms) < n:
+        s = normalize(g.efo_formula(2, quasi=True))
+        if lam_subterm(s) is None:
+            forms.append(s)
+    return tuple(forms)
+
+
+def _hand_corpus():
+    pa = Name("p", fun(a, o))
+    qa = Name("q", fun(a, o))
+    r2 = Name("r", fun(a, a, o))
+    f_ao = Name("f", fun(a, o))
+    f_aa = Name("f1", fun(a, a))
+    g_aa = Name("g1", fun(a, a))
+    h2 = Name("h", fun(a, a, a))
+    x, y, z, c = (Name(n, a) for n in ("x", "y", "z", "c"))
+    xb = Name("xb", a)
+    yb = Name("yb", a)
+
+    def fa(body_fn):
+        return forall(lam(xb, body_fn(ref(xb))))
+
+    def fa2(body_fn):
+        return forall(lam(xb, forall(lam(yb, body_fn(ref(xb), ref(yb))))))
+
+    lambda_free = [
+        (app(ref(pa), ref(y)), neg(app(ref(pa), ref(y)))),
+        (forall(ref(f_ao)), neg(app(ref(f_ao), ref(y)))),
+        (diseq(ref(x), ref(y)),),
+        (diseq(ref(x), ref(y)), diseq(ref(y), ref(z)), diseq(ref(x), ref(z))),
+        (app(ref(pa), ref(x)), neg(app(ref(pa), ref(y)))),
+        (
+            imp(app(ref(pa), ref(x)), app(ref(qa), ref(x))),
+            app(ref(pa), ref(x)),
+            neg(app(ref(qa), ref(x))),
+        ),
+        (eq(ref(x), ref(y)), diseq(ref(x), ref(y))),
+        (eq(ref(x), ref(y)), diseq(app(ref(f_aa), ref(x)), app(ref(f_aa), ref(y)))),
+        (
+            diseq(app(ref(h2), ref(x), ref(y)), app(ref(h2), ref(x), ref(z))),
+            eq(ref(y), ref(z)),
+        ),
+    ]
+    pure = [
+        (diseq(ref(x), ref(y)),),
+        (diseq(app(ref(f_aa), ref(x)), app(ref(f_aa), ref(x))),),
+        (diseq(app(ref(h2), ref(x), ref(y)), app(ref(h2), ref(x), ref(y))),),
+        # mismatched heads never decompose, so the two sides are the only
+        # discriminating terms and the binary table stays enumerable
+        (diseq(app(ref(h2), ref(x), ref(y)), ref(x)),),
+        (
+            diseq(ref(x), ref(y)),
+            diseq(app(ref(f_aa), ref(x)), app(ref(g_aa), ref(y))),
+        ),
+        (diseq(app(ref(f_aa), app(ref(g_aa), ref(x))), ref(x)),),
+    ]
+    bsr = [
+        (fa(lambda v: app(ref(pa), v)), fa(lambda v: neg(app(ref(pa), v)))),
+        (
+            fa(lambda v: imp(app(ref(pa), v), app(ref(qa), v))),
+            app(ref(pa), ref(c)),
+            neg(app(ref(qa), ref(c))),
+        ),
+        (fa2(lambda u, v: imp(app(ref(r2), u, v), app(ref(r2), v, u))),),
+        (fa(lambda v: app(ref(r2), v, v)), neg(app(ref(r2), ref(c), ref(c)))),
+        (fa(lambda v: neg(eq(v, ref(c)))),),
+        (
+            fa(lambda v: imp(app(ref(pa), v), neg(eq(v, ref(c))))),
+            app(ref(pa), ref(c)),
+        ),
+    ]
+    return lambda_free, pure, bsr
+
+
+def acceptance_corpus():
+    """The 60 problems of the acceptance gate, 20 in each decidable class:
+    (class tag, formulas) pairs, the same on every call."""
+    lambda_free, pure, bsr = _hand_corpus()
+    g = Gen(61000, sorts=("a",))
+    while len(lambda_free) < 20:
+        forms = _random_lambda_free(g, g.rng.choice([1, 2, 2]))
+        n_diseq = sum(
+            1
+            for t in forms
+            if branch_of(*forms).info(t).kind is FormulaKind.SORT_DISEQ
+        )
+        if n_diseq <= 3:
+            lambda_free.append(forms)
+    g2 = Gen(63000, sorts=("a",))
+    unary = [Name(f"u{i}", fun(a, a)) for i in range(3)]
+    consts = [Name(f"e{i}", a) for i in range(3)]
+
+    def small_term():
+        # depth <= 1: a constant or one unary application of a constant
+        if g2.rng.random() < 0.5:
+            return ref(g2.rng.choice(consts))
+        return app(ref(g2.rng.choice(unary)), ref(g2.rng.choice(consts)))
+
+    def mismatched_pair():
+        # top-level heads differ, so the pair never decomposes: one edge
+        while True:
+            l, r = small_term(), small_term()
+            if spine(l)[0] != spine(r)[0]:
+                return l, r
+
+    def same_head_pair():
+        # equal heads force one decomposition step; the argument pair is
+        # mismatched so the chain stops there: two edges in total
+        h = ref(g2.rng.choice(unary))
+        l, r = mismatched_pair()
+        return app(h, l), app(h, r)
+
+    while len(pure) < 20:
+        # conflict graphs are kept at <= 2 edges, so a saturated branch has
+        # at most 4 discriminants and candidate function tables stay at 4**4
+        roll = g2.rng.random()
+        if roll < 0.35:  # syntactically equal sides: the refutable shape
+            t = app(ref(g2.rng.choice(unary)), small_term())
+            forms = (diseq(t, t),)
+            if g2.rng.random() < 0.5:
+                forms += (diseq(*mismatched_pair()),)
+        elif roll < 0.7:
+            forms = (diseq(*same_head_pair()),)
+        else:
+            forms = (diseq(*mismatched_pair()), diseq(*mismatched_pair()))
+        pure.append(forms)
+    g3 = Gen(67000, sorts=("a",))
+    while len(bsr) < 20:
+        forms = tuple(g3.bsr_formula() for _ in range(g3.rng.choice([1, 2])))
+        if classify_branch(branch_of(*forms)).is_bsr:
+            bsr.append(forms)
+    return [
+        ("lambda-free", forms) for forms in lambda_free[:20]
+    ] + [("pure", forms) for forms in pure[:20]] + [
+        ("bsr", forms) for forms in bsr[:20]
+    ]

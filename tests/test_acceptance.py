@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from hotab.branch import FormulaKind, branch_of
-from hotab.fragments import classify_branch, decide, lam_subterm
+from hotab.fragments import classify_branch, decide
 from hotab.kernel import (
     App,
     Fun,
@@ -54,7 +54,7 @@ from hotab.semantics import (
     variables_in,
 )
 
-from helpers import Gen
+from helpers import Gen, acceptance_corpus
 
 a = sort("a")
 b = sort("b")
@@ -335,82 +335,6 @@ def test_criterion_5_rule_level_soundness():
 # 6 + 7. Decision procedures against the brute-force oracle, and extraction
 
 
-def _random_lambda_free(g: Gen, n: int):
-    forms = []
-    while len(forms) < n:
-        s = normalize(g.efo_formula(2, quasi=True))
-        if lam_subterm(s) is None:
-            forms.append(s)
-    return tuple(forms)
-
-
-def _hand_corpus():
-    pa = Name("p", fun(a, o))
-    qa = Name("q", fun(a, o))
-    r2 = Name("r", fun(a, a, o))
-    f_ao = Name("f", fun(a, o))
-    f_aa = Name("f1", fun(a, a))
-    g_aa = Name("g1", fun(a, a))
-    h2 = Name("h", fun(a, a, a))
-    x, y, z, c = (Name(n, a) for n in ("x", "y", "z", "c"))
-    xb = Name("xb", a)
-    yb = Name("yb", a)
-
-    def fa(body_fn):
-        return forall(lam(xb, body_fn(ref(xb))))
-
-    def fa2(body_fn):
-        return forall(lam(xb, forall(lam(yb, body_fn(ref(xb), ref(yb))))))
-
-    lambda_free = [
-        (app_(ref(pa), ref(y)), neg(app_(ref(pa), ref(y)))),
-        (forall(ref(f_ao)), neg(app_(ref(f_ao), ref(y)))),
-        (diseq(ref(x), ref(y)),),
-        (diseq(ref(x), ref(y)), diseq(ref(y), ref(z)), diseq(ref(x), ref(z))),
-        (app_(ref(pa), ref(x)), neg(app_(ref(pa), ref(y)))),
-        (
-            imp(app_(ref(pa), ref(x)), app_(ref(qa), ref(x))),
-            app_(ref(pa), ref(x)),
-            neg(app_(ref(qa), ref(x))),
-        ),
-        (eq(ref(x), ref(y)), diseq(ref(x), ref(y))),
-        (eq(ref(x), ref(y)), diseq(app_(ref(f_aa), ref(x)), app_(ref(f_aa), ref(y)))),
-        (
-            diseq(app_(ref(h2), ref(x), ref(y)), app_(ref(h2), ref(x), ref(z))),
-            eq(ref(y), ref(z)),
-        ),
-    ]
-    pure = [
-        (diseq(ref(x), ref(y)),),
-        (diseq(app_(ref(f_aa), ref(x)), app_(ref(f_aa), ref(x))),),
-        (diseq(app_(ref(h2), ref(x), ref(y)), app_(ref(h2), ref(x), ref(y))),),
-        # mismatched heads never decompose, so the two sides are the only
-        # discriminating terms and the binary table stays enumerable
-        (diseq(app_(ref(h2), ref(x), ref(y)), ref(x)),),
-        (
-            diseq(ref(x), ref(y)),
-            diseq(app_(ref(f_aa), ref(x)), app_(ref(g_aa), ref(y))),
-        ),
-        (diseq(app_(ref(f_aa), app_(ref(g_aa), ref(x))), ref(x)),),
-    ]
-    bsr = [
-        (fa(lambda v: app_(ref(pa), v)), fa(lambda v: neg(app_(ref(pa), v)))),
-        (
-            fa(lambda v: imp(app_(ref(pa), v), app_(ref(qa), v))),
-            app_(ref(pa), ref(c)),
-            neg(app_(ref(qa), ref(c))),
-        ),
-        (fa2(lambda u, v: imp(app_(ref(r2), u, v), app_(ref(r2), v, u))),),
-        (fa(lambda v: app_(ref(r2), v, v)), neg(app_(ref(r2), ref(c), ref(c)))),
-        (fa(lambda v: neg(eq(v, ref(c)))),),
-        (
-            fa(lambda v: imp(app_(ref(pa), v), neg(eq(v, ref(c))))),
-            app_(ref(pa), ref(c)),
-        ),
-    ]
-    return lambda_free, pure, bsr
-
-
 def _oracle_space(forms, max_size: int) -> int:
     sorts = sorts_in(forms)
     names = variables_in(forms)
@@ -432,71 +356,9 @@ def _oracle_space(forms, max_size: int) -> int:
 _corpus_satisfiable = None  # populated by criterion 6, reused by criterion 7
 
 
-def _build_corpus():
-    lambda_free, pure, bsr = _hand_corpus()
-    g = Gen(61000, sorts=("a",))
-    while len(lambda_free) < 20:
-        forms = _random_lambda_free(g, g.rng.choice([1, 2, 2]))
-        n_diseq = sum(
-            1
-            for t in forms
-            if branch_of(*forms).info(t).kind is FormulaKind.SORT_DISEQ
-        )
-        if n_diseq <= 3:
-            lambda_free.append(forms)
-    g2 = Gen(63000, sorts=("a",))
-    unary = [Name(f"u{i}", fun(a, a)) for i in range(3)]
-    consts = [Name(f"e{i}", a) for i in range(3)]
-
-    def small_term():
-        # depth <= 1: a constant or one unary application of a constant
-        if g2.rng.random() < 0.5:
-            return ref(g2.rng.choice(consts))
-        return app_(ref(g2.rng.choice(unary)), ref(g2.rng.choice(consts)))
-
-    def mismatched_pair():
-        # top-level heads differ, so the pair never decomposes: one edge
-        while True:
-            l, r = small_term(), small_term()
-            if spine(l)[0] != spine(r)[0]:
-                return l, r
-
-    def same_head_pair():
-        # equal heads force one decomposition step; the argument pair is
-        # mismatched so the chain stops there: two edges in total
-        h = ref(g2.rng.choice(unary))
-        l, r = mismatched_pair()
-        return app_(h, l), app_(h, r)
-
-    while len(pure) < 20:
-        # conflict graphs are kept at <= 2 edges, so a saturated branch has
-        # at most 4 discriminants and candidate function tables stay at 4**4
-        roll = g2.rng.random()
-        if roll < 0.35:  # syntactically equal sides: the refutable shape
-            t = app_(ref(g2.rng.choice(unary)), small_term())
-            forms = (diseq(t, t),)
-            if g2.rng.random() < 0.5:
-                forms += (diseq(*mismatched_pair()),)
-        elif roll < 0.7:
-            forms = (diseq(*same_head_pair()),)
-        else:
-            forms = (diseq(*mismatched_pair()), diseq(*mismatched_pair()))
-        pure.append(forms)
-    g3 = Gen(67000, sorts=("a",))
-    while len(bsr) < 20:
-        forms = tuple(g3.bsr_formula() for _ in range(g3.rng.choice([1, 2])))
-        if classify_branch(branch_of(*forms)).is_bsr:
-            bsr.append(forms)
-    return [
-        ("lambda-free", forms) for forms in lambda_free[:20]
-    ] + [("pure", forms) for forms in pure[:20]] + [
-        ("bsr", forms) for forms in bsr[:20]
-    ]
-
-
 def test_criterion_6_decision_procedures_agree_with_the_oracle():
     global _corpus_satisfiable
-    corpus = _build_corpus()
+    corpus = acceptance_corpus()
     assert len(corpus) == 60
     satisfiable = []
     refuted = 0

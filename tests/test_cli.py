@@ -12,7 +12,7 @@ import pytest
 
 from hotab import cli
 from hotab.branch import branch_of
-from hotab.fragments import classify_branch
+from hotab.fragments import classify_branch, decide
 from hotab.kernel import (
     Base,
     Fun,
@@ -42,7 +42,7 @@ from hotab.rules import RuleId
 from hotab.search import Refuted, SearchConfig, check_proof, refute
 from hotab.semantics import Frame, Model, check_model, sorts_in, variables_in
 
-from helpers import Gen
+from helpers import Gen, acceptance_corpus
 
 a = sort("a")
 
@@ -231,6 +231,24 @@ def test_serialize_problem_eta_expands_a_bare_quantifier():
         assert again.assumptions == expanded, text
         assert serialize_problem(again) == text
 
+
+
+def test_proofs_of_library_built_problems_parse_back():
+    # each refutation of the acceptance corpus, written as a problem file and
+    # a proof file: both parse, and the proof replays against the parsed
+    # problem.  A bare quantifier premise is written eta-expanded, as
+    # serialize_problem writes the assumption it comes from
+    refuted = 0
+    for tag, forms in acceptance_corpus():
+        v = decide(branch_of(*forms))
+        if not isinstance(v, Refuted):
+            continue
+        built = Problem(sorts_in(forms), variables_in(forms), forms)
+        problem = parse(serialize_problem(built))
+        proof = parse_proof(serialize_proof(v.proof), problem)
+        assert check_proof(problem.branch(), proof, "efo"), (tag, forms)
+        refuted += 1
+    assert refuted == 19
 
 def _decls_for(formulas):
     """Sort and variable declaration lines covering the formulas."""

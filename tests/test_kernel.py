@@ -36,12 +36,14 @@ from hotab.kernel import (
     neg,
     o,
     ref,
+    shift,
     show_term,
     show_type,
     sort,
     spine,
     type_of,
 )
+from hotab.normalize import substitute
 from helpers import (
     named_alpha_eq,
     named_to_term,
@@ -141,6 +143,57 @@ def test_shadowing():
     # outer binder only captures the occurrence outside the inner lam
     assert t.body == App(Lam(a, Bound(0, a)), Bound(0, a))
 
+
+
+# ---------------------------------------------------------------------------
+# The binder operations return what they leave unchanged as the same object
+
+
+def test_shift_returns_a_term_without_dangling_indices_itself():
+    x, y, c = Name("x", a), Name("y", a), Name("c", a)
+    f = Name("f", fun(a, a, a))
+    # lam y. f ((lam x. f x y) y) c: every index is bound inside the term
+    t = lam(y, app(ref(f), app(lam(x, app(ref(f), ref(x), ref(y))), ref(y)), ref(c)))
+    assert shift(t, 1) is t
+    # under the outer binder y dangles: it is raised, and c is kept
+    shifted = shift(t.body, 1)
+    assert shifted != t.body and shifted.arg is t.body.arg
+
+
+def _sharing_parts():
+    """k = g (g c) and m = h (lam y. g y), which mention no x; the head f;
+    and a term u = g c to instantiate with."""
+    y, c = Name("y", a), Name("c", a)
+    f, g = Name("f", fun(a, a, a)), Name("g", fun(a, a))
+    h = Name("h", fun(fun(a, a), a))
+    k = app(ref(g), app(ref(g), ref(c)))
+    m = app(ref(h), lam(y, app(ref(g), ref(y))))
+    return k, m, ref(f), app(ref(g), ref(c))
+
+
+def test_lam_shares_the_subterms_without_the_variable():
+    k, m, f, _ = _sharing_parts()
+    x = Name("x", a)
+    body = app(f, app(f, ref(x), k), m)  # f (f x k) m
+    t = lam(x, body)
+    assert t.body == app(f, app(f, Bound(0, a), k), m)
+    assert t.body.arg is m and t.body.fun.arg.arg is k and t.body.fun.fun is f
+
+
+def test_instantiate_shares_the_subterms_without_the_variable():
+    k, m, f, u = _sharing_parts()
+    out = instantiate(app(f, app(f, Bound(0, a), k), m), u)
+    assert out == app(f, app(f, u, k), m)
+    assert out.arg is m and out.fun.arg.arg is k and out.fun.fun is f
+    assert out.fun.arg.fun.arg is u
+
+
+def test_substitute_returns_a_term_without_the_variable_itself():
+    x, y = Name("x", a), Name("y", a)
+    f = Name("f", fun(a, a, a))
+    t = lam(y, app(ref(f), ref(y), ref(y)))
+    assert substitute({x: ref(y)}, t) is t
+    assert substitute({x: ref(y)}, app(t, ref(x))).fun is t
 
 def test_free_vars():
     p = Name("p", fun(fun(a, o), o))

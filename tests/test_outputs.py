@@ -1,0 +1,123 @@
+"""Every output of a fixed problem set, pinned by digest.
+
+Each problem is refuted with calculus auto, efo and stt, each with
+`eager_close` off and on, and decided where `classify_branch` says it is
+decidable.  A run's output is its verdict with the proof file text, the
+model text with the evidence report, the `Unknown` reason, or the
+exception's type and message.  The first 16 hex digits of its sha256 are
+kept in outputs.json, keyed "problem|calculus|eager" ("problem|decide").
+
+A change that is meant to keep every proof, model and message the same
+must leave the digests as they are.  Run this file as a script to compare
+without pytest (`PYTHONPATH=src python tests/test_outputs.py`), or with
+`--record` to write the digests of the code on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from hotab.branch import branch_of
+from hotab.fragments import classify_branch, decide
+from hotab.normalize import normalize
+from hotab.problems import parse, serialize_proof
+from hotab.rules import is_evident
+from hotab.search import Refuted, Satisfiable, SearchConfig, refute
+from hotab.semantics import show_model
+
+from helpers import (
+    Gen,
+    acceptance_corpus,
+    chain_text,
+    clique_text,
+    double_neg_mate_text,
+    fclique_text,
+    rel_text,
+)
+
+DIGESTS = Path(__file__).with_name("outputs.json")
+
+_TEXTS = {
+    **{f"chain({n})": chain_text(n) for n in (2, 3, 4, 6)},
+    "cliqueU(5)": clique_text(
+        5, "(assume (forall (x a) (imp (neq x c0) (= x c1))))"
+    ),
+    **{f"rel({k})": rel_text(k) for k in range(2, 6)},
+    **{f"fclique({k})": fclique_text(k) for k in range(3, 8)},
+    **{f"double-neg({r})": double_neg_mate_text(r) for r in ("=", "neq")},
+}
+
+
+def problems():
+    """(key, formulas, reserved names, node budget) per pinned problem."""
+    for key, text in _TEXTS.items():
+        p = parse(text)
+        yield key, p.assumptions, p.variables, 3000
+    for i, (tag, forms) in enumerate(acceptance_corpus()):
+        yield f"corpus#{i}:{tag}", forms, (), 3000
+    for i in range(50):
+        g = Gen(20000 + i)
+        forms = tuple(normalize(g.efo_formula(2, quasi=True)) for _ in range(3))
+        yield f"efo-gen({20000 + i})", forms, (), 200
+    for i in range(50):
+        g = Gen(21000 + i)
+        forms = tuple(normalize(g.formula(2)) for _ in range(3))
+        yield f"stt-gen({21000 + i})", forms, (), 200
+
+
+def _output(run, *args) -> str:
+    try:
+        v = run(*args)
+        if isinstance(v, Refuted):
+            return f"unsat {v.calculus}\n{serialize_proof(v.proof)}"
+        if isinstance(v, Satisfiable):
+            return f"sat\n{show_model(v.model)}\n{is_evident(v.branch).describe()}"
+        return f"unknown\n{v.reason}"
+    except Exception as ex:
+        return f"{type(ex).__name__}: {ex}"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for key, forms, reserved, budget in problems():
+        for calculus in ("auto", "efo", "stt"):
+            for eager in (False, True):
+                cfg = SearchConfig(
+                    calculus=calculus,
+                    max_nodes=budget,
+                    timeout=None,
+                    eager_close=eager,
+                    reserved=reserved,
+                )
+                flag = "eager" if eager else "lazy"
+                out[f"{key}|{calculus}|{flag}"] = _digest(_output(refute, forms, cfg))
+        branch = branch_of(*forms)
+        if classify_branch(branch).decidable():
+            out[f"{key}|decide"] = _digest(_output(decide, branch))
+    return out
+
+
+def differing(recorded: dict[str, str], got: dict[str, str]) -> list[str]:
+    keys = recorded.keys() | got.keys()
+    return sorted(k for k in keys if recorded.get(k) != got.get(k))
+
+
+def test_every_output_matches_its_recorded_digest():
+    differ = differing(json.loads(DIGESTS.read_text()), digests())
+    assert not differ, f"{len(differ)} outputs differ: " + ", ".join(differ)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--record"]:
+        DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    else:
+        differ = differing(json.loads(DIGESTS.read_text()), digests())
+        if differ:
+            sys.exit(f"{len(differ)} outputs differ: " + ", ".join(differ))

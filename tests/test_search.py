@@ -46,7 +46,14 @@ from hotab.search import (
 )
 from hotab.semantics import check_model, enumerate_models, eval_term
 
-from helpers import Gen
+from helpers import (
+    Gen,
+    chain_text,
+    clique_text,
+    double_neg_mate_text,
+    fclique_text,
+    rel_text,
+)
 
 a = sort("a")
 b = sort("b")
@@ -732,18 +739,6 @@ def test_search_instance_is_the_reference_first_on_random_branches():
     assert compared >= 700
 
 
-def _chain_text(n: int) -> str:
-    """r c0 c1, ..., r c(n-1) cn, transitivity of r, and not r c0 cn."""
-    decls = ["(sort a)(var r (> a a o))"] + [f"(var c{i} a)" for i in range(n + 1)]
-    decls += [f"(assume (r c{i} c{i + 1}))" for i in range(n)]
-    decls += [
-        "(assume (forall (x a) (forall (y a) (forall (z a)"
-        " (imp (r x y) (imp (r y z) (r x z)))))))",
-        f"(assume (not (r c0 c{n})))",
-    ]
-    return "".join(decls)
-
-
 _REFERENCE = {
     "efo": lambda b, fuel, reserved: applicable_efo(b, reserved),
     "stt": applicable_stt,
@@ -790,7 +785,7 @@ def _search_chain_checked(monkeypatch, n: int, budget: int):
     visited."""
     from hotab.problems import parse
 
-    root = parse(_chain_text(n)).branch()
+    root = parse(chain_text(n)).branch()
     visited = _check_every_node(monkeypatch)
     v = refute(root, SearchConfig(max_nodes=budget, timeout=None))
     return root, v, visited
@@ -827,29 +822,13 @@ def test_closing_first_reference():
     assert closing_first(br, []) is None
 
 
-def _double_neg_mate_text(rel: str) -> str:
-    """not not (x rel y), not not (u rel v), p x z u and not (p y z v)."""
-    return (
-        "(sort a)(var p (> a a a o))"
-        + "".join(f"(var {n} a)" for n in "xyzuv")
-        + f"(assume (not (not ({rel} x y))))(assume (not (not ({rel} u v))))"
-        "(assume (p x z u))(assume (not (p y z v)))"
-    )
-
-
-def _clique_text(k: int, *lines: str) -> str:
-    decls = ["(sort a)"] + [f"(var c{i} a)" for i in range(k)]
-    decls += [f"(assume (neq c{i} c{j}))" for i in range(k) for j in range(i + 1, k)]
-    return "".join(decls + list(lines))
-
-
 @pytest.mark.parametrize(
     "text, calculus, max_nodes, rounds, visits",
     [
         # branches and backtracks: a frame's unproductive instances must
         # not reach its sibling subtrees
         pytest.param(
-            _clique_text(5, "(assume (forall (x a) (imp (neq x c0) (= x c1))))"),
+            clique_text(5, "(assume (forall (x a) (imp (neq x c0) (= x c1))))"),
             "efo",
             None,
             1,
@@ -879,7 +858,7 @@ def _clique_text(k: int, *lines: str) -> str:
         # not not (x = y) closes x != y at once, so the mate comes first:
         # all its alternatives but z != z close
         pytest.param(
-            _double_neg_mate_text("="), "efo", None, 1, 6, id="double-neg-eq"
+            double_neg_mate_text("="), "efo", None, 1, 6, id="double-neg-eq"
         ),
     ],
 )
@@ -907,7 +886,7 @@ def test_search_instance_is_the_reference_first_with_double_neg_diseqs(
     from hotab.problems import parse
 
     visited = _check_every_node(monkeypatch)
-    root = parse(_double_neg_mate_text("neq")).branch()
+    root = parse(double_neg_mate_text("neq")).branch()
     v = refute(root, SearchConfig(calculus="efo", max_nodes=1, timeout=None))
     assert isinstance(v, Unknown) and "node budget" in v.reason
     assert len(visited) == 2
@@ -974,7 +953,7 @@ def test_backjumping_keeps_the_member_a_free_variable_instance_needs():
 @pytest.mark.parametrize(
     "text, calculus, budget",
     [
-        pytest.param(_chain_text(2), "efo", 500, id="chain2"),
+        pytest.param(chain_text(2), "efo", 500, id="chain2"),
         pytest.param(
             "(sort a)(var f (> a a))(var g (> a a))(var h (> a a))(var c a)"
             "(assume (= f g))(assume (neq (f (h c)) (g (h c))))",
@@ -1008,7 +987,7 @@ def test_closing_first_refutes_chains_within_budgets(n, budget):
     # all three ran out of nodes before closing-first selection
     from hotab.problems import parse, parse_proof, serialize_proof
 
-    problem = parse(_chain_text(n))
+    problem = parse(chain_text(n))
     cfg = SearchConfig(calculus="efo", max_nodes=budget, timeout=None)
     v = refute(problem.branch(), cfg)
     assert isinstance(v, Refuted)
@@ -1083,19 +1062,6 @@ def test_backjumping_verdicts_certify_on_random_branches():
 # Model extraction reads first-order tables off the evident branch
 
 
-def _rel(k: int) -> str:
-    return _clique_text(
-        k,
-        "(var r (> a a o))",
-        "(assume (forall (x a) (r x x)))",
-        "(assume (not (r c0 c1)))",
-    )
-
-
-def _fclique(k: int) -> str:
-    return _clique_text(k, "(var f (> a a))", "(assume (neq (f c0) c0))")
-
-
 def test_extraction_builds_no_first_order_function_space(monkeypatch):
     import tracemalloc
 
@@ -1114,7 +1080,8 @@ def test_extraction_builds_no_first_order_function_space(monkeypatch):
         return domain(frame, ty)
 
     monkeypatch.setattr(semantics.Frame, "domain", guarded)
-    problems = [_rel(k) for k in range(2, 6)] + [_fclique(k) for k in range(3, 8)]
+    problems = [rel_text(k) for k in range(2, 6)]
+    problems += [fclique_text(k) for k in range(3, 8)]
     for text in problems:
         forms = parse(text).assumptions
         # check_model evaluates a quantifier over s through the table of
@@ -1129,7 +1096,7 @@ def test_extraction_builds_no_first_order_function_space(monkeypatch):
         assert isinstance(v, Satisfiable), text
         assert check_model(v.model, forms)
 
-    forms = parse(_rel(5)).assumptions
+    forms = parse(rel_text(5)).assumptions
     allowed = {Fun(a, o)}
     tracemalloc.start()
     try:
