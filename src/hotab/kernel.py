@@ -4,7 +4,10 @@ Terms are stored locally nameless: bound variables are de Bruijn indices,
 free variables and logical constants are named references.  Structural
 equality therefore coincides with alpha-equivalence, and substitution can
 never capture.  Everything is immutable with a cached hash, so terms are
-shared freely across tableau branches and used as set/dict keys.
+shared freely across tableau branches and used as set/dict keys.  Each term
+class returns the term already built from equal arguments while a table
+holds it.  The table is emptied at SHARED_BOUND (2^15) entries, so equal
+terms may be distinct objects, and equality and hashing stay structural.
 
 Binding (`lam`), shifting, instantiation and substitution are leaf maps
 over one traversal, `rebuild`, which counts the binders above each leaf
@@ -186,7 +189,23 @@ def forall_sort(n: Name) -> Type | None:
 # Terms
 
 
-class Term:
+_shared: dict[tuple, "Term"] = {}  # (class, *arguments) -> term
+SHARED_BOUND = 1 << 15
+
+
+class _Shared(type):
+    def __call__(cls, *args):  # the term built from equal arguments, if kept
+        key = (cls, *args)
+        t = _shared.get(key)
+        if t is None:
+            t = super().__call__(*args)  # __init__ type-checks before the entry
+            if len(_shared) >= SHARED_BOUND:
+                _shared.clear()
+            _shared[key] = t
+        return t
+
+
+class Term(metaclass=_Shared):
     """An intrinsically typed lambda term in alpha-canonical form."""
 
     __slots__ = ("ty", "_hash")

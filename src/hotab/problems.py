@@ -327,8 +327,14 @@ def serialize_problem(p: Problem) -> str:
     parsed from the text serializes to the same text."""
     lines = [f"(sort {s.name})" for s in p.sorts]
     lines += [f"(var {n.ident} {show_type(n.ty)})" for n in p.variables]
-    lines += [f"(assume {show_term(_eta_quantifiers(s))})" for s in p.assumptions]
+    lines += [f"(assume {_show_eta(s)})" for s in p.assumptions]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _show_eta(t: Term) -> str:
+    """show_term(_eta_quantifiers(t)), with no walk if t has no bare quantifier."""
+    text = show_term(t)
+    return show_term(_eta_quantifiers(t)) if "(!forall " in text else text
 
 
 def _eta_quantifiers(t: Term) -> Term:
@@ -362,7 +368,7 @@ def serialize_proof(proof: Proof) -> str:
             parts.append("." * depth)
             parts.append(str(alt))
         parts.append(r.rule.value)
-        premises = (show_term(_eta_quantifiers(p)) for p in r.premises)
+        premises = (_show_eta(p) for p in r.premises)
         parts.append("(" + " ".join(premises) + ")")
         if r.inst is not None:
             if RULES[r.rule].inst == "fresh":
@@ -370,7 +376,7 @@ def serialize_proof(proof: Proof) -> str:
                     f"({r.inst.name.ident} {show_type(r.inst.name.ty)})"
                 )
             else:
-                parts.append(f"({show_term(_eta_quantifiers(r.inst))})")
+                parts.append(f"({_show_eta(r.inst)})")
         lines.append(" ".join(parts))
         for i in range(len(node.children) - 1, -1, -1):
             stack.append((node.children[i], depth + 1, i))

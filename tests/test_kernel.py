@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hotab import kernel
 from hotab.kernel import (
     App,
     Bound,
@@ -113,6 +114,48 @@ def test_spine():
     t = app(ref(f), ref(x), ref(x))
     assert spine(t) == (ref(f), (ref(x), ref(x)))
     assert spine(ref(x)) == (ref(x), ())
+
+
+# ---------------------------------------------------------------------------
+# Sharing: a term built from equal arguments is the same object
+
+
+def _sample():
+    x = Name("x", a)  # a new Name object on every call
+    return lam(x, app(ref(Name("f", fun(a, a, o))), ref(x), ref(Name("y", a))))
+
+
+def test_an_equal_term_is_built_once():
+    kernel._shared.clear()
+    assert _sample() is _sample()
+    assert Bound(0, a) is Bound(0, a) and Ref(Name("y", a)) is Ref(Name("y", a))
+
+
+def test_terms_built_after_the_table_is_emptied_equal_those_built_before():
+    before = _sample()
+    kernel._shared.clear()
+    after = _sample()
+    assert after is not before and after.body is not before.body
+    assert after == before and hash(after) == hash(before)
+
+
+def test_the_table_never_grows_past_its_bound(monkeypatch):
+    monkeypatch.setattr(kernel, "SHARED_BOUND", 5)
+    kernel._shared.clear()
+    sizes = []
+    for i in range(20):
+        t = Ref(Name(f"c{i}", a))
+        sizes.append(len(kernel._shared))
+        assert Ref(Name(f"c{i}", a)) is t  # the newest term is always kept
+    assert max(sizes) == 5 and sizes[5] == 1
+
+
+def test_an_ill_typed_application_leaves_no_entry():
+    f, y = ref(Name("f", fun(a, b))), ref(Name("y", b))
+    size = len(kernel._shared)
+    with pytest.raises(TypeError):
+        App(f, y)
+    assert len(kernel._shared) == size
 
 
 # ---------------------------------------------------------------------------
