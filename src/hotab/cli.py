@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from .fragments import FragmentViolation, classify_branch
+from .models import show_model
 from .problems import ParseError, Problem, parse, parse_proof, serialize_proof
-from .rules import EAGER_RULES
-from .search import Refuted, Satisfiable, SearchConfig, Unknown, check_proof, refute
-from .semantics import show_model
+from .rules import EAGER_RULES, check_proof
+from .search import Refuted, Satisfiable, SearchConfig, Unknown, refute
 
 __all__ = ["main", "Problem", "parse"]
 

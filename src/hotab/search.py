@@ -1,44 +1,44 @@
-"""Refutation search and checkable proofs.
+"""Refutation search and proof objects.
 
 `refute` picks a row of the calculus table `rules.CALCULI` (by
 `rules.route_calculus` in auto mode) and runs one engine with it: the row
-gives the rule set, the fragment gate and the instantiation terms.  It
-develops a branch depth-first and puts off real splits (Hähnle, "Tableaux
-and related methods", 2001; leanTAP): each node applies the first instance
-in search order (rule priority, then member insertion order) with two or
-more alternatives that all close at once but one at most, found by
-`rules.Agenda`, else the first applicable instance, read lazily from
-`rules.instances`.  Runs are deterministic.  Instances that take no fresh
-witness are memoised for one `refute` call.  The agenda's state is scoped
-to the path from the root: search marks it before a node adds to it and
-undoes it to that mark when the node's frame is popped.  No cache changes
-which instance is applied.  This module keeps the depth-first path,
-backjumping and the budgets; every rule condition it relies on is stated
-in `rules`.
+gives the rule set and the fragment gate.  It develops a branch depth-first
+and puts off real splits (Hähnle, "Tableaux and related methods", 2001;
+leanTAP): each node applies the first instance in search order (rule
+priority, then member insertion order) with two or more alternatives that
+all close at once but one at most, found by `selection.Agenda`, else the
+first applicable instance, read lazily from `selection.instances`.  Runs
+are deterministic.  Instances that take no fresh witness are memoised for
+one `refute` call.  The agenda's state is scoped to the path from the root:
+search marks it before a node adds to it and undoes it to that mark when
+the node's frame is popped.  No cache changes which instance is applied.
+This module keeps the depth-first path, backjumping and the budgets; every
+rule condition it relies on is stated in `rules`, every choice it makes in
+`selection`.
 
 The search backjumps (proof condensation).  A closed subtree reports the
-branch members it used, the `rules.support` of each of its instances: the
-premises, plus, for each `forall-inst`, the one member that keeps its term
-admissible.  When the subtree under an alternative used nothing that
+branch members it used, the `selection.support` of each of its instances:
+the premises, plus, for each `forall-inst`, the one member that keeps its
+term admissible.  When the subtree under an alternative used nothing that
 alternative added, it closes the branch the alternative was added to, so
 the frame is dropped with its remaining alternatives and the subtree takes
-its place.  A condensed proof is an ordinary proof: `check_proof` replays
-it unchanged.
+its place.  A condensed proof is an ordinary proof.
 
 Each fuel of the schedule gets one saturation.  It either closes every
-branch — yielding a Refuted verdict with a proof tree — or reaches a
-branch with no applicable instance.  Without functional equations that
-branch satisfies the model-existence conditions (`rules.is_evident`, the
-rule table read backwards) and yields a Satisfiable verdict with an
-extracted, certified model.  With them it does not (their instance
-condition ranges over infinitely many terms), so the next fuel is tried,
-and after the last the search answers Unknown.  The restricted calculus
-admits no functional equations, so its first round decides.
+branch or reaches a branch with no applicable instance.  Without
+functional equations that branch satisfies the model-existence conditions
+(`selection.is_evident`, the rule table read backwards) and yields a
+Satisfiable verdict with an extracted, certified model.  With them it does
+not (their instance condition ranges over infinitely many terms), so the
+next fuel is tried, and after the last the search answers Unknown.  The
+restricted calculus admits no functional equations, so its first round
+decides.
 
 A Proof is a tree of rule instances, one child per alternative; leaves are
-instances with no alternatives, witnessing closure.  `check_proof` replays
-a proof against the initial branch using only `rules.check_instance`, so
-its soundness rests on the instance checker alone.
+instances with no alternatives, witnessing closure.  A closed saturation
+gives a Refuted verdict only once `rules.check_proof` has replayed its proof
+with the calculus and eager setting of the search, and Unknown if the
+replay fails: an `unsat` rests on the trusted core in `rules` alone.
 """
 
 from __future__ import annotations
@@ -50,31 +50,27 @@ from dataclasses import dataclass, field
 from .branch import Branch, FormulaKind
 from .kernel import Name, Term
 from .normalize import apply_norm  # noqa: F401  (the tracer patches it here)
+from .models import DEFAULT_MAX_TABLE, CardinalityError, Model
 from .rules import (
-    EAGER_RULES,
-    Agenda,
     Calculus,
-    FragmentViolation,
     RuleInstance,
-    applicable_efo,  # noqa: F401  (perfbench's tracer patches the noqa names)
-    applicable_stt,  # noqa: F401
     as_branch,
     calculus_named,
-    check_instance,
+    check_instance,  # noqa: F401  (perfbench's tracer patches the noqa names)
+    check_proof,
+    quasi_efo_violation,  # noqa: F401
+    route_calculus,
+)
+from .selection import (
+    Agenda,
+    applicable_efo,  # noqa: F401
+    applicable_stt,  # noqa: F401
     closing_instance,
     instances,
     is_evident,
-    quasi_efo_violation,  # noqa: F401
-    route_calculus,
     support,
 )
-from .semantics import (
-    DEFAULT_MAX_TABLE,
-    CardinalityError,
-    Model,
-    NotEvident,
-    extract_model,
-)
+from .semantics import NotEvident, extract_model
 
 __all__ = [
     "BudgetExceeded",
@@ -83,7 +79,6 @@ __all__ = [
     "Satisfiable",
     "SearchConfig",
     "Unknown",
-    "check_proof",
     "refute",
 ]
 
@@ -234,7 +229,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     Raises BudgetExceeded when limits run out.
 
     A closed subtree comes with the members its instances use (their
-    `rules.support`).  If it uses none that its alternative added, it
+    `selection.support`).  If it uses none that its alternative added, it
     closes the frame's own branch, so it takes the frame's place and the
     frame's other alternatives are dropped.  The result replays unchanged,
     as each instance still checks on the branch of its support.  In the
@@ -300,11 +295,11 @@ def _extend(branch: Branch, alternative) -> tuple[Branch, tuple[Term, ...]]:
 def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     """Decide or attempt to decide a set of assumptions.
 
-    Returns Refuted (with a checkable proof), Satisfiable (with a certified
-    model and the saturated branch), or Unknown.  Raises FragmentViolation
-    when the input fits no calculus (or not the requested one), and
-    NotEvident when a saturated branch fails `is_evident`, before any model
-    is extracted from it.
+    Returns Refuted (with a proof `check_proof` has replayed), Satisfiable
+    (with a certified model and the saturated branch), or Unknown.  Raises
+    FragmentViolation when the input fits no calculus (or not the requested
+    one), and NotEvident when a saturated branch fails `is_evident`, before
+    any model is extracted from it.
 
     One saturation runs per fuel of the schedule, over one memo, node count
     and deadline.  A round that ends open without functional equations is
@@ -324,6 +319,8 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
                 branch, calc, fuel, cfg, memo, deadline, counter
             )
             if status == "closed":
+                if not check_proof(branch, payload, calc.name, cfg.eager_close):
+                    return Unknown("search found a proof, but it failed replay")
                 return Refuted(payload, calc.name)
             if not payload.members(FormulaKind.FUN_EQ):
                 report = is_evident(payload)
@@ -341,44 +338,3 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     except BudgetExceeded as e:
         return Unknown(str(e))
 
-
-# ---------------------------------------------------------------------------
-# Proof checking
-
-
-def check_proof(
-    branch_or_formulas, proof: Proof, calculus: str = "auto", eager: bool = False
-) -> bool:
-    """Replay a proof against the assumptions it claims to refute.
-
-    Every node's instance must pass check_instance on the reconstructed
-    branch, use only the calculus's rules (plus the eager leaf rules when
-    eager is set), and have one child per alternative.  A calculus name
-    other than "auto", "efo" and "stt" raises ValueError.
-    """
-    try:
-        branch = as_branch(branch_or_formulas)
-    except (TypeError, ValueError):
-        return False
-    if calculus == "auto":
-        try:
-            calculus = route_calculus(branch)
-        except FragmentViolation:
-            return False
-    allowed = calculus_named(calculus).rules
-    if eager:
-        allowed = allowed | EAGER_RULES
-
-    stack = [(branch, proof)]
-    while stack:
-        b, node = stack.pop()
-        r = node.instance
-        if r.rule not in allowed:
-            return False
-        if len(node.children) != len(r.alternatives):
-            return False
-        if not check_instance(b, r, eager):
-            return False
-        for alt, child in zip(r.alternatives, node.children):
-            stack.append((b.add_all(alt), child))
-    return True

@@ -299,13 +299,15 @@ class Gen:
         )
 
     def frame_for(self, formulas, max_size: int = 3):
-        from hotab.semantics import Frame, sorts_in
+        from hotab.models import Frame
+        from hotab.semantics import sorts_in
 
         sizes = {s: self.rng.randint(1, max_size) for s in sorts_in(formulas)}
         return Frame(sizes)
 
     def model_for(self, formulas, max_size: int = 3):
-        from hotab.semantics import Model, variables_in
+        from hotab.models import Model
+        from hotab.semantics import variables_in
 
         frame = self.frame_for(formulas, max_size)
         interp = {n: self.value(frame, n.ty) for n in variables_in(formulas)}

@@ -34,25 +34,11 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import apply_norm, normalize, substitute
-from hotab.rules import (
-    applicable_efo,
-    applicable_stt,
-    check_instance,
-    is_evident,
-    make_instance,
-)
-from hotab.search import Refuted, Satisfiable, check_proof, refute
-from hotab.semantics import (
-    CardinalityError,
-    Frame,
-    Model,
-    check_model,
-    enumerate_models,
-    eval_term,
-    extract_model,
-    sorts_in,
-    variables_in,
-)
+from hotab.models import CardinalityError, Frame, Model, check_model, eval_term
+from hotab.rules import check_instance, check_proof, make_instance
+from hotab.search import Refuted, Satisfiable, refute
+from hotab.selection import applicable_efo, applicable_stt, is_evident
+from hotab.semantics import enumerate_models, extract_model, sorts_in, variables_in
 
 from helpers import Gen, acceptance_corpus
 

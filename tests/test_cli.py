@@ -38,9 +38,10 @@ from hotab.problems import (
     serialize_problem,
     serialize_proof,
 )
-from hotab.rules import RuleId
-from hotab.search import Refuted, SearchConfig, check_proof, refute
-from hotab.semantics import Frame, Model, check_model, sorts_in, variables_in
+from hotab.models import Frame, Model, check_model
+from hotab.rules import RuleId, check_proof
+from hotab.search import Refuted, SearchConfig, refute
+from hotab.semantics import sorts_in, variables_in
 
 from helpers import Gen, acceptance_corpus
 

@@ -29,9 +29,11 @@ from hotab.kernel import (
     sort,
 )
 from hotab.normalize import normalize
-from hotab.rules import applicable_efo
-from hotab.search import Refuted, Satisfiable, check_proof
-from hotab.semantics import check_model, enumerate_models
+from hotab.models import check_model
+from hotab.rules import check_proof
+from hotab.search import Refuted, Satisfiable
+from hotab.selection import applicable_efo
+from hotab.semantics import enumerate_models
 
 from helpers import Gen
 

@@ -26,10 +26,10 @@ from hotab import kernel
 from hotab.branch import branch_of
 from hotab.fragments import classify_branch, decide
 from hotab.normalize import normalize
+from hotab.models import show_model
 from hotab.problems import parse, serialize_proof
-from hotab.rules import is_evident
 from hotab.search import Refuted, Satisfiable, SearchConfig, refute
-from hotab.semantics import show_model
+from hotab.selection import is_evident
 
 from helpers import (
     Gen,

@@ -1,6 +1,7 @@
 """Rule engine: schema matching, enumeration, applicability, checking."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -21,25 +22,30 @@ from hotab.kernel import (
     ref,
     sort,
 )
+from hotab.models import CardinalityError, Frame, Model, eval_term
 from hotab.normalize import is_normal, normalize
 from hotab.rules import (
     RuleId,
     RuleInstance,
+    check_instance,
+    check_proof,
+    concluded,
+    make_instance,
+    match_schema,
+)
+from hotab.search import Proof, Refuted, SearchConfig, refute
+from hotab.selection import (
     TermEnumerator,
     applicable_efo,
     applicable_stt,
-    check_instance,
     closing_instance,
-    concluded,
     instantiation_candidates,
-    make_instance,
-    match_schema,
     support,
 )
-from hotab.search import Proof, check_proof, refute
-from hotab.semantics import Model, enumerate_models, eval_term, variables_in
+from hotab.semantics import enumerate_models, sorts_in, variables_in
 
 from helpers import Gen
+from test_outputs import problems as pinned_problems
 
 a = sort("a")
 b = sort("b")
@@ -536,6 +542,29 @@ def test_check_rejects_bad_instantiations():
         ref(V("u", a)),
     )
     assert not check_instance(br, wrong_ty)
+    # carrying the row's own alternatives does not admit a non-normal term
+    assert check_instance(br, make_instance(RuleId.FUN_EQ, (e,), ref(p)))
+    assert not check_instance(br, make_instance(RuleId.FUN_EQ, (e,), redex))
+
+
+def test_check_refuses_mistyped_instantiation_terms():
+    # the row rebuilds the alternatives from the claimed term, and the typed
+    # constructors refuse a term of the wrong type: the instance is refused
+    # even when it claims the alternatives of a well-typed one
+    p, y = V("p", fun(a, o)), V("y", a)
+    f, g = V("f", fun(a, o)), V("g", fun(a, o))
+    quantified = forall(lam(y, app(ref(p), ref(y))))
+    for rule, premise in (
+        (RuleId.FORALL_INST, quantified),
+        (RuleId.FORALL_NEG, neg(quantified)),
+        (RuleId.FUN_EQ, eq(ref(f), ref(g))),
+        (RuleId.FUN_EXT, diseq(ref(f), ref(g))),
+    ):
+        br = branch_of(premise)
+        good = make_instance(rule, (premise,), ref(V("x", a)))
+        assert check_instance(br, good), rule
+        mistyped = RuleInstance(rule, good.premises, good.alternatives, ref(V("x", b)))
+        assert not check_instance(br, mistyped), rule
 
 
 def test_check_rejects_stale_witness_variables():
@@ -551,6 +580,41 @@ def test_check_rejects_stale_witness_variables():
         ref(V("x", a)),
     )
     assert check_instance(br.add(eq(ref(V("x", a)), ref(V("x", a)))), reused) is False
+
+
+def _space_at_two(formulas) -> float:
+    """The number of assignments `enumerate_models` tries at sort size 2."""
+    frame = Frame(dict.fromkeys(sorts_in(formulas), 2), max_table=2**14)
+    try:
+        return math.prod(frame.size(n.ty) for n in variables_in(formulas))
+    except CardinalityError:
+        return math.inf
+
+
+def test_check_proof_rejects_every_proof_of_a_weakened_satisfiable_problem():
+    # the checker's one promise: a proof of the pinned problems, replayed
+    # with one assumption dropped, fails wherever brute force finds a model
+    refutations = rejected = 0
+    for key, forms, reserved, budget in pinned_problems():
+        for eager in (False, True):
+            cfg = SearchConfig(
+                max_nodes=budget, timeout=None, eager_close=eager, reserved=reserved
+            )
+            try:
+                v = refute(forms, cfg)
+            except FragmentViolation:
+                continue
+            if not isinstance(v, Refuted):
+                continue
+            refutations += 1
+            for i in range(len(forms)):
+                weaker = forms[:i] + forms[i + 1 :]
+                if _space_at_two(weaker) > 2**14:
+                    continue
+                if next(enumerate_models(weaker, 2), None) is not None:
+                    rejected += 1
+                    assert not check_proof(weaker, v.proof, v.calculus, eager), key
+    assert (refutations, rejected) == (110, 160)
 
 
 # ---------------------------------------------------------------------------

@@ -21,30 +21,21 @@ from hotab.kernel import (
     ref,
     sort,
 )
+from hotab.models import check_model, eval_term
 from hotab.normalize import normalize
 from hotab.rules import (
     CALCULI,
     RULES,
     RuleId,
-    applicable_efo,
-    applicable_stt,
+    check_proof,
     complements,
-    instances,
-    is_evident,
     is_reflexive,
     make_instance,
     route_calculus,
 )
-from hotab.search import (
-    Proof,
-    Refuted,
-    Satisfiable,
-    SearchConfig,
-    Unknown,
-    check_proof,
-    refute,
-)
-from hotab.semantics import check_model, enumerate_models, eval_term
+from hotab.search import Proof, Refuted, Satisfiable, SearchConfig, Unknown, refute
+from hotab.selection import applicable_efo, applicable_stt, instances, is_evident
+from hotab.semantics import enumerate_models
 
 from helpers import (
     Gen,
@@ -591,7 +582,7 @@ def test_each_evidence_condition_describes_its_violation(condition, formulas, te
 
 def test_refute_raises_not_evident_before_extracting(monkeypatch):
     import hotab.search as search
-    from hotab.rules import EvidenceReport, Violation
+    from hotab.selection import EvidenceReport, Violation
     from hotab.semantics import NotEvident
 
     def extract(*args, **kwargs):
@@ -605,6 +596,35 @@ def test_refute_raises_not_evident_before_extracting(monkeypatch):
     with pytest.raises(NotEvident) as e:
         refute([ref(V("p", o))])
     assert e.value.report is report
+
+
+def test_refute_answers_unknown_when_its_proof_fails_replay(
+    tmp_path, capsys, monkeypatch
+):
+    # a fault in selection: every branching instance keeps only its first
+    # alternative, so search closes chain(2) with a proof that does not replay
+    import dataclasses
+
+    import hotab.selection as selection
+    from hotab import cli
+    from hotab.problems import parse
+
+    built = selection.memo_instance
+
+    def first_alternative_only(memo, branch, row, key):
+        r = built(memo, branch, row, key)
+        if r is not selection._REJECTED and len(r.alternatives) >= 2:
+            r = dataclasses.replace(r, alternatives=r.alternatives[:1])
+            memo[key] = r
+        return r
+
+    monkeypatch.setattr(selection, "memo_instance", first_alternative_only)
+    v = refute(parse(chain_text(2)).branch())
+    assert isinstance(v, Unknown) and "failed replay" in v.reason
+    path = tmp_path / "chain2.p"
+    path.write_text(chain_text(2))
+    assert cli.main([str(path)]) == 30
+    assert capsys.readouterr().out.splitlines() == ["unknown"]
 
 
 def test_evident_iff_no_applicable_instance_restricted():

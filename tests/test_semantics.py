@@ -30,19 +30,21 @@ from hotab.kernel import (
     sort,
 )
 from hotab.normalize import normalize, substitute
-from hotab.search import Satisfiable
-from hotab.semantics import (
+from hotab.models import (
     CardinalityError,
-    ExtractionFailure,
     Frame,
     Model,
     check_model,
-    enumerate_models,
     eval_term,
-    extract_model,
-    has_model,
     show_model,
     show_value,
+)
+from hotab.search import Satisfiable
+from hotab.semantics import (
+    ExtractionFailure,
+    enumerate_models,
+    extract_model,
+    has_model,
     sorts_in,
     variables_in,
 )
@@ -188,7 +190,7 @@ def test_eval_invariant_under_normalization(seed):
     t = g.term(g.type(2), depth=3, redex_prob=0.35)
     m = g.model_for([t] if t.ty == o else [], max_size=3)
     # the model must cover t's sorts and variables even when t is not a formula
-    from hotab.semantics import Frame as F
+    from hotab.models import Frame as F
 
     frame = g.frame_for([t])
     interp = {n: g.value(frame, n.ty) for n in variables_in([t])}
