@@ -1,19 +1,19 @@
-"""Tableau branches: immutable sets of normal formulas with lookup caches.
+"""Tableau branches: the path state of a depth-first search, with one trail.
 
 A branch stores its members in insertion order, a classification of each
 formula (what shape it has for rule application; its keys also answer
-membership, equality and hashing), the members of each kind in insertion
-order, the free variables in first-occurrence order, and the witness of
-closure proper (a variable with its negation, or x != x at a sort).  `add`
-returns a new branch and shares nothing mutable, so branches behave
-persistently; adding a member that is already present returns the branch
-itself (identity-preserving no-op).
+membership and equality), the members of each kind in insertion order, the
+free variables in first-occurrence order, each with the first member it is
+free in, and the witness of closure proper (a variable with its negation,
+or x != x at a sort).  `add` extends the branch in place and puts one undo
+step on `trail` per container it changes; `undo(mark)` restores the state
+of when `len(trail)` was mark.  `selection.Agenda` records on the same
+trail.  `copy` gives a branch with an empty trail, so that search and
+replay never change a caller's branch.
 
 The discriminating terms of a type (the sides of its disequations) and its
-discriminants — maximal sets of disequation sides with no disequation
-between members — are computed lazily per type and memoized on the
-branch.  The memo is idempotent, so concurrent readers at worst repeat
-the computation; nothing observable ever mutates.
+discriminants (maximal sets of sides with no disequation between members)
+are memoized per type and number of disequations, each entry on the trail.
 """
 
 from __future__ import annotations
@@ -141,8 +141,13 @@ def classify(s: Term) -> FormulaInfo:
     return FormulaInfo(FormulaKind.OTHER)
 
 
+def _diseq_kind(at: Type) -> FormulaKind:
+    k = FormulaKind
+    return k.BOOL_DISEQ if at == o else k.SORT_DISEQ if is_sort(at) else k.FUN_DISEQ
+
+
 class Branch:
-    """An immutable branch; build with `empty()` / `branch_of` and `add`."""
+    """A branch; build with `empty()` / `branch_of` and extend with `add`."""
 
     __slots__ = (
         "formulas",
@@ -150,22 +155,33 @@ class Branch:
         "_by_kind",
         "free_names",
         "closing_witness",
-        "_disc_terms_cache",
-        "_disc_cache",
+        "_memos",
+        "trail",
     )
 
     def __init__(self):
-        self.formulas: tuple[Term, ...] = ()
+        self.formulas: list[Term] = []
         self._info: dict[Term, FormulaInfo] = {}
-        self._by_kind: dict[FormulaKind, tuple[Term, ...]] = {}
-        self.free_names: tuple[Name, ...] = ()
+        self._by_kind: dict[FormulaKind, list[Term]] = {}
+        self.free_names: dict[Name, Term] = {}  # to the first member with it
         self.closing_witness: tuple | None = None
-        self._disc_terms_cache: dict[Type, tuple[Term, ...]] = {}
-        self._disc_cache: dict[Type, tuple[frozenset[Term], ...]] = {}
+        self._memos: dict[tuple, tuple] = {}
+        self.trail: list = []  # undo steps, newest last
 
     @staticmethod
     def empty() -> "Branch":
         return Branch()
+
+    def copy(self) -> "Branch":
+        """A branch with the same members and memos, and an empty trail."""
+        b = Branch()
+        b.formulas = self.formulas.copy()
+        b._info = self._info.copy()
+        b._by_kind = {kind: ms.copy() for kind, ms in self._by_kind.items()}
+        b.free_names = self.free_names.copy()
+        b.closing_witness = self.closing_witness
+        b._memos = self._memos.copy()
+        return b
 
     # -- queries --
 
@@ -181,9 +197,6 @@ class Branch:
     def __eq__(self, other) -> bool:
         return isinstance(other, Branch) and self._info.keys() == other._info.keys()
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._info))
-
     def __repr__(self) -> str:
         return "{" + ", ".join(str(f) for f in self.formulas) + "}"
 
@@ -191,13 +204,12 @@ class Branch:
         return self._info[s]
 
     def members(self, kind: FormulaKind) -> tuple[Term, ...]:
-        return self._by_kind.get(kind, ())
+        return tuple(self._by_kind.get(kind, ()))
 
     def disequations(self, at: Type) -> tuple[Term, ...]:
         """The disequations at a type (a sort, o or a function type), in order."""
-        k = FormulaKind
-        kind = k.BOOL_DISEQ if at == o else k.SORT_DISEQ if is_sort(at) else k.FUN_DISEQ
-        return tuple(d for d in self.members(kind) if self._info[d].ty == at)
+        ds = self._by_kind.get(_diseq_kind(at), ())
+        return tuple(d for d in ds if self._info[d].ty == at)
 
     @property
     def is_closed(self) -> bool:
@@ -206,35 +218,35 @@ class Branch:
     def vars_of_type(self, ty: Type) -> tuple[Name, ...]:
         return tuple(n for n in self.free_names if n.ty == ty)
 
-    # -- construction --
+    # -- construction and undo --
 
-    def add(self, s: Term) -> "Branch":
+    def add(self, s: Term) -> None:
+        """Extend the branch by s in place, recording each change on the trail."""
         if s in self._info:
-            return self
+            return
         if s.ty != o:
             raise TypeError(f"branch member must be a formula, got {s!r}")
         if not is_normal(s):
             raise ValueError(f"branch member must be normal, got {s!r}")
-        info = classify(s)
-        b = Branch()
-        b.formulas = self.formulas + (s,)
-        b._info = {**self._info, s: info}
-        b._by_kind = {**self._by_kind}
-        b._by_kind[info.kind] = b._by_kind.get(info.kind, ()) + (s,)
-        known = set(self.free_names)
-        b.free_names = self.free_names + tuple(
-            n for n in free_vars_ordered(s) if n not in known
-        )
-        b.closing_witness = self.closing_witness
-        if b.closing_witness is None:
-            b.closing_witness = self._closing_after(s, info)
-        return b
+        info, trail = classify(s), self.trail
+        if self.closing_witness is None:
+            self.closing_witness = self._closing_after(s, info)
+            if self.closing_witness is not None:
+                trail.append(lambda: setattr(self, "closing_witness", None))
+        self.formulas.append(s)
+        self._info[s] = info
+        kind = self._by_kind.setdefault(info.kind, [])
+        kind.append(s)
+        trail += (self.formulas.pop, self._info.popitem, kind.pop)
+        for n in free_vars_ordered(s):
+            if n not in self.free_names:
+                self.free_names[n] = s
+                trail.append(self.free_names.popitem)
 
-    def add_all(self, formulas) -> "Branch":
-        b = self
-        for s in formulas:
-            b = b.add(s)
-        return b
+    def undo(self, mark: int) -> None:
+        """Undo every change recorded on the trail after position mark."""
+        while len(self.trail) > mark:
+            self.trail.pop()()
 
     def _closing_after(self, s: Term, info: FormulaInfo) -> tuple | None:
         """Closure per the calculus: x with not x, or x != x at a sort."""
@@ -254,18 +266,18 @@ class Branch:
 
     # -- discriminants --
 
+    def _memo(self, at: Type, compute):
+        """compute(self, at), memoized on the trail per count of at's kind."""
+        key = (compute, at, len(self._by_kind.get(_diseq_kind(at), ())))
+        out = self._memos.get(key)
+        if out is None:
+            out = self._memos[key] = compute(self, at)
+            self.trail.append(self._memos.popitem)
+        return out
+
     def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
         """Sides of the disequations at the given type, deduplicated."""
-        cached = self._disc_terms_cache.get(at)
-        if cached is not None:
-            return cached
-        seen: dict[Term, None] = {}
-        for d in self.disequations(at):
-            info = self._info[d]
-            seen.setdefault(info.lhs)
-            seen.setdefault(info.rhs)
-        out = self._disc_terms_cache[at] = tuple(seen)
-        return out
+        return self._memo(at, _sides)
 
     def discriminants(self, at: Type) -> tuple[frozenset[Term], ...]:
         """Maximal sets of discriminating terms with no internal disequation.
@@ -273,22 +285,29 @@ class Branch:
         With no disequations at the sort this is (frozenset(),): the branch
         induces a one-element domain.
         """
-        cached = self._disc_cache.get(at)
-        if cached is not None:
-            return cached
-        vs = self.discriminating_terms(at)
-        conflict: dict[Term, set[Term]] = {v: set() for v in vs}
-        for d in self.disequations(at):
-            info = self._info[d]
-            conflict[info.lhs].add(info.rhs)
-            conflict[info.rhs].add(info.lhs)
-        out = _max_independent_sets(vs, conflict)
-        self._disc_cache[at] = out
-        return out
+        return self._memo(at, _discriminants)
+
+
+def _sides(branch: Branch, at: Type) -> tuple[Term, ...]:
+    infos = [branch.info(d) for d in branch.disequations(at)]
+    return tuple(dict.fromkeys(t for info in infos for t in (info.lhs, info.rhs)))
+
+
+def _discriminants(branch: Branch, at: Type) -> tuple[frozenset[Term], ...]:
+    vs = branch.discriminating_terms(at)
+    conflict: dict[Term, set[Term]] = {v: set() for v in vs}
+    for d in branch.disequations(at):
+        info = branch.info(d)
+        conflict[info.lhs].add(info.rhs)
+        conflict[info.rhs].add(info.lhs)
+    return _max_independent_sets(vs, conflict)
 
 
 def branch_of(*formulas: Term) -> Branch:
-    return Branch.empty().add_all(formulas)
+    b = Branch()
+    for s in formulas:
+        b.add(s)
+    return b
 
 
 def _max_independent_sets(

@@ -638,10 +638,12 @@ def check_proof(
     """Replay a proof against the assumptions it claims to refute.
 
     A proof is a tree of rule instances (`search.Proof`).  Every node's
-    instance must pass check_instance on the reconstructed branch, use only
-    the calculus's rules (plus the eager leaf rules when eager is set), and
-    have one child per alternative.  A calculus name other than "auto",
-    "efo" and "stt" raises ValueError.
+    instance must pass check_instance on its branch, use only the
+    calculus's rules (plus the eager leaf rules when eager is set), and
+    have one child per alternative.  The branches are rebuilt depth-first
+    on one copy of the given branch: a child is its parent's trail mark
+    plus its alternative.  A calculus name other than "auto", "efo" and
+    "stt" raises ValueError.
     """
     try:
         branch = as_branch(branch_or_formulas)
@@ -656,9 +658,13 @@ def check_proof(
     if eager:
         allowed = allowed | EAGER_RULES
 
-    stack = [(branch, proof)]
+    b = branch.copy()
+    stack = [(0, (), proof)]
     while stack:
-        b, node = stack.pop()
+        mark, alt, node = stack.pop()
+        b.undo(mark)
+        for s in alt:
+            b.add(s)
         r = node.instance
         if r.rule not in allowed:
             return False
@@ -666,6 +672,6 @@ def check_proof(
             return False
         if not check_instance(b, r, eager):
             return False
-        for alt, child in zip(r.alternatives, node.children):
-            stack.append((b.add_all(alt), child))
+        mark = len(b.trail)
+        stack.extend((mark, alt, c) for alt, c in zip(r.alternatives, node.children))
     return True

@@ -9,12 +9,12 @@ priority, then member insertion order) with two or more alternatives that
 all close at once but one at most, found by `selection.Agenda`, else the
 first applicable instance, read lazily from `selection.instances`.  Runs
 are deterministic.  Instances that take no fresh witness are memoised for
-one `refute` call.  The agenda's state is scoped to the path from the root:
-search marks it before a node adds to it and undoes it to that mark when
-the node's frame is popped.  No cache changes which instance is applied.
-This module keeps the depth-first path, backjumping and the budgets; every
-rule condition it relies on is stated in `rules`, every choice it makes in
-`selection`.
+one `refute` call; no cache changes which instance is applied.  The path
+is one branch, extended in place: the branch and the agenda record every
+change on the branch's trail, and a frame keeps the trail mark its
+alternatives start from.  This module keeps the depth-first path,
+backjumping and the budgets; every rule condition it relies on is stated
+in `rules`, every choice it makes in `selection`.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used, the `selection.support` of each of its instances:
@@ -22,7 +22,12 @@ the premises, plus, for each `forall-inst`, the one member that keeps its
 term admissible.  When the subtree under an alternative used nothing that
 alternative added, it closes the branch the alternative was added to, so
 the frame is dropped with its remaining alternatives and the subtree takes
-its place.  A condensed proof is an ordinary proof.
+its place.  A condensed proof is an ordinary proof: each instance still
+checks on the branch of its support.  In the restricted calculus the
+skipped alternatives would have closed too, so open branches and models do
+not change; in the unrestricted one a skipped alternative could have stayed
+open with functional equations, so a fuel round can close where it would
+not without backjumping.
 
 Each fuel of the schedule gets one saturation.  It either closes every
 branch or reaches a branch with no applicable instance.  Without
@@ -209,87 +214,73 @@ class SearchConfig:
 @dataclass
 class _Frame:
     instance: RuleInstance
-    branch: Branch
-    mark: tuple  # the agenda's mark before this node added to it
+    mark: int  # the branch's trail length before an alternative is added
     added: tuple = ()  # the members the current alternative added
     used: set = field(default_factory=set)  # members of branch its children use
     children: list = field(default_factory=list)
 
 
 def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
-    """Develop a branch depth-first, backjumping over unused alternatives.
+    """Develop the branch depth-first in place; the module docstring says
+    how a node chooses its instance and how search backjumps.
 
-    Each node applies the agenda's closing instance, or else the first of
-    the calculus's `instances` at this fuel, both over the search's memo.
     The calculus's gate raises FragmentViolation for members it cannot
     take, and sees each member once, at the first open node that has it.
     counter[0] counts the rule applications of the whole search against
     cfg.max_nodes.  Returns ("closed", Proof) when every branch closes, or
-    ("open", Branch) for the leftmost branch with no applicable instance.
-    Raises BudgetExceeded when limits run out.
-
-    A closed subtree comes with the members its instances use (their
-    `selection.support`).  If it uses none that its alternative added, it
-    closes the frame's own branch, so it takes the frame's place and the
-    frame's other alternatives are dropped.  The result replays unchanged,
-    as each instance still checks on the branch of its support.  In the
-    restricted calculus the skipped alternatives
-    would have closed too, so open branches and models do not change; in
-    the unrestricted one a skipped alternative could have stayed open with
-    functional equations, so a fuel round can close where it would not
-    without backjumping.  The agenda's state, and so the choice at a node,
-    depends on the node's branch alone.
+    ("open", branch) at the leftmost branch with no applicable instance;
+    raises BudgetExceeded when limits run out.  Search undoes the branch
+    to a frame's mark before it adds the frame's next alternative or reads
+    the frame's branch.
     """
     stack: list[_Frame] = []
     agenda = Agenda(calc, memo)
-    cur, added = branch, branch.formulas
+    added = tuple(branch)
     while True:
-        leaf = closing_instance(cur, cfg.eager_close, added)
+        leaf = closing_instance(branch, cfg.eager_close, added)
         if leaf is None:
-            calc.gate(cur, added)
-            mark = agenda.mark()
-            rest = instances(calc, cur, fuel, cfg.reserved, memo, agenda.dead)
-            agenda.add(cur, added)
-            r = agenda.pick(cur) or next(rest, None)
+            calc.gate(branch, added)
+            rest = instances(calc, branch, fuel, cfg.reserved, memo, agenda.dead)
+            agenda.add(branch, added)
+            r = agenda.pick(branch) or next(rest, None)
             if r is None:
-                return "open", cur
+                return "open", branch
             counter[0] += 1
             if cfg.max_nodes is not None and counter[0] > cfg.max_nodes:
                 raise BudgetExceeded(f"node budget exhausted ({cfg.max_nodes})")
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("timeout")
-            frame = _Frame(r, cur, mark)
+            frame = _Frame(r, len(branch.trail))
             stack.append(frame)
-            cur, added = _extend(cur, r.alternatives[0])
-            frame.added = added
+            added = frame.added = _extend(branch, r.alternatives[0])
             continue
         proof, used = Proof(leaf, ()), set(leaf.premises)
         while stack:
             frame = stack[-1]
+            branch.undo(frame.mark)
             # a subtree that used nothing its alternative added closes
-            # frame.branch by itself: it skips the frame and goes up
+            # the frame's branch by itself: it skips the frame and goes up
             if not used.isdisjoint(frame.added):
                 frame.children.append(proof)
                 frame.used |= used.difference(frame.added)
                 if len(frame.children) < len(frame.instance.alternatives):
-                    cur, added = _extend(
-                        frame.branch, frame.instance.alternatives[len(frame.children)]
-                    )
-                    frame.added = added
+                    alt = frame.instance.alternatives[len(frame.children)]
+                    added = frame.added = _extend(branch, alt)
                     break
                 proof = Proof(frame.instance, tuple(frame.children))
                 used = frame.used
-                used.update(support(frame.branch, frame.instance))
+                used.update(support(branch, frame.instance))
             stack.pop()
-            agenda.undo(frame.mark)
         else:
             return "closed", proof
 
 
-def _extend(branch: Branch, alternative) -> tuple[Branch, tuple[Term, ...]]:
-    """The branch with an alternative's formulas, and the members it gains."""
-    b = branch.add_all(alternative)
-    return b, b.formulas[len(branch.formulas) :]
+def _extend(branch: Branch, alternative) -> tuple[Term, ...]:
+    """Add an alternative's formulas to the branch; the members it gains."""
+    n = len(branch)
+    for s in alternative:
+        branch.add(s)
+    return tuple(branch.formulas[n:])
 
 
 def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
@@ -299,12 +290,8 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     (with a certified model and the saturated branch), or Unknown.  Raises
     FragmentViolation when the input fits no calculus (or not the requested
     one), and NotEvident when a saturated branch fails `is_evident`, before
-    any model is extracted from it.
-
-    One saturation runs per fuel of the schedule, over one memo, node count
-    and deadline.  A round that ends open without functional equations is
-    final, so the restricted calculus, whose gate keeps them out, always
-    stops after its first round.
+    any model is extracted from it.  Each fuel round saturates its own
+    copy of the branch, over one memo, node count and deadline.
     """
     cfg = cfg or SearchConfig()
     branch = as_branch(branch_or_formulas)
@@ -316,7 +303,7 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     try:
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
-                branch, calc, fuel, cfg, memo, deadline, counter
+                branch.copy(), calc, fuel, cfg, memo, deadline, counter
             )
             if status == "closed":
                 if not check_proof(branch, payload, calc.name, cfg.eager_close):
@@ -330,7 +317,7 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
                     model = extract_model(payload, max_table=cfg.max_table)
                 except CardinalityError as e:
                     return Unknown(f"saturated, but model extraction overflowed: {e}")
-                return Satisfiable(model, payload)
+                return Satisfiable(model, payload.copy())  # drops the search's trail
         return Unknown(
             "saturation left functional equations open at every fuel in "
             f"{cfg.fuel_schedule}; cannot certify satisfiability"

@@ -37,7 +37,6 @@ from .kernel import (
     as_diseq,
     as_neg,
     eq_const,
-    free_vars,
     fresh_var,
     is_var_ref,
     o,
@@ -169,7 +168,7 @@ def branch_signature(branch: Branch) -> tuple[tuple[Name, ...], tuple[Type, ...]
     ):
         for s in branch.members(kind):
             eq_tys.setdefault(branch.info(s).ty)
-    return branch.free_names, tuple(eq_tys)
+    return tuple(branch.free_names), tuple(eq_tys)
 
 
 def instantiation_candidates(branch: Branch, ty: Type, fuel: int):
@@ -228,15 +227,14 @@ def instances(
     rule, premises and term alone, so memo keeps it under the key (rule
     name, premises[, term]) (see `memo_instance`).  An instance found
     unproductive stays so on every extension of the branch, so its key
-    goes into dead (an insertion-ordered dict), and the generator skips the
-    keys there.  The caller owns both: search passes an `Agenda`'s, which
-    scopes dead to the path from the root, and leaving them out makes the
-    walk cache-free.
+    goes into dead, recorded on the branch's trail, and is skipped from
+    then on.  Search passes its memo and its `Agenda`'s dead set; without
+    them the walk is cache-free.
     """
     if branch.is_closed:
         return
     memo = {} if memo is None else memo
-    dead = {} if dead is None else dead
+    trail, dead = ([], {}) if dead is None else (branch.trail, dead)
     for uses in _groups(calculus.rules):
         if len(uses) == 1:
             members = branch.members(next(iter(uses)))
@@ -276,6 +274,7 @@ def instances(
                         yield r
                     else:
                         dead[key] = None
+                        trail.append(dead.popitem)
             earlier[info.kind].append(s)
 
 
@@ -303,7 +302,7 @@ def memo_instance(memo: dict, branch: Branch, row: Rule, key: tuple):
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
-    return ref(fresh_var(ty, branch.free_names + tuple(reserved)))
+    return ref(fresh_var(ty, (*branch.free_names, *reserved)))
 
 
 def _forall_instances(branch: Branch, info, fuel, reserved) -> list[Term]:
@@ -368,13 +367,11 @@ def applicable_efo(
 def support(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
     """The members of branch that instance r needs to pass `check_instance`
     on a smaller branch: its premises, and for `forall-inst` one member that
-    keeps its term admissible (`rules._forall_admissible`).  A
-    discriminating term needs a disequation at the sort with it as a side;
-    otherwise a term that is a free variable of the branch needs a member
-    it is free in.  (A
-    variable not free on the branch stays so on a smaller one, and
-    witnesses, "not concluded" and openness all survive shrinking the
-    branch.)  Search's backjumping rests on this set."""
+    keeps its term admissible (`rules._forall_admissible`): a disequation
+    at the sort with the term as a side, else, for a free variable of the
+    branch, the first member it is free in.  (A variable not free on the
+    branch stays so on a smaller one, and witnesses, "not concluded" and
+    openness all survive shrinking the branch.)  Backjumping rests on it."""
     if r.rule is not RuleId.FORALL_INST:
         return r.premises
     u = r.inst
@@ -382,10 +379,8 @@ def support(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
         info = branch.info(d)
         if u == info.lhs or u == info.rhs:
             return r.premises + (d,)
-    if is_var_ref(u) and u.name in branch.free_names:
-        s = next(s for s in branch.formulas if u.name in free_vars(s))
-        return r.premises + (s,)
-    return r.premises
+    first = branch.free_names.get(u.name) if is_var_ref(u) else None
+    return r.premises if first is None else r.premises + (first,)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +428,8 @@ def closing_instance(
 class Agenda:
     """What one saturation found on the path from the root, for search to
     apply first a branching instance whose alternatives all close at once
-    but one at most.  `undo` cuts it back to the `mark` of a node whose
-    frame is popped.
+    but one at most.  Each entry goes on the branch's trail, so undoing the
+    branch cuts the agenda back with it.
 
     dead: the keys of unproductive instances, which `instances` skips.
     closing: (search order, memo key, row, closers) entries with one open
@@ -450,22 +445,12 @@ class Agenda:
         self.closing: dict = {}  # likewise
         self.waiting: dict = {}
         self.present: dict = {}
-        self.log: list = []  # the lists of the last two, as extended
 
-    def mark(self) -> tuple[int, int, int]:
-        return len(self.dead), len(self.closing), len(self.log)
-
-    def undo(self, mark: tuple[int, int, int]) -> None:
-        while len(self.dead) > mark[0]:
-            self.dead.popitem()
-        while len(self.closing) > mark[1]:
-            self.closing.popitem()
-        while len(self.log) > mark[2]:
-            self.log.pop().pop()
-
-    def _push(self, index: dict, key, value) -> None:
-        self.log.append(index.setdefault(key, []))
-        self.log[-1].append(value)
+    @staticmethod
+    def _push(branch: Branch, index: dict, key, value) -> None:
+        entries = index.setdefault(key, [])
+        entries.append(value)
+        branch.trail.append(entries.pop)
 
     def add(self, branch: Branch, added: tuple[Term, ...]) -> None:
         """Index what added, the branch's newest members, complete, close or
@@ -480,7 +465,7 @@ class Agenda:
         for s in added:
             closes = side_pairs(s)
             if closes:
-                self._push(self.present, closes, s)
+                self._push(branch, self.present, closes, s)
                 joined.append(closes)
         later = set(added)
         for i, s in enumerate(added, len(branch) - len(added)):
@@ -517,11 +502,13 @@ class Agenda:
             get = self.present.get
             shut = [any(x == y or get((x, y)) for x, y in alt) for alt in entry[3]]
         if shut.count(False) <= 1:
-            self.closing.setdefault(entry[1], entry)
+            if entry[1] not in self.closing:
+                self.closing[entry[1]] = entry
+                branch.trail.append(self.closing.popitem)
         elif new:
             for alt, done in zip(entry[3], shut):
                 for c in () if done else alt:
-                    self._push(self.waiting, c, entry)
+                    self._push(branch, self.waiting, c, entry)
 
     def pick(self, branch: Branch) -> RuleInstance | None:
         """The first closing instance in search order that is productive."""
@@ -532,6 +519,7 @@ class Agenda:
             if productive(branch, r.alternatives):
                 return r
             self.dead[key] = None
+            branch.trail.append(self.dead.popitem)
         return None
 
 

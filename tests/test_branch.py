@@ -22,6 +22,9 @@ from hotab.kernel import (
     ref,
     sort,
 )
+from hotab.normalize import normalize
+
+from helpers import Gen
 
 a = sort("a")
 b = sort("b")
@@ -84,15 +87,60 @@ def test_classify_rejects_non_formulas():
 # Branch construction
 
 
-def test_add_is_persistent_and_identity_on_noop():
+def test_add_is_in_place_and_a_noop_records_nothing():
     b0 = Branch.empty()
     s = app(ref(g), ref(x))
-    b1 = b0.add(s)
-    assert s in b1 and s not in b0
-    assert b1.add(s) is b1
-    b2 = b1.add(neg(s))
-    assert list(b2) == [s, neg(s)]
-    assert len(b1) == 1  # persistence: earlier branch untouched
+    assert b0.add(s) is None and list(b0) == [s]
+    mark = len(b0.trail)
+    b0.add(s)
+    assert list(b0) == [s] and len(b0.trail) == mark
+    b0.add(neg(s))
+    assert list(b0) == [s, neg(s)]
+
+
+def _state(br: Branch) -> tuple:
+    return (
+        list(br),
+        [br.members(kind) for kind in FormulaKind],
+        list(br.free_names),
+        br.closing_witness,
+    )
+
+
+def test_undo_restores_the_branch_of_the_prefix():
+    # random add/undo walks, with the memoized discriminant queries asked
+    # between steps; after every step the branch answers as a fresh
+    # branch_of its members would
+    walks = 0
+    for seed in range(40):
+        gen, rng = Gen(seed + 5100), random.Random(seed)
+        pool = [normalize(gen.formula(2)) for _ in range(8)]
+        pool += [normalize(gen.efo_formula(2, quasi=True)) for _ in range(4)]
+        us = [ref(gen.var(a)) for _ in range(3)] + [ref(gen.var(b))]
+        pool += [diseq(u, v) for u in us for v in us if u.ty == v.ty][:8]
+        pool += [ref(p), neg(ref(p))]
+        types = {a, b, o} | {classify(d).ty for d in pool if classify(d).ty}
+        br, prefix, marks = Branch.empty(), [], []
+        for _ in range(40):
+            if marks and rng.random() < 0.3:
+                i = rng.randrange(len(marks))
+                mark, n = marks[i]
+                del marks[i:]
+                br.undo(mark)
+                del prefix[n:]
+            else:
+                marks.append((len(br.trail), len(prefix)))
+                s = rng.choice(pool)
+                if s not in prefix:
+                    prefix.append(s)
+                br.add(s)
+            fresh = branch_of(*prefix)
+            assert _state(br) == _state(fresh), (seed, prefix)
+            for ty in sorted(types, key=repr)[: rng.randint(0, len(types))]:
+                assert br.discriminating_terms(ty) == fresh.discriminating_terms(ty)
+                assert br.discriminants(ty) == fresh.discriminants(ty)
+        walks += 1
+    assert walks == 40
 
 
 def test_add_rejects_bad_members():
@@ -105,7 +153,7 @@ def test_add_rejects_bad_members():
 
 def test_free_names_in_first_occurrence_order():
     b1 = branch_of(app(ref(g), ref(x)), eq(ref(y), ref(x)))
-    assert b1.free_names == (g, x, y)
+    assert tuple(b1.free_names) == (g, x, y)
     assert b1.vars_of_type(a) == (x, y)
 
 
@@ -229,7 +277,7 @@ def test_discriminants_match_exhaustive_oracle():
         ]
         b1 = Branch.empty()
         for u, v in pairs:
-            b1 = b1.add(diseq(u, v))
+            b1 = branch_of(*b1, diseq(u, v))
         got = b1.discriminants(a)
         vertices = b1.discriminating_terms(a)
         want = _oracle_discriminants(vertices, pairs)
@@ -251,5 +299,5 @@ def test_discriminants_match_exhaustive_oracle():
 def test_branch_equality_is_extensional():
     b1 = branch_of(ref(p), ref(q))
     b2 = branch_of(ref(q), ref(p))
-    assert b1 == b2 and hash(b1) == hash(b2)
+    assert b1 == b2
     assert b1 != branch_of(ref(p))

@@ -24,7 +24,9 @@ from hotab.kernel import (
 )
 from hotab.models import CardinalityError, Frame, Model, eval_term
 from hotab.normalize import is_normal, normalize
+from hotab.problems import ParseError, Problem, parse_proof, serialize_proof
 from hotab.rules import (
+    RULES,
     RuleId,
     RuleInstance,
     check_instance,
@@ -105,7 +107,7 @@ def test_witness_queries():
     fg = classify(diseq(ref(f), ref(g)))
     base = branch_of(diseq(ref(f), ref(g)))
     assert not concluded(base, RuleId.FUN_EXT, fg)
-    extended = base.add(diseq(app(ref(f), ref(x)), app(ref(g), ref(x))))
+    extended = branch_of(*base, diseq(app(ref(f), ref(x)), app(ref(g), ref(x))))
     assert concluded(extended, RuleId.FUN_EXT, fg)
 
     p = V("p", fun(a, o))
@@ -115,9 +117,9 @@ def test_witness_queries():
     all_px = classify(forall(pred))
     br = branch_of(neg(forall(pred)))
     assert not concluded(br, RuleId.FORALL_NEG, no_px)
-    br2 = br.add(neg(app(ref(p), ref(x))))
+    br2 = branch_of(*br, neg(app(ref(p), ref(x))))
     assert concluded(br2, RuleId.FORALL_NEG, no_px)
-    assert concluded(br2.add(app(ref(p), ref(x))), RuleId.FORALL_INST, all_px)
+    assert concluded(branch_of(*br2, app(ref(p), ref(x))), RuleId.FORALL_INST, all_px)
     assert not concluded(br2, RuleId.FORALL_INST, all_px)
 
 
@@ -218,7 +220,7 @@ def test_fun_ext_golden_and_blocked_by_witness():
     assert check_instance(br, fe)
 
     x = V("x", a)
-    blocked = br.add(diseq(app(ref(f), ref(x)), app(ref(g), ref(x))))
+    blocked = branch_of(*br, diseq(app(ref(f), ref(x)), app(ref(g), ref(x))))
     assert [r.rule for r in applicable_stt(blocked)] == []
     assert not check_instance(blocked, fe)
 
@@ -350,7 +352,7 @@ def test_forall_restricted_to_discriminating_terms():
     )
     assert not check_instance(br, bad)
     # once every discriminating instance is present, the quantifier rests
-    done = br.add(app(ref(p), ref(u))).add(app(ref(p), ref(v)))
+    done = branch_of(*br, app(ref(p), ref(u)), app(ref(p), ref(v)))
     assert [r for r in applicable_efo(done) if r.rule is RuleId.FORALL_INST] == []
 
 
@@ -376,7 +378,7 @@ def test_forall_neg_golden_and_blocked():
     assert fn.alternatives == ((neg(app(ref(p), fn.inst)),),)
     assert check_instance(br, fn)
     z = V("z", a)
-    blocked = br.add(neg(app(ref(p), ref(z))))
+    blocked = branch_of(*br, neg(app(ref(p), ref(z))))
     assert applicable_efo(blocked) == []
     assert not check_instance(blocked, fn)
 
@@ -579,7 +581,7 @@ def test_check_rejects_stale_witness_variables():
         ((diseq(app(ref(f), ref(V("x", a))), app(ref(g), ref(V("x", a)))),),),
         ref(V("x", a)),
     )
-    assert check_instance(br.add(eq(ref(V("x", a)), ref(V("x", a)))), reused) is False
+    assert check_instance(branch_of(*br, eq(ref(V("x", a)), ref(V("x", a)))), reused) is False
 
 
 def _space_at_two(formulas) -> float:
@@ -615,6 +617,94 @@ def test_check_proof_rejects_every_proof_of_a_weakened_satisfiable_problem():
                     rejected += 1
                     assert not check_proof(weaker, v.proof, v.calculus, eager), key
     assert (refutations, rejected) == (110, 160)
+
+
+def _depth(line: str) -> int:
+    return len(line) - len(line.lstrip("."))
+
+
+def _mutants(text: str):
+    """(kind, text) for every single-point mutant of a proof file: a line
+    dropped or duplicated, an alternative index flipped (0 and 1, 2 and 3,
+    ...), a rule renamed to each rule with as many premises and the same
+    instantiation kind, and two sibling subtrees swapped, each taking the
+    other's alternative index."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        d, toks = _depth(line), line.split(" ")
+        yield "drop", lines[:i] + lines[i + 1 :]
+        yield "dup", lines[: i + 1] + lines[i:]
+        if d:
+            flipped = toks[:1] + [str(int(toks[1]) ^ 1)] + toks[2:]
+            yield "alt", lines[:i] + [" ".join(flipped)] + lines[i + 1 :]
+        at = 2 if d else 0  # the rule name's token
+        row = RULES[RuleId(toks[at])]
+        for rule, other in RULES.items():
+            if rule.value != toks[at] and (len(other.kinds), other.inst) == (
+                len(row.kinds),
+                row.inst,
+            ):
+                renamed = toks[:at] + [rule.value] + toks[at + 1 :]
+                yield "rule", lines[:i] + [" ".join(renamed)] + lines[i + 1 :]
+        kids, end = [], len(lines)
+        for j in range(i + 1, len(lines)):
+            if _depth(lines[j]) <= d:
+                end = j
+                break
+            if _depth(lines[j]) == d + 1:
+                kids.append(j)
+        spans = list(zip(kids, kids[1:] + [end]))
+        for (b0, b1), (c0, c1) in itertools.combinations(spans, 2):
+            first, second = lines[b0:b1], lines[c0:c1]
+            tf, ts = first[0].split(" "), second[0].split(" ")
+            first[0] = " ".join(tf[:1] + ts[1:2] + tf[2:])
+            second[0] = " ".join(ts[:1] + tf[1:2] + ts[2:])
+            yield "swap", lines[:b0] + second + lines[b1:c0] + first + lines[c1:]
+
+
+def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
+    # the 160 pairs above, with each proof file mutated at one point: no
+    # mutant may replay on the weakened problem, which has a model.  A
+    # swapped pair of sibling subtrees replays each on the other's branch,
+    # which catches a replay whose undo leaks a sibling's members
+    seen = Counter()
+    for key, forms, reserved, budget in pinned_problems():
+        for eager in (False, True):
+            cfg = SearchConfig(
+                max_nodes=budget, timeout=None, eager_close=eager, reserved=reserved
+            )
+            try:
+                v = refute(forms, cfg)
+            except FragmentViolation:
+                continue
+            if not isinstance(v, Refuted):
+                continue
+            weaker = [
+                w
+                for i in range(len(forms))
+                for w in [forms[:i] + forms[i + 1 :]]
+                if _space_at_two(w) <= 2**14
+                and next(enumerate_models(w, 2), None) is not None
+            ]
+            names = tuple(dict.fromkeys((*variables_in(forms), *reserved)))
+            declared = Problem(sorts_in(forms), names, forms)
+            for kind, lines in _mutants(serialize_proof(v.proof)):
+                seen[kind] += len(weaker)
+                try:
+                    proof = parse_proof("\n".join(lines), declared)
+                except ParseError:
+                    continue
+                seen["replayed"] += len(weaker)
+                for w in weaker:
+                    assert not check_proof(w, proof, v.calculus, eager), (key, kind)
+    assert seen == {
+        "drop": 2181,
+        "dup": 2181,
+        "alt": 2021,
+        "rule": 8213,
+        "swap": 772,
+        "replayed": 1442,
+    }
 
 
 # ---------------------------------------------------------------------------

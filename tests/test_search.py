@@ -98,6 +98,58 @@ def test_running_example_deterministic():
     assert v1.proof == v2.proof
 
 
+def _as_given(br) -> tuple:
+    return (
+        list(br),
+        [br.members(kind) for kind in FormulaKind],
+        list(br.free_names),
+        br.closing_witness,
+    )
+
+
+def test_callers_branches_are_left_as_given():
+    # search and replay extend a copy in place and undo it; the branch a
+    # caller passes in never changes, whatever the verdict or exception
+    from hotab.fragments import decide
+    from hotab.problems import parse
+
+    def untouched(call, br, *args):
+        before = _as_given(br)
+        try:
+            out = call(br, *args)
+        except FragmentViolation:
+            out = None
+        assert _as_given(br) == before, call
+        return out
+
+    refutable = parse(chain_text(2)).branch()
+    v = untouched(refute, refutable, SearchConfig(calculus="efo", timeout=None))
+    assert isinstance(v, Refuted)
+    assert isinstance(untouched(decide, refutable), Refuted)
+    assert untouched(check_proof, refutable, v.proof, "efo")
+    # an inner node fails: the root instance checks, its first child's
+    # mate has a premise no branch holds
+    p = V("p", o)
+    stray = Proof(make_instance(RuleId.MATE, (ref(p), neg(ref(p)))), ())
+    broken = Proof(v.proof.instance, (stray, *v.proof.children[1:]))
+    assert v.proof.children and not untouched(check_proof, refutable, broken, "efo")
+
+    satisfiable = parse(rel_text(2)).branch()
+    v = untouched(refute, satisfiable, SearchConfig(timeout=None))
+    assert isinstance(v, Satisfiable) and v.branch is not satisfiable
+    assert isinstance(untouched(decide, satisfiable), Satisfiable)
+    assert untouched(is_evident, v.branch).evident
+
+    budget = SearchConfig(max_nodes=100, timeout=None)
+    v = untouched(refute, parse(chain_text(4)).branch(), budget)
+    assert isinstance(v, Unknown) and "node budget" in v.reason
+
+    # bool-eq adds the implication q => r, which the gate then refuses
+    q, r = V("q", o), V("r", o)
+    mixed = branch_of(eq(ref(p), imp(ref(q), ref(r))))
+    assert untouched(refute, mixed, SearchConfig(calculus="stt")) is None
+
+
 def test_identity_vs_constant_function_refuted():
     y = V("y", o)
     x = V("x", o)
@@ -445,7 +497,7 @@ def test_evidence_names_missing_discriminating_instance():
     rep = is_evident(br)
     assert not rep.evident
     assert [w.condition for w in rep.violations] == ["forall-inst"]
-    done = br.add(app(ref(p), ref(z)))
+    done = branch_of(*br, app(ref(p), ref(z)))
     assert is_evident(done).evident
 
 
@@ -755,7 +807,7 @@ def test_search_instance_is_the_reference_first_on_random_branches():
                 if expected is None:
                     break
                 alts = expected.alternatives
-                br = br.add_all(alts[(seed + step) % len(alts)])
+                br = branch_of(*br, *alts[(seed + step) % len(alts)])
     assert compared >= 700
 
 
@@ -769,13 +821,13 @@ def _check_every_node(monkeypatch, forced: list | None = None) -> list:
     """Make search compare, at every node, the instance it applies with
     `closing_first` over the cache-free reference list, and the lazy
     generator's first instance with the list's first, read cold, with the
-    memo, and with the memo and the dead set; returns the list the visited
-    branches are appended to.  forced gets the branches where the choice
-    is not the list's first."""
+    memo, and with the memo and the dead set; returns the list the formulas
+    of each visited branch are appended to.  forced gets the branches where
+    the choice is not the list's first."""
     import hotab.search as search
 
     visited = []
-    choice = []  # the branch last visited and the reference's choice on it
+    choice = []  # the reference's choice on the branch last visited
 
     def checked(calc, b, fuel, reserved, memo, dead):
         listed = _REFERENCE[calc.name](b, fuel, reserved)
@@ -783,15 +835,15 @@ def _check_every_node(monkeypatch, forced: list | None = None) -> list:
         assert next(instances(calc, b, fuel, reserved), None) == expected
         assert next(instances(calc, b, fuel, reserved, memo), None) == expected
         assert next(instances(calc, b, fuel, reserved, memo, dead), None) == expected
-        visited.append(b)
-        choice[:] = [b, closing_first(b, listed)]
-        if forced is not None and choice[1] != expected:
+        visited.append(tuple(b))
+        choice[:] = [closing_first(b, listed)]
+        if forced is not None and choice[0] != expected:
             forced.append(b)
         return instances(calc, b, fuel, reserved, memo, dead)
 
-    def applied(r, b, *rest):
-        assert choice[0] is b and r == choice[1]
-        return frame(r, b, *rest)
+    def applied(r, *rest):
+        assert r == choice[0]
+        return frame(r, *rest)
 
     frame = search._Frame
     monkeypatch.setattr(search, "instances", checked)
@@ -894,7 +946,7 @@ def test_search_instance_is_the_reference_first_at_every_node(
     assert isinstance(v, Refuted) and v.calculus == calculus
     assert check_proof(root, v.proof, calculus)
     assert len(visited) == visits
-    assert sum(1 for b in visited if b is root) == rounds
+    assert sum(1 for formulas in visited if formulas == tuple(root)) == rounds
 
 
 def test_search_instance_is_the_reference_first_with_double_neg_diseqs(
