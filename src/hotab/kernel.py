@@ -8,6 +8,10 @@ shared freely across tableau branches and used as set/dict keys.  Each term
 class returns the term already built from equal arguments while a table
 holds it.  The table is emptied at SHARED_BOUND (2^15) entries, so equal
 terms may be distinct objects, and equality and hashing stay structural.
+Each term also carries two facts computed from its children when it is
+built: `fv`, its free variables in order of first occurrence (constants
+excluded), and `normal`, whether it holds no beta redex.  Reading either
+walks nothing.
 
 Binding (`lam`), shifting, instantiation and substitution are leaf maps
 over one traversal, `rebuild`, which counts the binders above each leaf
@@ -208,7 +212,7 @@ class _Shared(type):
 class Term(metaclass=_Shared):
     """An intrinsically typed lambda term in alpha-canonical form."""
 
-    __slots__ = ("ty", "_hash")
+    __slots__ = ("ty", "_hash", "fv", "normal")
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Term is immutable")
@@ -231,6 +235,8 @@ class Ref(Term):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ty", name.ty)
         object.__setattr__(self, "_hash", hash(("Ref", name)))
+        object.__setattr__(self, "fv", (name,) if name.is_var else ())
+        object.__setattr__(self, "normal", True)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -249,6 +255,8 @@ class Bound(Term):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ty", ty)
         object.__setattr__(self, "_hash", hash(("Bound", index, ty)))
+        object.__setattr__(self, "fv", ())
+        object.__setattr__(self, "normal", True)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -278,6 +286,11 @@ class App(Term):
         object.__setattr__(self, "arg", a)
         object.__setattr__(self, "ty", fty.cod)
         object.__setattr__(self, "_hash", hash(("App", f._hash, a._hash)))
+        ff, af = f.fv, a.fv
+        if ff and af and af != ff:
+            ff = tuple(dict.fromkeys(ff + af))
+        object.__setattr__(self, "fv", ff or af)
+        object.__setattr__(self, "normal", type(f) is not Lam and f.normal and a.normal)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -302,6 +315,8 @@ class Lam(Term):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "ty", Fun(dom, body.ty))
         object.__setattr__(self, "_hash", hash(("Lam", dom, body._hash)))
+        object.__setattr__(self, "fv", body.fv)
+        object.__setattr__(self, "normal", body.normal)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -415,16 +430,12 @@ def names(t: Term) -> Iterator[Name]:
 
 def free_vars(t: Term) -> frozenset[Name]:
     """The free variables of t; logical constants are excluded."""
-    return frozenset(n for n in names(t) if n.is_var)
+    return frozenset(t.fv)
 
 
 def free_vars_ordered(t: Term) -> tuple[Name, ...]:
     """Free variables in order of first (leftmost) occurrence."""
-    seen: dict[Name, None] = {}
-    for n in names(t):
-        if n.is_var and n not in seen:
-            seen[n] = None
-    return tuple(seen)
+    return t.fv
 
 
 def fresh_var(ty: Type, avoid: Iterable[Name]) -> Name:

@@ -61,14 +61,8 @@ def normalize(t: Term) -> Term:
 
 
 def is_normal(t: Term) -> bool:
-    """True iff t contains no beta redex."""
-    if type(t) is App:
-        if type(t.fun) is Lam:
-            return False
-        return is_normal(t.fun) and is_normal(t.arg)
-    if type(t) is Lam:
-        return is_normal(t.body)
-    return True
+    """True iff t contains no beta redex: the flag t got when it was built."""
+    return t.normal
 
 
 def apply_norm(f: Term, *args: Term) -> Term:

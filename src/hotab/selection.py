@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -433,9 +434,10 @@ class Agenda:
 
     dead: the keys of unproductive instances, which `instances` skips.
     closing: (search order, memo key, row, closers) entries with one open
-    alternative at most (a closed one stays so).  waiting: per closer, the
-    entries that had two open or more.  present: per side pair (x, y), the
-    members that close x != y at once (`side_pairs`).
+    alternative at most (a closed one stays so), by memo key; `ordered`
+    holds the same entries sorted.  waiting: per closer, the entries that
+    had two open or more.  present: per side pair (x, y), the members that
+    close x != y at once (`side_pairs`).
     """
 
     def __init__(self, calculus: Calculus, memo: dict):
@@ -443,6 +445,7 @@ class Agenda:
         self.memo = memo
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.closing: dict = {}  # likewise
+        self.ordered: list = []
         self.waiting: dict = {}
         self.present: dict = {}
 
@@ -504,7 +507,10 @@ class Agenda:
         if shut.count(False) <= 1:
             if entry[1] not in self.closing:
                 self.closing[entry[1]] = entry
+                ordered = self.ordered
+                insort(ordered, entry)
                 branch.trail.append(self.closing.popitem)
+                branch.trail.append(lambda: ordered.pop(bisect_left(ordered, entry)))
         elif new:
             for alt, done in zip(entry[3], shut):
                 for c in () if done else alt:
@@ -512,7 +518,7 @@ class Agenda:
 
     def pick(self, branch: Branch) -> RuleInstance | None:
         """The first closing instance in search order that is productive."""
-        for _, key, row, _ in sorted(self.closing.values()):
+        for _, key, row, _ in self.ordered:
             if key in self.dead:
                 continue
             r = memo_instance(self.memo, branch, row, key)

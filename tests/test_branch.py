@@ -14,6 +14,7 @@ from hotab.kernel import (
     diseq,
     eq,
     forall,
+    free_vars_ordered,
     fun,
     imp,
     lam,
@@ -22,7 +23,7 @@ from hotab.kernel import (
     ref,
     sort,
 )
-from hotab.normalize import normalize
+from hotab.normalize import is_normal, normalize
 
 from helpers import Gen
 
@@ -301,3 +302,14 @@ def test_branch_equality_is_extensional():
     b2 = branch_of(ref(q), ref(p))
     assert b1 == b2
     assert b1 != branch_of(ref(p))
+
+
+def test_a_5000_deep_negation_chain_is_added_without_recursion():
+    s = ref(p)
+    for _ in range(5000):
+        s = neg(s)
+    assert is_normal(s)
+    assert free_vars_ordered(s) == (p,)
+    br = Branch()
+    br.add(s)
+    assert list(br) == [s] and br.free_names == {p: s}

@@ -42,10 +42,12 @@ from hotab.kernel import (
     show_type,
     sort,
     spine,
+    subterms,
     type_of,
 )
-from hotab.normalize import substitute
+from hotab.normalize import is_normal, substitute
 from helpers import (
+    Gen,
     named_alpha_eq,
     named_to_term,
     napp,
@@ -269,6 +271,54 @@ def test_name_walks_survive_deep_nesting():
     assert free_vars(t) == {p}
     assert free_vars_ordered(t) == (p,)
     assert len(list(names(t))) == 5001
+
+
+# ---------------------------------------------------------------------------
+# Facts carried from construction: fv and normal
+
+
+def _fv_reference(t):
+    """Free variables in first-occurrence order, by a walk over names(t)."""
+    return tuple(dict.fromkeys(n for n in names(t) if n.is_var))
+
+
+def _normal_reference(t):
+    """No beta redex anywhere in t, by the recursive definition."""
+    if type(t) is App:
+        fn = t.fun
+        return type(fn) is not Lam and _normal_reference(fn) and _normal_reference(t.arg)
+    if type(t) is Lam:
+        return _normal_reference(t.body)
+    return True
+
+
+def _carried_sample(seed):
+    """600 terms: redexes (under binders too) and formulas over constants."""
+    g = Gen(seed)
+    out = []
+    for _ in range(200):
+        out.append(g.term(g.type(2), depth=4, redex_prob=0.3))
+        out.append(g.formula(3))
+        out.append(g.efo_formula(3, quasi=True))
+    return out
+
+
+def test_fv_and_normal_match_their_walks():
+    kernel._shared.clear()
+    before = _carried_sample(23)
+    kernel._shared.clear()
+    after = _carried_sample(23)
+    assert sum(s is t for s, t in zip(before, after)) == 0
+    assert any(not t.normal for t in before)
+    assert any(type(s) is Lam and not s.normal for t in before for s in subterms(t))
+    assert any(not n.is_var for t in before for n in names(t))
+    for terms in (before, after):
+        for t in terms:
+            assert t.fv == free_vars_ordered(t) == _fv_reference(t)
+            assert free_vars(t) == frozenset(_fv_reference(t))
+            assert t.normal == is_normal(t) == _normal_reference(t)
+    for s, t in zip(before, after):
+        assert s == t and (s.fv, s.normal) == (t.fv, t.normal)
 
 
 def test_fresh_var():

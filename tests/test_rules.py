@@ -6,10 +6,14 @@ from collections import Counter
 
 import pytest
 
-from hotab.branch import branch_of, classify
+from hotab.branch import Branch, branch_of, classify
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
+    App,
+    Bound,
+    Lam,
     Name,
+    Ref,
     app,
     diseq,
     eq,
@@ -523,6 +527,21 @@ def test_check_rejects_tampering():
         bare = RuleInstance(rule, (), (), inst)
         assert not check_instance(br, bare)
         assert not check_proof(br, Proof(bare, ()), calculus="efo")
+
+
+def test_a_redex_under_a_binder_is_refused():
+    # lam x. (lam y. y) x, built with the raw constructors: the redex sits
+    # below the outer binder, where only the children's normal flags see it
+    buried = Lam(o, App(Lam(o, Bound(0, o)), Bound(0, o)))
+    assert not buried.normal
+    p = V("p", fun(fun(o, o), o))
+    with pytest.raises(ValueError):
+        Branch().add(App(Ref(p), buried))
+    f, g = V("f", fun(fun(o, o), o)), V("g", fun(fun(o, o), o))
+    e = eq(ref(f), ref(g))
+    br = branch_of(e)
+    assert check_instance(br, make_instance(RuleId.FUN_EQ, (e,), normalize(buried)))
+    assert not check_instance(br, make_instance(RuleId.FUN_EQ, (e,), buried))
 
 
 def test_check_rejects_bad_instantiations():
