@@ -4,10 +4,13 @@ Terms are stored locally nameless: bound variables are de Bruijn indices,
 free variables and logical constants are named references.  Structural
 equality therefore coincides with alpha-equivalence, and substitution can
 never capture.  Everything is immutable with a cached hash, so terms are
-shared freely across tableau branches and used as set/dict keys.  Each term
-class returns the term already built from equal arguments while a table
-holds it.  The table is emptied at SHARED_BOUND (2^15) entries, so equal
-terms may be distinct objects, and equality and hashing stay structural.
+shared freely across tableau branches and used as set/dict keys.  Each type,
+name and term class returns the value already built from equal arguments
+while its table holds it.  Types and names are few, and their table is never
+emptied: equal ones are one object, and equality is identity.  The term
+table is emptied at SHARED_BOUND (2^15) entries, so equal terms may be
+distinct objects, and term equality stays structural.  Hashing is structural
+throughout.
 Each term also carries two facts computed from its children when it is
 built: `fv`, its free variables in order of first occurrence (constants
 excluded), and `normal`, whether it holds no beta redex.  Reading either
@@ -24,18 +27,40 @@ constants are instantiated lazily per type and interned.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
+
+
+# ---------------------------------------------------------------------------
+# Sharing
+
+
+_kept: dict[tuple, object] = {}  # (class, *arguments) -> type or name
+_shared: dict[tuple, "Term"] = {}  # (class, *arguments) -> term
+SHARED_BOUND = 1 << 15
+
+
+class _Shared(type):
+    def __call__(cls, *args):  # the value built from equal arguments, if kept
+        table = cls._table
+        key = (cls, *args)
+        t = table.get(key)
+        if t is None:
+            t = super().__call__(*args)  # __init__ type-checks before the entry
+            if table is _shared and len(table) >= SHARED_BOUND:
+                table.clear()
+            table[key] = t
+        return t
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class Type:
+class Type(metaclass=_Shared):
     """A simple type: the base type `o`, a sort, or a function type."""
 
     __slots__ = ("_hash",)
+    _table = _kept
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Type is immutable")
@@ -50,35 +75,18 @@ class Type:
 class Base(Type):
     __slots__ = ("name",)
 
-    __hash__ = Type.__hash__
-
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("Base", name)))
-
-    def __eq__(self, other) -> bool:
-        return self is other or (type(other) is Base and self.name == other.name)
 
 
 class Fun(Type):
     __slots__ = ("dom", "cod")
 
-    __hash__ = Type.__hash__
-
     def __init__(self, dom: Type, cod: Type):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "_hash", hash(("Fun", dom, cod)))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Fun
-            and self._hash == other._hash
-            and self.dom == other.dom
-            and self.cod == other.cod
-        )
 
 
 #: The type of truth values.  Every other base type is a sort.
@@ -125,12 +133,18 @@ def result_type(ty: Type) -> Type:
 # Names
 
 
-class Name:
+class _SharedName(_Shared):
+    def __call__(cls, ident, ty, is_var=True):  # one key for every spelling
+        return super().__call__(ident, ty, is_var)
+
+
+class Name(metaclass=_SharedName):
     """A free name: a variable or a logical constant, with its type."""
 
     __slots__ = ("ident", "ty", "is_var", "_hash")
+    _table = _kept
 
-    def __init__(self, ident: str, ty: Type, is_var: bool = True):
+    def __init__(self, ident: str, ty: Type, is_var: bool):
         object.__setattr__(self, "ident", ident)
         object.__setattr__(self, "ty", ty)
         object.__setattr__(self, "is_var", is_var)
@@ -142,17 +156,6 @@ class Name:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Name
-            and self._hash == other._hash
-            and self.ident == other.ident
-            and self.is_var == other.is_var
-            and self.ty == other.ty
-        )
-
     def __repr__(self) -> str:
         return f"{self.ident}:{show_type(self.ty)}"
 
@@ -161,13 +164,11 @@ NOT = Name("not", Fun(o, o), is_var=False)
 IMP = Name("imp", Fun(o, Fun(o, o)), is_var=False)
 
 
-@lru_cache(maxsize=None)
 def eq_const(ty: Type) -> Name:
     """The equality constant at type ty (ty -> ty -> o)."""
     return Name("=", Fun(ty, Fun(ty, o)), is_var=False)
 
 
-@lru_cache(maxsize=None)
 def forall_const(s: Type) -> Name:
     """The universal quantifier at sort s ((s -> o) -> o)."""
     if not is_sort(s):
@@ -193,26 +194,11 @@ def forall_sort(n: Name) -> Type | None:
 # Terms
 
 
-_shared: dict[tuple, "Term"] = {}  # (class, *arguments) -> term
-SHARED_BOUND = 1 << 15
-
-
-class _Shared(type):
-    def __call__(cls, *args):  # the term built from equal arguments, if kept
-        key = (cls, *args)
-        t = _shared.get(key)
-        if t is None:
-            t = super().__call__(*args)  # __init__ type-checks before the entry
-            if len(_shared) >= SHARED_BOUND:
-                _shared.clear()
-            _shared[key] = t
-        return t
-
-
 class Term(metaclass=_Shared):
     """An intrinsically typed lambda term in alpha-canonical form."""
 
     __slots__ = ("ty", "_hash", "fv", "normal")
+    _table = _shared
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Term is immutable")

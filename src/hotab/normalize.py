@@ -47,7 +47,9 @@ def substitute(theta: Substitution, t: Term) -> Term:
 
 
 def normalize(t: Term) -> Term:
-    """The beta-normal form of t."""
+    """The beta-normal form of t; a normal t is returned as it is."""
+    if t.normal:
+        return t
     if type(t) is App:
         f = normalize(t.fun)
         if type(f) is Lam:

@@ -37,7 +37,6 @@ from .kernel import (
     o,
     result_type,
     show_term,
-    show_type,
     spine,
 )
 from .models import DEFAULT_MAX_TABLE, Frame, Model, check_model, eval_term
@@ -84,7 +83,7 @@ def sorts_in(formulas: Iterable[Term]) -> tuple[Base, ...]:
             walk(ty.dom)
             walk(ty.cod)
 
-    for ty in sorted(tys, key=show_type):
+    for ty in tys:
         walk(ty)
     return tuple(sorted(out, key=lambda s: s.name))
 

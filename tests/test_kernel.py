@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from hotab import kernel
 from hotab.kernel import (
     App,
+    Base,
     Bound,
     Fun,
     Lam,
@@ -46,8 +47,11 @@ from hotab.kernel import (
     type_of,
 )
 from hotab.normalize import is_normal, substitute
+from hotab.problems import parse
+from hotab.search import Refuted, SearchConfig, refute
 from helpers import (
     Gen,
+    chain_text,
     named_alpha_eq,
     named_to_term,
     napp,
@@ -158,6 +162,33 @@ def test_an_ill_typed_application_leaves_no_entry():
     with pytest.raises(TypeError):
         App(f, y)
     assert len(kernel._shared) == size
+
+
+def _one_object_each():
+    assert Fun(a, o) is Fun(a, o)
+    assert sort("a") is Base("a")
+    x = Name("x", a)
+    assert Name("x", a, True) is x and Name("x", a, is_var=True) is x
+    assert Name("x", a, False) is not x
+    assert eq_const(a) is eq_const(a)
+    return x
+
+
+def test_equal_types_and_names_are_one_object():
+    x = _one_object_each()
+    kernel._shared.clear()  # empties the term table only
+    assert _one_object_each() is x
+
+
+def test_solving_a_problem_again_keeps_no_new_type_or_name():
+    def solve():
+        p = parse(chain_text(3))
+        return refute(p.assumptions, SearchConfig(reserved=p.variables))
+
+    assert isinstance(solve(), Refuted)
+    size = len(kernel._kept)
+    assert isinstance(solve(), Refuted)
+    assert len(kernel._kept) == size
 
 
 # ---------------------------------------------------------------------------

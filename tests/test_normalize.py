@@ -24,6 +24,7 @@ from hotab.kernel import (
     type_of,
 )
 from hotab.normalize import apply_norm, is_normal, normalize, substitute
+from hotab.rules import as_branch
 from helpers import Gen
 
 a = sort("a")
@@ -86,6 +87,14 @@ def test_normalize_examples_with_equations():
     fy = lam(x, ref(y))
     t = eq(app(fx, ref(y)), app(fy, ref(x)))
     assert normalize(t) == eq(ref(y), ref(y))
+
+
+def test_a_deep_normal_term_is_returned_without_a_walk():
+    t = ref(Name("p", o))
+    for _ in range(5000):  # far deeper than the interpreter's recursion limit
+        t = neg(t)
+    assert normalize(t) is t
+    assert as_branch([t]).formulas == [t]
 
 
 # ---------------------------------------------------------------------------
