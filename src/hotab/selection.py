@@ -37,6 +37,7 @@ from .kernel import (
     Type,
     as_diseq,
     as_neg,
+    diseq,
     eq_const,
     fresh_var,
     is_var_ref,
@@ -426,6 +427,12 @@ def closing_instance(
     return None
 
 
+#: The confront row, whose pairs `Agenda` meets through its side index.
+_CONFRONT = RULES[RuleId.CONFRONT]
+_EQ, _DQ = _CONFRONT.kinds
+_OTHER = {_EQ: _DQ, _DQ: _EQ}
+
+
 class Agenda:
     """What one saturation found on the path from the root, for search to
     apply first a branching instance whose alternatives all close at once
@@ -435,19 +442,26 @@ class Agenda:
     dead: the keys of unproductive instances, which `instances` skips.
     closing: (search order, memo key, row, closers) entries with one open
     alternative at most (a closed one stays so), by memo key; `ordered`
-    holds the same entries sorted.  waiting: per closer, the entries that
-    had two open or more.  present: per side pair (x, y), the members that
-    close x != y at once (`side_pairs`).
+    holds the same entries sorted, less those `pick` found dead.  waiting:
+    per closer, the entries that had two open or more.  present: per side
+    pair (x, y), the members that close x != y at once (`side_pairs`).
+
+    A `confront` pair closes once a side pair (x, y) is shut (x == y, or in
+    present); only such are tested, through an index of the sorts with an
+    equation and a disequation (`active`): `sides` has (member, position)
+    pairs per (kind, side) and (kind, lhs, rhs), `shut` per (kind, side)
+    the other sides of its shut pairs (equation side, disequation side).
     """
 
     def __init__(self, calculus: Calculus, memo: dict):
-        self.groups = _groups(calculus.rules & BRANCHING_RULES)
+        self.groups = _groups(calculus.rules & BRANCHING_RULES - {RuleId.CONFRONT})
         self.memo = memo
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.closing: dict = {}  # likewise
         self.ordered: list = []
         self.waiting: dict = {}
         self.present: dict = {}
+        self.active, self.sides, self.shut = {}, {}, {}  # confront's index
 
     @staticmethod
     def _push(branch: Branch, index: dict, key, value) -> None:
@@ -461,19 +475,27 @@ class Agenda:
         it with each earlier member of the other premise's kind.  Its search
         order is that of `instances`: priority, position of the last premise,
         rank of the other among the members of its kind.  A rule with sides
-        is not built: its closers are its side pairs (x, y), each closing at
-        once where x == y or a member closes x != y.  The others give the
-        `closers` of the instance built over the memo."""
+        is not built: its closers are its side pairs.  The others give the
+        `closers` of the instance built over the memo.  `confront` pairs come
+        from the side index (`_meet`)."""
         joined = list(added)
+        pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
             closes = side_pairs(s)
             if closes:
                 self._push(branch, self.present, closes, s)
                 joined.append(closes)
+                x, y = closes  # pair the members it shuts, then index it
+                es, ds = self.sides.get((_EQ, x), ()), self.sides.get((_DQ, y), ())
+                pairs.update(dict.fromkeys(itertools.product(es, ds)))
+                self._push(branch, self.shut, (_EQ, x), y)
+                self._push(branch, self.shut, (_DQ, y), x)
         later = set(added)
         for i, s in enumerate(added, len(branch) - len(added)):
             later.discard(s)
             info = branch.info(s)
+            if info.kind in _OTHER:
+                self._meet(branch, s, i, info, pairs)
             for uses in self.groups:
                 for _, name, row, at in uses.get(info.kind, ()):
                     keys = [((row.priority, i, 0), (name, (s,)))]
@@ -494,9 +516,37 @@ class Agenda:
                             closers = row.sides(*infos) if ok else ()
                         if len(closers) >= 2:
                             self._test(branch, (order, key, row, closers), True)
+        for e, d in pairs:  # a position orders like the rank in its kind
+            key = (RuleId.CONFRONT.value, (e[0], d[0]))
+            if key not in self.closing and key not in self.dead:
+                order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
+                sides = _CONFRONT.sides(branch.info(e[0]), branch.info(d[0]))
+                self._test(branch, (order, key, _CONFRONT, sides), False)
         for c in joined:
             for entry in self.waiting.get(c, ()):
                 self._test(branch, entry, False)
+
+    def _meet(self, branch: Branch, s: Term, i: int, info, pairs: dict) -> None:
+        """Index s, at position i, and pair it with the members one shut pair
+        away.  A sort is indexed from the node it first has an equation and a
+        disequation on, which reads its earlier members in."""
+        new = [(s, i)]
+        if not self.active.get(info.ty):
+            others = branch.members(_OTHER[info.kind])
+            if all(branch.info(p).ty is not info.ty for p in others):
+                return  # nothing to pair with yet
+            self._push(branch, self.active, info.ty, True)
+            ps = enumerate(itertools.islice(branch.formulas, i))
+            new += [(p, at) for at, p in ps if branch.info(p).ty is info.ty]
+        for m in new:  # the earlier ones are all of one kind: no pairs
+            q = branch.info(m[0])
+            keys = ((q.kind, q.lhs), (q.kind, q.rhs), (_DQ, q.lhs, q.rhs))
+            for key in keys[: 3 if q.kind is _DQ else 2]:
+                self._push(branch, self.sides, key, m)
+        for z in (info.lhs, info.rhs):
+            for w in (z, *self.shut.get((info.kind, z), ())):
+                for p in self.sides.get((_OTHER[info.kind], w), ()):
+                    pairs[(new[0], p) if info.kind is _EQ else (p, new[0])] = None
 
     def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
         if entry[2].sides is None:
@@ -517,15 +567,22 @@ class Agenda:
                     self._push(branch, self.waiting, c, entry)
 
     def pick(self, branch: Branch) -> RuleInstance | None:
-        """The first closing instance in search order that is productive."""
-        for _, key, row, _ in self.ordered:
-            if key in self.dead:
-                continue
-            r = memo_instance(self.memo, branch, row, key)
-            if productive(branch, r.alternatives):
-                return r
-            self.dead[key] = None
-            branch.trail.append(self.dead.popitem)
+        """The first productive closing instance in search order; the dead
+        entries before it leave `ordered`.  Builds a `confront` one to return."""
+        ordered, dead, get = self.ordered, self.dead, self.sides.get
+        while ordered:
+            entry = _, key, row, closers = ordered[0]
+            if key not in dead:
+                if row is not _CONFRONT:
+                    r = memo_instance(self.memo, branch, row, key)
+                    if productive(branch, r.alternatives):
+                        return r
+                elif all(any(not get((_DQ, *p)) for p in a) for a in closers):
+                    return memo_instance(self.memo, branch, row, key)
+                dead[key] = None
+                branch.trail.append(dead.popitem)
+            del ordered[0]
+            branch.trail.append(functools.partial(ordered.insert, 0, entry))
         return None
 
 
@@ -591,13 +648,16 @@ def _concluded_on(branch: Branch, rule: RuleId, premises, inst=()) -> bool:
     """Whether the branch holds the rule's conclusion from these premises
     (and instantiation term): vacuously where the row's shape rejects them;
     for a witness rule, some variable's instance (`concluded`); otherwise
-    all of some alternative of the instance the row builds."""
+    all of some alternative of the instance the row builds, one at a time
+    where it adds disequations."""
     row = RULES[rule]
     infos = tuple(map(branch.info, premises))
     if row.shape is not None and not row.shape(premises, infos):
         return True
     if row.inst == "fresh":
         return concluded(branch, rule, infos[0])
+    if row.sides is not None:
+        return any(all(diseq(x, y) in branch for x, y in a) for a in row.sides(*infos))
     return not productive(branch, row.alts(*infos, *inst))
 
 

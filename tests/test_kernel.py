@@ -127,7 +127,7 @@ def test_spine():
 
 
 def _sample():
-    x = Name("x", a)  # a new Name object on every call
+    x = Name("x", a)  # names are kept for good: the same object on every call
     return lam(x, app(ref(Name("f", fun(a, a, o))), ref(x), ref(Name("y", a))))
 
 

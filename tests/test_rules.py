@@ -9,6 +9,7 @@ import pytest
 from hotab.branch import Branch, branch_of, classify
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
+    NOT,
     App,
     Bound,
     Lam,
@@ -601,6 +602,35 @@ def test_check_rejects_stale_witness_variables():
         ref(V("x", a)),
     )
     assert check_instance(branch_of(*br, eq(ref(V("x", a)), ref(V("x", a)))), reused) is False
+
+
+def test_check_refuses_a_logical_constant_as_a_witness():
+    # F != G at (o -> o) -> o: F and G may differ at the identity and agree
+    # at `not`, so a fresh-witness rule must take a variable
+    F, G = (ref(V(n, fun(fun(o, o), o))) for n in "FG")
+    premise = diseq(F, G)
+    br = branch_of(premise)
+    variable = make_instance(RuleId.FUN_EXT, (premise,), ref(V("x", fun(o, o))))
+    assert check_instance(br, variable)
+    constant = make_instance(RuleId.FUN_EXT, (premise,), ref(NOT))
+    assert constant.alternatives == ((diseq(app(F, ref(NOT)), app(G, ref(NOT))),),)
+    assert not check_instance(br, constant)
+
+
+def test_check_proof_refuses_a_node_with_a_child_missing():
+    # p -> q and p are satisfiable; the imp node's first alternative (not p)
+    # closes, and without its second child nothing would look at q
+    p, q = ref(V("p", o)), ref(V("q", o))
+    v = refute([imp(p, q), p, neg(q)], SearchConfig(calculus="efo"))
+    assert isinstance(v, Refuted) and v.proof.instance.rule is RuleId.IMP
+    assert check_proof([imp(p, q), p, neg(q)], v.proof, "efo")
+    with pytest.raises(ValueError):
+        Proof(v.proof.instance, v.proof.children[:1])
+    short = object.__new__(Proof)
+    object.__setattr__(short, "instance", v.proof.instance)
+    object.__setattr__(short, "children", v.proof.children[:1])
+    assert not check_proof([imp(p, q), p], short, "efo")
+    assert not check_proof([imp(p, q), p, neg(q)], short, "efo")
 
 
 def _space_at_two(formulas) -> float:

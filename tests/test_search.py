@@ -907,6 +907,16 @@ def test_closing_first_reference():
             17,
             id="cliqueU5",
         ),
+        # the confront closers are equations the imp instances add, so its
+        # pairs reach the agenda through side pairs shut during search
+        pytest.param(
+            clique_text(7, "(assume (forall (x a) (imp (neq x c0) (= x c1))))"),
+            "efo",
+            None,
+            1,
+            19,
+            id="cliqueU7",
+        ),
         # the unrestricted calculus under a node budget, with fresh
         # witnesses; backjumping refutes it inside the budget
         pytest.param(
@@ -962,6 +972,104 @@ def test_search_instance_is_the_reference_first_with_double_neg_diseqs(
     v = refute(root, SearchConfig(calculus="efo", max_nodes=1, timeout=None))
     assert isinstance(v, Unknown) and "node budget" in v.reason
     assert len(visited) == 2
+
+
+def test_search_instance_is_the_reference_first_on_funeq_sat_to_the_budget(
+    monkeypatch,
+):
+    # f = g and f c != c under the benchmark's 40-node budget: the fun-eq
+    # instances add the equations that shut confront's side pairs
+    from hotab.problems import parse
+
+    visited = _check_every_node(monkeypatch)
+    root = parse(
+        "(sort a)(var f (> a a))(var g (> a a))(var h (> a a))(var c a)"
+        "(assume (= f g))(assume (neq (f c) c))"
+    ).branch()
+    v = refute(root, SearchConfig(calculus="stt", max_nodes=40, timeout=None))
+    assert isinstance(v, Unknown) and "node budget" in v.reason
+    assert len(visited) == 41  # the instance fetched past the budget too
+
+
+@pytest.mark.parametrize(
+    "assumptions, visits",
+    [
+        # y != w meets x = z through the side pair (x, y) that x = y shut
+        # before it came: the two share no side
+        pytest.param(
+            "(assume (= x z))(assume (= x y))(assume (neq y w))", 4, id="old-shut-pair"
+        ),
+        # x = y comes below the imp and shuts (x, y) between x = z and
+        # y != w, which were on the branch before it
+        pytest.param(
+            "(var p o)(assume (= x z))(assume (neq y w))(assume p)"
+            "(assume (imp p (= x y)))",
+            5,
+            id="new-shut-pair",
+        ),
+    ],
+)
+def test_search_instance_is_the_reference_first_through_shut_side_pairs(
+    monkeypatch, assumptions, visits
+):
+    from hotab.problems import parse
+
+    visited = _check_every_node(monkeypatch)
+    decls = "(sort a)" + "".join(f"(var {n} a)" for n in "xyzw")
+    root = parse(decls + assumptions).branch()
+    v = refute(root, SearchConfig(calculus="efo", timeout=None))
+    assert isinstance(v, Satisfiable)
+    assert len(visited) == visits
+
+
+def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
+    # confront's side index records nothing for a sort with disequations
+    # alone; the first equation brings in the earlier disequations, and
+    # undoing the branch takes the index back with it
+    from hotab.problems import parse
+    from hotab.selection import Agenda
+
+    br = parse(clique_text(4)).branch()
+    agenda = Agenda(CALCULI["efo"], {})
+    agenda.add(br, tuple(br))
+    assert not any(agenda.active.values()) and not any(agenda.sides.values())
+    mark = len(br.trail)
+    c0, c1 = (ref(Name(f"c{i}", sort("a"))) for i in (0, 1))
+    br.add(eq(c0, c1))
+    agenda.add(br, (eq(c0, c1),))
+    assert [ty for ty, on in agenda.active.items() if on] == [sort("a")]
+    assert len(agenda.sides[FormulaKind.SORT_DISEQ, c0]) == 3
+    # every disequation but c2 != c3 shares a side with c0 = c1
+    diseqs = br.members(FormulaKind.SORT_DISEQ)
+    assert [key for _, key, _, _ in agenda.ordered] == [
+        ("confront", (eq(c0, c1), d)) for d in diseqs[:-1]
+    ]
+    br.undo(mark)
+    assert not any(agenda.active.values()) and not any(agenda.sides.values())
+    assert not agenda.ordered and not agenda.closing
+
+
+def test_pick_drops_the_dead_entries_it_walks_past():
+    # c0 = c1 confronts c0 != c2 and c1 != c2 at once (shared sides), and
+    # both instances are dead: their second alternative is on the branch.
+    # pick reads that off the index, builds neither, and takes both out of
+    # the ordered entries until the branch is undone
+    from hotab.problems import parse
+    from hotab.selection import Agenda
+
+    br = parse(
+        "(sort a)(var c0 a)(var c1 a)(var c2 a)"
+        "(assume (= c0 c1))(assume (neq c0 c2))(assume (neq c1 c2))"
+    ).branch()
+    memo: dict = {}
+    agenda = Agenda(CALCULI["efo"], memo)
+    agenda.add(br, tuple(br))
+    assert [key[0] for _, key, _, _ in agenda.ordered] == ["confront"] * 2
+    mark = len(br.trail)
+    assert agenda.pick(br) is None
+    assert not agenda.ordered and len(agenda.dead) == 2 and not memo
+    br.undo(mark)
+    assert len(agenda.ordered) == 2 and not agenda.dead
 
 
 # ---------------------------------------------------------------------------
