@@ -555,27 +555,46 @@ def _display_names(used: set[str]) -> Iterator[str]:
         i += 1
 
 
-def show_term(t: Term) -> str:
+def show_term(t: Term, memo: dict | None = None) -> str:
     """Concrete syntax for t; reparses to exactly t when grammar-expressible.
 
     Bare quantifier applications (forall applied to a non-abstraction) have
-    no grammar form and print as a loud (!forall ...) marker instead.
+    no grammar form and print as a loud (!forall ...) marker instead.  The
+    text of an application with no Lam and no Bound inside does not depend
+    on binder names, so a caller printing many terms may pass one memo,
+    which keeps that text per such subterm.
     """
-    used = {n.ident for n in names(t)}
+    used: set[str] | None = None  # the names of t, read at the first binder
+    binders = 0  # binders and bound variables printed so far
 
     def binder(env: tuple[str, ...]) -> str:
+        nonlocal used, binders
+        binders += 1
+        if used is None:
+            used = {n.ident for n in names(t)}
         for d in _display_names(used.union(env)):
             return d
         raise AssertionError
 
     def go(t: Term, env: tuple[str, ...]) -> str:
+        nonlocal binders
         if type(t) is Ref:
             return t.name.ident
         if type(t) is Bound:
+            binders += 1
             return env[-1 - t.index]
         if type(t) is Lam:
             x = binder(env)
             return f"(lam ({x} {show_type(t.dom)}) {go(t.body, env + (x,))})"
+        text = None if memo is None else memo.get(t)
+        if text is None:
+            seen = binders
+            text = app_text(t, env)
+            if memo is not None and binders == seen:
+                memo[t] = text
+        return text
+
+    def app_text(t: Term, env: tuple[str, ...]) -> str:
         head, args = spine(t)
         if type(head) is Ref and not head.name.is_var:
             n = head.name

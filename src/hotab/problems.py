@@ -331,10 +331,11 @@ def serialize_problem(p: Problem) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _show_eta(t: Term) -> str:
-    """show_term(_eta_quantifiers(t)), with no walk if t has no bare quantifier."""
-    text = show_term(t)
-    return show_term(_eta_quantifiers(t)) if "(!forall " in text else text
+def _show_eta(t: Term, memo: dict | None = None) -> str:
+    """show_term(_eta_quantifiers(t)), with no walk if t has no bare
+    quantifier; memo is show_term's."""
+    text = show_term(t, memo)
+    return show_term(_eta_quantifiers(t), memo) if "(!forall " in text else text
 
 
 def _eta_quantifiers(t: Term) -> Term:
@@ -357,8 +358,9 @@ def _eta_quantifiers(t: Term) -> Term:
 def serialize_proof(proof: Proof) -> str:
     """One line per rule application, children indented under parents.
     Terms are written as `serialize_problem` writes assumptions, so the proof
-    of a problem parses against that problem's text."""
-    lines = []
+    of a problem parses against that problem's text; each subterm's text is
+    worked out once per proof (`show_term`'s memo)."""
+    lines, memo = [], {}
     stack = [(proof, 0, None)]
     while stack:
         node, depth, alt = stack.pop()
@@ -368,7 +370,7 @@ def serialize_proof(proof: Proof) -> str:
             parts.append("." * depth)
             parts.append(str(alt))
         parts.append(r.rule.value)
-        premises = (_show_eta(p) for p in r.premises)
+        premises = (_show_eta(p, memo) for p in r.premises)
         parts.append("(" + " ".join(premises) + ")")
         if r.inst is not None:
             if RULES[r.rule].inst == "fresh":
@@ -376,7 +378,7 @@ def serialize_proof(proof: Proof) -> str:
                     f"({r.inst.name.ident} {show_type(r.inst.name.ty)})"
                 )
             else:
-                parts.append(f"({_show_eta(r.inst)})")
+                parts.append(f"({_show_eta(r.inst, memo)})")
         lines.append(" ".join(parts))
         for i in range(len(node.children) - 1, -1, -1):
             stack.append((node.children[i], depth + 1, i))

@@ -3,8 +3,8 @@
 One table states every rule once, and proof parsing, proof checking, search
 and evidence all read it.  An `unsat` answer rests on this module and the
 three below it (kernel, normalize, branch) alone: `check_proof` replays a
-proof with `check_instance`, which rebuilds every instance from the table.
-Choosing instances is `selection`'s, above this module.
+proof with `check_instance`, which compares every instance with the one the
+rule table builds.  Choosing instances is `selection`'s, above this module.
 
 A rule instance names the rule, the branch members it consumes, an optional
 instantiation term (the chosen instance of a functional equation or a
@@ -15,10 +15,12 @@ alternatives is a leaf — it witnesses that the branch is closed.
 `RULES` has one row per rule.  A row gives the formula kind of each premise,
 any further shape condition on the premises, the builder of the
 alternatives, the instantiation the rule takes (none, a term, or a fresh
-witness variable), and the rule's priority in search.  `make_instance`
-builds an instance from a row (proof files carry no conclusions), and
-`check_instance` validates a claimed one against a branch: its premises are
-members, it equals what the row builds from them, and the branch-dependent
+witness variable), and the rule's priority in search.  `instance_of`, the
+one builder of instances, checks premises against a row and keeps what it
+builds, or the rejection, in a bounded table that search, `make_instance`
+(proof files carry no conclusions) and `check_instance` share.
+`check_instance` validates a claimed instance against a branch: its
+premises are members, it equals the table's, and the branch-dependent
 admissibility conditions hold.
 
 `CALCULI` has one row per calculus: a rule set and a language test, which
@@ -45,6 +47,7 @@ from enum import Enum
 from typing import Callable
 
 from .branch import Branch, FormulaInfo, FormulaKind, branch_of, classify
+from . import kernel
 from .kernel import (
     IMP,
     NOT,
@@ -389,22 +392,42 @@ def _premise_kinds(rules) -> frozenset[FormulaKind]:
 EFO_ONLY_KINDS = _premise_kinds(EFO_RULES) - _premise_kinds(STT_RULES)
 
 
-def _instance(rule, premises, infos, inst) -> RuleInstance:
-    """The instance the rule's row builds from premises with these infos."""
+#: (rule, premises, inst) -> instance, or None where the row rejects the
+#: premises.  Only `instance_of` writes it; emptied at kernel.SHARED_BOUND.
+_built: dict[tuple, RuleInstance | None] = {}
+
+
+def instance_of(
+    rule: RuleId, premises: tuple[Term, ...], inst: Term | None = None
+) -> RuleInstance | None:
+    """The instance the rule's row builds from the premises (and the
+    instantiation term), or None where the row's premise kinds, arity or
+    shape reject them, kept in the table.  The infos are `classify`'s, so
+    the result is a function of the arguments: a table hit equals a
+    rebuild.  ValueError for a rule with no row; a TypeError from building
+    stores nothing."""
+    key = (rule, premises, inst)
+    r = _built.get(key, False)
+    if r is not False:
+        return r
     row = RULES.get(rule)
     if row is None:
         raise ValueError(f"unknown rule {rule!r}")
+    infos = tuple(map(classify, premises))
     if not (
         len(premises) == len(row.kinds)
         and (inst is None) == (row.inst is None)
         and all(k is None or i.kind is k for k, i in zip(row.kinds, infos))
         and (row.shape is None or row.shape(premises, infos))
     ):
-        shown = ", ".join(show_term(p) for p in premises)
-        raise ValueError(f"{rule.value}: premises have the wrong shape: {shown}")
-    if inst is None:
-        return RuleInstance(rule, premises, row.alts(*infos))
-    return RuleInstance(rule, premises, row.alts(*infos, inst), inst)
+        r = None
+    else:
+        given = () if inst is None else (inst,)
+        r = RuleInstance(rule, premises, row.alts(*infos, *given), inst)
+    if len(_built) >= kernel.SHARED_BOUND:
+        _built.clear()
+    _built[key] = r
+    return r
 
 
 def make_instance(
@@ -419,7 +442,11 @@ def make_instance(
     examined here; check_instance enforces it during replay.
     """
     premises = tuple(premises)
-    return _instance(rule, premises, tuple(classify(p) for p in premises), inst)
+    r = instance_of(rule, premises, inst)
+    if r is None:
+        shown = ", ".join(show_term(p) for p in premises)
+        raise ValueError(f"{rule.value}: premises have the wrong shape: {shown}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +639,15 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
         return False
     if r.alternatives and branch.is_closed:
         return False
-    infos = tuple(branch.info(p) for p in r.premises)
-    if r != _instance(r.rule, r.premises, infos, r.inst):
+    built = instance_of(r.rule, r.premises, r.inst)
+    if built is None or (r is not built and r != built):
         return False
     if r.rule in EAGER_RULES:
         return eager
     taken = RULES[r.rule].inst
     if taken is None:
         return True
-    info, u = infos[0], r.inst
+    info, u = branch.info(r.premises[0]), r.inst
     if taken == "fresh":
         return (
             is_var_ref(u)

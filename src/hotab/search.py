@@ -8,13 +8,14 @@ leanTAP): each node applies the first instance in search order (rule
 priority, then member insertion order) with two or more alternatives that
 all close at once but one at most, found by `selection.Agenda`, else the
 first applicable instance, read lazily from `selection.instances`.  Runs
-are deterministic.  Instances that take no fresh witness are memoised for
-one `refute` call; no cache changes which instance is applied.  The path
-is one branch, extended in place: the branch and the agenda record every
-change on the branch's trail, and a frame keeps the trail mark its
-alternatives start from.  This module keeps the depth-first path,
-backjumping and the budgets; every rule condition it relies on is stated
-in `rules`, every choice it makes in `selection`.
+are deterministic.  Instances are read from the table `rules.instance_of`
+fills, which proof reading and replay share; no cache changes which
+instance is applied.  The path is one branch, extended in place: the
+branch and the agenda record every change on the branch's trail, and a
+frame keeps the trail mark its alternatives start from.  This module
+keeps the depth-first path, backjumping and the budgets; every rule
+condition it relies on is stated in `rules`, every choice it makes in
+`selection`.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used, the `selection.support` of each of its instances:
@@ -220,7 +221,7 @@ class _Frame:
     children: list = field(default_factory=list)
 
 
-def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
+def _saturate(branch, calc: Calculus, fuel, cfg, deadline, counter):
     """Develop the branch depth-first in place; the module docstring says
     how a node chooses its instance and how search backjumps.
 
@@ -234,13 +235,13 @@ def _saturate(branch, calc: Calculus, fuel, cfg, memo, deadline, counter):
     the frame's branch.
     """
     stack: list[_Frame] = []
-    agenda = Agenda(calc, memo)
+    agenda = Agenda(calc)
     added = tuple(branch)
     while True:
         leaf = closing_instance(branch, cfg.eager_close, added)
         if leaf is None:
             calc.gate(branch, added)
-            rest = instances(calc, branch, fuel, cfg.reserved, memo, agenda.dead)
+            rest = instances(calc, branch, fuel, cfg.reserved, agenda.dead)
             agenda.add(branch, added)
             r = agenda.pick(branch) or next(rest, None)
             if r is None:
@@ -291,7 +292,7 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     FragmentViolation when the input fits no calculus (or not the requested
     one), and NotEvident when a saturated branch fails `is_evident`, before
     any model is extracted from it.  Each fuel round saturates its own
-    copy of the branch, over one memo, node count and deadline.
+    copy of the branch, over one node count and deadline.
     """
     cfg = cfg or SearchConfig()
     branch = as_branch(branch_or_formulas)
@@ -299,11 +300,10 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
     calc = calculus_named(name)
     deadline = None if cfg.timeout is None else time.monotonic() + cfg.timeout
     counter = [0]
-    memo: dict = {}  # instances, shared by the fuel rounds
     try:
         for fuel in cfg.fuel_schedule:
             status, payload = _saturate(
-                branch.copy(), calc, fuel, cfg, memo, deadline, counter
+                branch.copy(), calc, fuel, cfg, deadline, counter
             )
             if status == "closed":
                 if not check_proof(branch, payload, calc.name, cfg.eager_close):

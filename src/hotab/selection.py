@@ -6,13 +6,15 @@ fault here can cost a verdict but cannot make a wrong one.
 
 `instances`, the one lazy instance generator, yields the instances a row of
 the calculus table `rules.CALCULI` admits on a branch in search order, and
-skips those that cannot make progress.  Together with the admissibility
-restrictions this makes "no instance applicable" coincide with the closure
-conditions that guarantee a model exists.  `CANDIDATES` gives the
-instantiation terms of each calculus's one "term" rule; `applicable_efo`
-and `applicable_stt` list the same instances without caches, the reference
-search is tested against.  `Agenda` is search's closing-first index.
-`support` names the members an instance needs to keep passing
+skips those that cannot make progress.  Nothing here builds an instance:
+instances are read from the table that `rules.instance_of` fills, the
+builder proof reading and replay use too.  Together with the
+admissibility restrictions this makes "no instance applicable" coincide
+with the closure conditions that guarantee a model exists.  `CANDIDATES`
+gives the instantiation terms of each calculus's one "term" rule;
+`applicable_efo` and `applicable_stt` list the same instances without a
+dead set, the reference search is tested against.  `Agenda` is search's
+closing-first index.  `support` names the members an instance needs to keep passing
 `rules.check_instance` on a smaller branch, which backjumping rests on.
 `is_evident` reads the rule table backwards: the model-existence conditions.
 """
@@ -51,7 +53,6 @@ from .rules import (
     RULES,
     Calculus,
     FragmentViolation,
-    Rule,
     RuleId,
     RuleInstance,
     as_branch,
@@ -59,6 +60,7 @@ from .rules import (
     complements,
     concluded,
     inst_type,
+    instance_of,
     is_reflexive,
     route_calculus,
 )
@@ -194,14 +196,14 @@ def instantiation_candidates(branch: Branch, ty: Type, fuel: int):
 @functools.cache
 def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
     """The rules' priority groups, lowest priority first.  A group maps each
-    member kind it takes to the (rule, name, row, premise position) tuples
-    that take it, in table order."""
+    member kind it takes to the (rule, row, premise position) triples that
+    take it, in table order."""
     groups: dict[int, dict[FormulaKind, list]] = {}
     for rule, row in RULES.items():
         if rule in rules:
             uses = groups.setdefault(row.priority, {})
             for at, kind in enumerate(row.kinds):
-                uses.setdefault(kind, []).append((rule, rule.value, row, at))
+                uses.setdefault(kind, []).append((rule, row, at))
     return tuple(
         {kind: tuple(t) for kind, t in groups[p].items()} for p in sorted(groups)
     )
@@ -212,7 +214,6 @@ def instances(
     branch: Branch,
     fuel: int = 3,
     reserved: tuple[Name, ...] = (),
-    memo: dict | None = None,
     dead: dict | None = None,
 ) -> Iterator[RuleInstance]:
     """The calculus's instances on the branch, lazily, in search order, and
@@ -225,17 +226,16 @@ def instances(
     rules avoid the reserved names.  An instance helps only if every
     alternative adds something new; the others are skipped.
 
-    Every rule but the fresh-witness ones builds its instance from the
-    rule, premises and term alone, so memo keeps it under the key (rule
-    name, premises[, term]) (see `memo_instance`).  An instance found
-    unproductive stays so on every extension of the branch, so its key
-    goes into dead, recorded on the branch's trail, and is skipped from
-    then on.  Search passes its memo and its `Agenda`'s dead set; without
-    them the walk is cache-free.
+    Instances are read from the table `rules.instance_of` fills, under
+    their key (rule, premises, term).  An instance found unproductive stays
+    so on every extension of the branch, and so does a fresh-witness
+    premise whose conclusion is on the branch (`concluded`): its key, with
+    no term, goes into dead, recorded on the branch's trail, and is skipped
+    from then on.  Search passes its `Agenda`'s dead set; without one the
+    walk keeps nothing from one call to the next.
     """
     if branch.is_closed:
         return
-    memo = {} if memo is None else memo
     trail, dead = ([], {}) if dead is None else (branch.trail, dead)
     for uses in _groups(calculus.rules):
         if len(uses) == 1:
@@ -245,32 +245,38 @@ def instances(
         earlier: dict[FormulaKind, list[Term]] = {kind: [] for kind in uses}
         for s in members:
             info = branch.info(s)
-            for rule, name, row, at in uses[info.kind]:
+            for rule, row, at in uses[info.kind]:
                 if row.inst == "fresh":
-                    if not concluded(branch, rule, info):
-                        x = _fresh_witness(branch, inst_type(info), reserved)
-                        alts = row.alts(info, x)
-                        if productive(branch, alts):
-                            yield RuleInstance(rule, (s,), alts, x)
+                    key = (rule, (s,), None)
+                    if key in dead:
+                        continue
+                    if concluded(branch, rule, info):
+                        dead[key] = None
+                        trail.append(dead.popitem)
+                        continue
+                    x = _fresh_witness(branch, inst_type(info), reserved)
+                    r = instance_of(rule, (s,), x)
+                    if productive(branch, r.alternatives):
+                        yield r
                     continue
                 if row.inst == "term":
                     keys = (
-                        (name, (s,), u)
+                        (rule, (s,), u)
                         for u in CANDIDATES[rule](branch, info, fuel, reserved)
                     )
                 elif len(row.kinds) == 2:
                     # pair s with the earlier members that fill the other premise
                     keys = (
-                        (name, (s, other) if at == 0 else (other, s))
+                        (rule, (s, other) if at == 0 else (other, s), None)
                         for other in earlier[row.kinds[1 - at]]
                     )
                 else:
-                    keys = ((name, (s,)),)
+                    keys = ((rule, (s,), None),)
                 for key in keys:
                     if key in dead:
                         continue
-                    r = memo.get(key) or memo_instance(memo, branch, row, key)
-                    if r is _REJECTED:
+                    r = instance_of(*key)
+                    if r is None:
                         continue
                     if productive(branch, r.alternatives):
                         yield r
@@ -283,24 +289,6 @@ def instances(
 def productive(branch: Branch, alternatives) -> bool:
     """Does every alternative add something the branch lacks?"""
     return all(any(f not in branch for f in alt) for alt in alternatives)
-
-
-#: The memo entry of premises that a row's shape rejects.
-_REJECTED = object()
-
-
-def memo_instance(memo: dict, branch: Branch, row: Rule, key: tuple):
-    """The instance a memo key (name, premises[, term]) of the row's rule
-    names, built into memo once; _REJECTED where the shape rejects it."""
-    if key not in memo:
-        name, premises, *inst = key
-        infos = tuple(map(branch.info, premises))
-        if row.shape is not None and not row.shape(premises, infos):
-            memo[key] = _REJECTED
-        else:
-            alts = row.alts(*infos, *inst)
-            memo[key] = RuleInstance(RuleId(name), premises, alts, *inst)
-    return memo[key]
 
 
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
@@ -411,8 +399,8 @@ def closing_instance(
     w = branch.closing_witness
     if w is not None:
         if w[0] == "compl":
-            return RuleInstance(RuleId.MATE, (w[1], w[2]), ())
-        return RuleInstance(RuleId.DECOMPOSE, (w[1],), ())
+            return instance_of(RuleId.MATE, (w[1], w[2]))
+        return instance_of(RuleId.DECOMPOSE, (w[1],))
     if eager:
         added = branch.formulas if added is None else added
         later = set(added)
@@ -421,9 +409,9 @@ def closing_instance(
             for c in complements(s):
                 if c in branch and c not in later:
                     pair = (c, s) if as_neg(s) == c else (s, c)
-                    return RuleInstance(RuleId.CLOSE_COMPL, pair, ())
+                    return instance_of(RuleId.CLOSE_COMPL, pair)
             if is_reflexive(s):
-                return RuleInstance(RuleId.CLOSE_REFL, (s,), ())
+                return instance_of(RuleId.CLOSE_REFL, (s,))
     return None
 
 
@@ -440,8 +428,8 @@ class Agenda:
     branch cuts the agenda back with it.
 
     dead: the keys of unproductive instances, which `instances` skips.
-    closing: (search order, memo key, row, closers) entries with one open
-    alternative at most (a closed one stays so), by memo key; `ordered`
+    closing: (search order, key, row, closers) entries with one open
+    alternative at most (a closed one stays so), by key; `ordered`
     holds the same entries sorted, less those `pick` found dead.  waiting:
     per closer, the entries that had two open or more.  present: per side
     pair (x, y), the members that close x != y at once (`side_pairs`).
@@ -453,9 +441,8 @@ class Agenda:
     the other sides of its shut pairs (equation side, disequation side).
     """
 
-    def __init__(self, calculus: Calculus, memo: dict):
+    def __init__(self, calculus: Calculus):
         self.groups = _groups(calculus.rules & BRANCHING_RULES - {RuleId.CONFRONT})
-        self.memo = memo
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.closing: dict = {}  # likewise
         self.ordered: list = []
@@ -476,7 +463,7 @@ class Agenda:
         order is that of `instances`: priority, position of the last premise,
         rank of the other among the members of its kind.  A rule with sides
         is not built: its closers are its side pairs.  The others give the
-        `closers` of the instance built over the memo.  `confront` pairs come
+        `closers` of the instance read from the table.  `confront` pairs come
         from the side index (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
@@ -497,19 +484,20 @@ class Agenda:
             if info.kind in _OTHER:
                 self._meet(branch, s, i, info, pairs)
             for uses in self.groups:
-                for _, name, row, at in uses.get(info.kind, ()):
-                    keys = [((row.priority, i, 0), (name, (s,)))]
+                for rule, row, at in uses.get(info.kind, ()):
+                    keys = [((row.priority, i, 0), (rule, (s,), None))]
                     if len(row.kinds) == 2:
                         others = enumerate(branch.members(row.kinds[1 - at]))
                         keys = [
-                            ((row.priority, i, j), (name, (p, s) if at else (s, p)))
+                            ((row.priority, i, j), (rule, pair, None))
                             for j, p in others
                             if p not in later
+                            for pair in [(p, s) if at else (s, p)]
                         ]
                     for order, key in keys:
                         if row.sides is None:
-                            r = memo_instance(self.memo, branch, row, key)
-                            closers = () if r is _REJECTED else r.closers
+                            r = instance_of(*key)
+                            closers = () if r is None else r.closers
                         else:
                             infos = tuple(map(branch.info, key[1]))
                             ok = row.shape is None or row.shape(key[1], infos)
@@ -517,7 +505,7 @@ class Agenda:
                         if len(closers) >= 2:
                             self._test(branch, (order, key, row, closers), True)
         for e, d in pairs:  # a position orders like the rank in its kind
-            key = (RuleId.CONFRONT.value, (e[0], d[0]))
+            key = (RuleId.CONFRONT, (e[0], d[0]), None)
             if key not in self.closing and key not in self.dead:
                 order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
                 sides = _CONFRONT.sides(branch.info(e[0]), branch.info(d[0]))
@@ -574,11 +562,11 @@ class Agenda:
             entry = _, key, row, closers = ordered[0]
             if key not in dead:
                 if row is not _CONFRONT:
-                    r = memo_instance(self.memo, branch, row, key)
+                    r = instance_of(*key)
                     if productive(branch, r.alternatives):
                         return r
                 elif all(any(not get((_DQ, *p)) for p in a) for a in closers):
-                    return memo_instance(self.memo, branch, row, key)
+                    return instance_of(*key)
                 dead[key] = None
                 branch.trail.append(dead.popitem)
             del ordered[0]

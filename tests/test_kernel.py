@@ -458,3 +458,17 @@ def test_show_term_picks_unclashing_binder():
 def test_show_bare_forall_is_marked():
     f = Name("f", fun(a, o))
     assert show_term(forall(ref(f))) == "(!forall f)"
+
+
+def test_show_term_with_one_memo_prints_what_it_prints_without():
+    # one memo across many terms, with binders, redexes and variables named
+    # like display names: the memo keeps only text no binder name reaches
+    memo: dict = {}
+    printed = 0
+    for seed in range(300):
+        g = Gen(seed + 31000)
+        for t in (g.formula(3), g.term(g.type(2), 3, redex_prob=0.3)):
+            for u in (t, forall(lam(Name("x", a), t)) if t.ty == o else t):
+                assert show_term(u, memo) == show_term(u), seed
+                printed += 1
+    assert printed >= 900 and memo

@@ -9,10 +9,11 @@ kept in outputs.json, keyed "problem|calculus|eager" ("problem|decide").
 
 A change that is meant to keep every proof, model and message the same
 must leave the digests as they are.  No output may depend on which terms
-the kernel shares: the digests must come out the same when every term is
-built afresh.  Run this file as a script to compare without pytest
-(`PYTHONPATH=src python tests/test_outputs.py`), or with `--record` to
-write the digests of the code on PYTHONPATH.
+the kernel shares, or on which instances the table `rules.instance_of`
+fills shares: the digests must come out the same when every term, or every
+instance, is built afresh.  Run this file as a script to compare without
+pytest (`PYTHONPATH=src python tests/test_outputs.py`), or with `--record`
+to write the digests of the code on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from hotab import kernel
+from hotab import kernel, rules
 from hotab.branch import branch_of
 from hotab.fragments import classify_branch, decide
 from hotab.normalize import normalize
@@ -130,6 +131,21 @@ def test_outputs_do_not_depend_on_term_sharing(monkeypatch):
     def emptied_first():
         for pinned in problems():
             kernel._shared.clear()
+            yield pinned
+
+    differ = differing(json.loads(DIGESTS.read_text()), digests(emptied_first()))
+    assert not differ, f"{len(differ)} outputs differ: " + ", ".join(differ)
+
+
+def test_outputs_do_not_depend_on_instance_sharing(monkeypatch):
+    # the instance table is emptied before each problem and keeps one
+    # instance at most, so nearly every instance is built afresh (the term
+    # table, which reads the same bound, keeps one term at most too)
+    monkeypatch.setattr(kernel, "SHARED_BOUND", 1)
+
+    def emptied_first():
+        for pinned in problems():
+            rules._built.clear()
             yield pinned
 
     differ = differing(json.loads(DIGESTS.read_text()), digests(emptied_first()))

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from hotab import rules
 from hotab.branch import Branch, branch_of, classify
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
@@ -40,7 +41,7 @@ from hotab.rules import (
     make_instance,
     match_schema,
 )
-from hotab.search import Proof, Refuted, SearchConfig, refute
+from hotab.search import Proof, Refuted, Satisfiable, SearchConfig, refute
 from hotab.selection import (
     TermEnumerator,
     applicable_efo,
@@ -615,6 +616,64 @@ def test_check_refuses_a_logical_constant_as_a_witness():
     constant = make_instance(RuleId.FUN_EXT, (premise,), ref(NOT))
     assert constant.alternatives == ((diseq(app(F, ref(NOT)), app(G, ref(NOT))),),)
     assert not check_instance(br, constant)
+
+
+# ---------------------------------------------------------------------------
+# The instance table: search, proof reading and replay share its instances
+
+
+def test_a_forged_instance_is_refused_after_the_genuine_one_is_built():
+    # the table holds the genuine instance under (rule, premises, term); a
+    # claimed instance with that key but other alternatives is compared with
+    # it and refused, and the table keeps the genuine one
+    p, q, r = (ref(V(n, o)) for n in "pqr")
+    f, g = V("f", fun(a, b)), V("g", fun(a, b))
+    for rule, premise, inst in (
+        (RuleId.IMP, imp(p, q), None),
+        (RuleId.BOOL_EQ, eq(p, q), None),
+        (RuleId.FUN_EXT, diseq(ref(f), ref(g)), ref(V("x", a))),
+    ):
+        br = branch_of(premise)
+        genuine = make_instance(rule, (premise,), inst)
+        assert rules.instance_of(rule, (premise,), inst) is genuine
+        assert check_instance(br, genuine)
+        n = len(genuine.alternatives)
+        for alts in ((), genuine.alternatives + ((r,),), ((r,),) * n):
+            assert not check_instance(br, RuleInstance(rule, (premise,), alts, inst))
+        assert rules.instance_of(rule, (premise,), inst) is genuine
+
+
+def test_premises_a_shape_rejects_stay_refused_after_search_looked_them_up():
+    # search pairs p c with not (q c) for mate, c = d with e1 != e2 for
+    # confront, and takes e1 != e2 for decompose; each row's shape rejects
+    # its premises, and the table keeps that as a rejection, so proof
+    # reading and replay still refuse them
+    from hotab.problems import parse
+
+    problem = parse(
+        "(sort a)(sort b)(var c a)(var d a)(var e1 b)(var e2 b)"
+        "(var p (> a o))(var q (> a o))"
+        "(assume (p c))(assume (not (q c)))(assume (= c d))(assume (neq e1 e2))"
+    )
+    pc, nqc, cd, e12 = problem.assumptions
+    rejected = [
+        (RuleId.MATE, (pc, nqc), "mate ((p c) (not (q c)))"),
+        (RuleId.CONFRONT, (cd, e12), "confront ((= c d) (neq e1 e2))"),
+        (RuleId.DECOMPOSE, (e12,), "decompose ((neq e1 e2))"),
+    ]
+    rules._built.clear()
+    v = refute(problem.branch(), SearchConfig(calculus="efo"))
+    assert isinstance(v, Satisfiable)
+    br = problem.branch()
+    for rule, premises, line in rejected:
+        assert rules._built[rule, premises, None] is None  # search asked
+        with pytest.raises(ValueError, match="wrong shape"):
+            make_instance(rule, premises)
+        with pytest.raises(ParseError, match="wrong shape"):
+            parse_proof(line + "\n", problem)
+        assert not check_instance(br, RuleInstance(rule, premises, ()))
+        assert not check_instance(br, RuleInstance(rule, premises, ((neg(pc),),)))
+        assert rules._built[rule, premises, None] is None
 
 
 def test_check_proof_refuses_a_node_with_a_child_missing():

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from hotab import rules
 from hotab.branch import FormulaKind, branch_of
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
@@ -653,24 +654,24 @@ def test_refute_raises_not_evident_before_extracting(monkeypatch):
 def test_refute_answers_unknown_when_its_proof_fails_replay(
     tmp_path, capsys, monkeypatch
 ):
-    # a fault in selection: every branching instance keeps only its first
-    # alternative, so search closes chain(2) with a proof that does not replay
+    # a fault in selection: every branching instance it reads keeps only its
+    # first alternative, so search closes chain(2) with a proof that does not
+    # replay (replay reads the instance table, which the fault leaves alone)
     import dataclasses
 
     import hotab.selection as selection
     from hotab import cli
     from hotab.problems import parse
 
-    built = selection.memo_instance
+    built = selection.instance_of
 
-    def first_alternative_only(memo, branch, row, key):
-        r = built(memo, branch, row, key)
-        if r is not selection._REJECTED and len(r.alternatives) >= 2:
+    def first_alternative_only(*key):
+        r = built(*key)
+        if r is not None and len(r.alternatives) >= 2:
             r = dataclasses.replace(r, alternatives=r.alternatives[:1])
-            memo[key] = r
         return r
 
-    monkeypatch.setattr(selection, "memo_instance", first_alternative_only)
+    monkeypatch.setattr(selection, "instance_of", first_alternative_only)
     v = refute(parse(chain_text(2)).branch())
     assert isinstance(v, Unknown) and "failed replay" in v.reason
     path = tmp_path / "chain2.p"
@@ -777,14 +778,14 @@ def test_search_instance_is_the_reference_first_on_random_branches():
             "efo",
             lambda g: g.efo_formula(2, quasi=True),
             applicable_efo,
-            lambda b, memo: instances(CALCULI["efo"], b, memo=memo),
+            lambda b: instances(CALCULI["efo"], b),
         )
     ] + [
         (
             f"stt fuel {fuel}",
             lambda g: g.formula(2),
             lambda b, fuel=fuel: applicable_stt(b, fuel),
-            lambda b, memo, fuel=fuel: instances(CALCULI["stt"], b, fuel, memo=memo),
+            lambda b, fuel=fuel: instances(CALCULI["stt"], b, fuel),
         )
         for fuel in (1, 2, 3)
     ]
@@ -793,16 +794,17 @@ def test_search_instance_is_the_reference_first_on_random_branches():
         for seed in range(60):
             g = Gen(seed + 21000)
             br = branch_of(*(normalize(formula(g)) for _ in range(3)))
-            memo: dict = {}  # warmed along the descent below
             for step in range(12):
+                rules._built.clear()  # the reference reads an emptied table
                 try:
                     listed = reference(br)
                 except FragmentViolation:
                     break
                 assert _in_search_order(br, listed), (name, seed, step)
                 expected = _first(listed)
-                assert next(lazy(br, {}), None) == expected, (name, seed, step)
-                assert next(lazy(br, memo), None) == expected, (name, seed, step)
+                rules._built.clear()  # cold, then warm
+                assert next(lazy(br), None) == expected, (name, seed, step)
+                assert next(lazy(br), None) == expected, (name, seed, step)
                 compared += 1
                 if expected is None:
                     break
@@ -819,27 +821,29 @@ _REFERENCE = {
 
 def _check_every_node(monkeypatch, forced: list | None = None) -> list:
     """Make search compare, at every node, the instance it applies with
-    `closing_first` over the cache-free reference list, and the lazy
-    generator's first instance with the list's first, read cold, with the
-    memo, and with the memo and the dead set; returns the list the formulas
-    of each visited branch are appended to.  forced gets the branches where
-    the choice is not the list's first."""
+    `closing_first` over the reference list, computed from an emptied
+    instance table, and the lazy generator's first instance with the list's
+    first, read with the table emptied, with it warm, and with the dead set;
+    returns the list the formulas of each visited branch are appended to.
+    forced gets the branches where the choice is not the list's first."""
     import hotab.search as search
 
     visited = []
     choice = []  # the reference's choice on the branch last visited
 
-    def checked(calc, b, fuel, reserved, memo, dead):
+    def checked(calc, b, fuel, reserved, dead):
+        rules._built.clear()
         listed = _REFERENCE[calc.name](b, fuel, reserved)
         expected = _first(listed)
+        rules._built.clear()
         assert next(instances(calc, b, fuel, reserved), None) == expected
-        assert next(instances(calc, b, fuel, reserved, memo), None) == expected
-        assert next(instances(calc, b, fuel, reserved, memo, dead), None) == expected
+        assert next(instances(calc, b, fuel, reserved), None) == expected
+        assert next(instances(calc, b, fuel, reserved, dead), None) == expected
         visited.append(tuple(b))
         choice[:] = [closing_first(b, listed)]
         if forced is not None and choice[0] != expected:
             forced.append(b)
-        return instances(calc, b, fuel, reserved, memo, dead)
+        return instances(calc, b, fuel, reserved, dead)
 
     def applied(r, *rest):
         assert r == choice[0]
@@ -928,7 +932,7 @@ def test_closing_first_reference():
             18,
             id="funeq1",
         ),
-        # two fuel rounds over one memo, each with its own unproductive set
+        # two fuel rounds, each with its own unproductive set
         pytest.param(
             "(var y o)(assume (= (lam (z o) z) (lam (z o) y)))",
             "stt",
@@ -941,6 +945,19 @@ def test_closing_first_reference():
         # all its alternatives but z != z close
         pytest.param(
             double_neg_mate_text("="), "efo", None, 1, 6, id="double-neg-eq"
+        ),
+        # the closing-first split comes before the witness rule fires; its
+        # first alternative concludes f != g (f c != g c), its second does
+        # not, so f != g is dead below the first alternative only
+        pytest.param(
+            "(sort a)(var f (> a a))(var g (> a a))(var c a)(var q (> a o))"
+            "(assume (= f g))(assume (neq f g))(assume (q c))"
+            "(assume (= (neq (f c) (g c)) (not (q c))))",
+            "stt",
+            200,
+            1,
+            14,
+            id="witness-concluded-in-one-alternative",
         ),
     ],
 )
@@ -1030,7 +1047,7 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     from hotab.selection import Agenda
 
     br = parse(clique_text(4)).branch()
-    agenda = Agenda(CALCULI["efo"], {})
+    agenda = Agenda(CALCULI["efo"])
     agenda.add(br, tuple(br))
     assert not any(agenda.active.values()) and not any(agenda.sides.values())
     mark = len(br.trail)
@@ -1042,7 +1059,7 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     # every disequation but c2 != c3 shares a side with c0 = c1
     diseqs = br.members(FormulaKind.SORT_DISEQ)
     assert [key for _, key, _, _ in agenda.ordered] == [
-        ("confront", (eq(c0, c1), d)) for d in diseqs[:-1]
+        (RuleId.CONFRONT, (eq(c0, c1), d), None) for d in diseqs[:-1]
     ]
     br.undo(mark)
     assert not any(agenda.active.values()) and not any(agenda.sides.values())
@@ -1061,13 +1078,13 @@ def test_pick_drops_the_dead_entries_it_walks_past():
         "(sort a)(var c0 a)(var c1 a)(var c2 a)"
         "(assume (= c0 c1))(assume (neq c0 c2))(assume (neq c1 c2))"
     ).branch()
-    memo: dict = {}
-    agenda = Agenda(CALCULI["efo"], memo)
+    rules._built.clear()
+    agenda = Agenda(CALCULI["efo"])
     agenda.add(br, tuple(br))
-    assert [key[0] for _, key, _, _ in agenda.ordered] == ["confront"] * 2
+    assert [key[0] for _, key, _, _ in agenda.ordered] == [RuleId.CONFRONT] * 2
     mark = len(br.trail)
     assert agenda.pick(br) is None
-    assert not agenda.ordered and len(agenda.dead) == 2 and not memo
+    assert not agenda.ordered and len(agenda.dead) == 2 and not rules._built
     br.undo(mark)
     assert len(agenda.ordered) == 2 and not agenda.dead
 
