@@ -12,6 +12,7 @@ from hotab import (
     Name, Satisfiable, app, branch_of, check_model, decide, diseq,
     fun, ref, show_model, show_term, sort,
 )
+from hotab.semantics import discriminants
 
 # three disequations over one sort: x, y, z cannot all be identified,
 # but two element values suffice (x and z may coincide)
@@ -31,9 +32,10 @@ for s in assumptions:
 verdict = decide(branch_of(*assumptions))
 assert isinstance(verdict, Satisfiable)
 
-# the saturated branch groups the discriminating terms into discriminants;
-# each discriminant becomes one element of the extracted domain
-for i, d in enumerate(verdict.branch.discriminants(a)):
+# the saturated branch groups the discriminating terms into discriminants
+# (model extraction computes them); each discriminant becomes one element of
+# the extracted domain
+for i, d in enumerate(discriminants(verdict.branch, a)):
     print(f"domain element {i}:", "{" + ", ".join(sorted(show_term(t) for t in d)) + "}")
 
 # the extracted model is certified against the original assumptions

@@ -11,9 +11,10 @@ of when `len(trail)` was mark.  `selection.Agenda` records on the same
 trail.  `copy` gives a branch with an empty trail, so that search and
 replay never change a caller's branch.
 
-The discriminating terms of a type (the sides of its disequations) and its
-discriminants (maximal sets of sides with no disequation between members)
-are memoized per type and number of disequations, each entry on the trail.
+The discriminating terms of a type (the sides of its disequations) are
+memoized per type and number of disequations, each entry on the trail:
+search's candidate terms and the checker's quantifier restriction both
+read them.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _diseq_kind(at: Type) -> FormulaKind:
 
 
 class Branch:
-    """A branch; build with `empty()` / `branch_of` and extend with `add`."""
+    """A branch; build with `Branch()` / `branch_of` and extend with `add`."""
 
     __slots__ = (
         "formulas",
@@ -155,7 +156,7 @@ class Branch:
         "_by_kind",
         "free_names",
         "closing_witness",
-        "_memos",
+        "_sides",
         "trail",
     )
 
@@ -165,12 +166,8 @@ class Branch:
         self._by_kind: dict[FormulaKind, list[Term]] = {}
         self.free_names: dict[Name, Term] = {}  # to the first member with it
         self.closing_witness: tuple | None = None
-        self._memos: dict[tuple, tuple] = {}
+        self._sides: dict[tuple, tuple] = {}  # discriminating_terms' memo
         self.trail: list = []  # undo steps, newest last
-
-    @staticmethod
-    def empty() -> "Branch":
-        return Branch()
 
     def copy(self) -> "Branch":
         """A branch with the same members and memos, and an empty trail."""
@@ -180,7 +177,7 @@ class Branch:
         b._by_kind = {kind: ms.copy() for kind, ms in self._by_kind.items()}
         b.free_names = self.free_names.copy()
         b.closing_witness = self.closing_witness
-        b._memos = self._memos.copy()
+        b._sides = self._sides.copy()
         return b
 
     # -- queries --
@@ -264,43 +261,19 @@ class Branch:
             return ("refl", s)
         return None
 
-    # -- discriminants --
-
-    def _memo(self, at: Type, compute):
-        """compute(self, at), memoized on the trail per count of at's kind."""
-        key = (compute, at, len(self._by_kind.get(_diseq_kind(at), ())))
-        out = self._memos.get(key)
-        if out is None:
-            out = self._memos[key] = compute(self, at)
-            self.trail.append(self._memos.popitem)
-        return out
+    # -- discriminating terms --
 
     def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
-        """Sides of the disequations at the given type, deduplicated."""
-        return self._memo(at, _sides)
-
-    def discriminants(self, at: Type) -> tuple[frozenset[Term], ...]:
-        """Maximal sets of discriminating terms with no internal disequation.
-
-        With no disequations at the sort this is (frozenset(),): the branch
-        induces a one-element domain.
-        """
-        return self._memo(at, _discriminants)
-
-
-def _sides(branch: Branch, at: Type) -> tuple[Term, ...]:
-    infos = [branch.info(d) for d in branch.disequations(at)]
-    return tuple(dict.fromkeys(t for info in infos for t in (info.lhs, info.rhs)))
-
-
-def _discriminants(branch: Branch, at: Type) -> tuple[frozenset[Term], ...]:
-    vs = branch.discriminating_terms(at)
-    conflict: dict[Term, set[Term]] = {v: set() for v in vs}
-    for d in branch.disequations(at):
-        info = branch.info(d)
-        conflict[info.lhs].add(info.rhs)
-        conflict[info.rhs].add(info.lhs)
-    return _max_independent_sets(vs, conflict)
+        """Sides of the disequations at the given type, deduplicated;
+        memoized on the trail per count of disequations of at's kind."""
+        key = (at, len(self._by_kind.get(_diseq_kind(at), ())))
+        out = self._sides.get(key)
+        if out is None:
+            infos = [self._info[d] for d in self.disequations(at)]
+            out = tuple(dict.fromkeys(t for i in infos for t in (i.lhs, i.rhs)))
+            self._sides[key] = out
+            self.trail.append(self._sides.popitem)
+        return out
 
 
 def branch_of(*formulas: Term) -> Branch:
@@ -308,34 +281,3 @@ def branch_of(*formulas: Term) -> Branch:
     for s in formulas:
         b.add(s)
     return b
-
-
-def _max_independent_sets(
-    vs: tuple[Term, ...], conflict: dict[Term, set[Term]]
-) -> tuple[frozenset[Term], ...]:
-    """All maximal independent sets of the conflict graph, deterministically.
-
-    Bron-Kerbosch with pivoting on the complement graph.  Vertices that
-    conflict with themselves (s != s on the branch) can join no independent
-    set and are dropped up front.
-    """
-    idx = {v: i for i, v in enumerate(vs)}
-    ok = [v for v in vs if v not in conflict[v]]
-    adj = {v: {w for w in ok if w != v and w not in conflict[v]} for v in ok}
-    out: list[frozenset[Term]] = []
-
-    def bk(r: frozenset[Term], p: set[Term], x: set[Term]) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(
-            sorted(p | x, key=lambda v: idx[v]), key=lambda v: len(p & adj[v])
-        )
-        for v in sorted(p - adj[pivot], key=lambda v: idx[v]):
-            bk(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
-
-    bk(frozenset(), set(ok), set())
-    out.sort(key=lambda s: sorted(idx[v] for v in s))
-    return tuple(out)

@@ -1,9 +1,10 @@
 """Command-line refuter: parse a problem file, search, report a verdict.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable, 30 unknown, 2 bad input,
-1 internal error.  The first stdout line is always sat/unsat/unknown
-(except under --fragment-check and --check-proof, which have their own
-output).  Diagnostics and notices go to stderr.
+3 proof does not check (--check-proof), 1 internal error.  The first
+stdout line is always sat/unsat/unknown (except under --fragment-check and
+--check-proof, which have their own output).  Diagnostics and notices go to
+stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 30
 EXIT_INPUT = 2
+EXIT_PROOF_REJECTED = 3
 EXIT_INTERNAL = 1
 
 
@@ -117,7 +119,7 @@ def _run_check_proof(problem: Problem, path: str) -> int:
         print("proof ok")
         return 0
     print("proof does not check", file=sys.stderr)
-    return EXIT_INTERNAL
+    return EXIT_PROOF_REJECTED
 
 
 def _write(path: str | None, text: str) -> bool:

@@ -12,7 +12,7 @@ The restricted calculus decides three branch classes outright:
 member and subterm; `decide` runs budget-free restricted-calculus search on
 branches inside one of the decidable classes and refuses everything else
 loudly.  `efo_violation`, `quasi_efo_violation` and `FragmentViolation`
-come from `rules`, whose restricted-calculus gate uses them.
+come from `rules`, whose restricted-calculus language test uses them.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ constants are instantiated lazily per type and interned.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +387,6 @@ def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
     return t, tuple(args)
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t, outermost first (t itself included)."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        yield s
-        if type(s) is App:
-            stack.append(s.arg)
-            stack.append(s.fun)
-        elif type(s) is Lam:
-            stack.append(s.body)
-
-
 def names(t: Term) -> Iterator[Name]:
     """Every free-name occurrence in t (constants included), leftmost first."""
     stack = [t]
@@ -422,19 +409,6 @@ def free_vars(t: Term) -> frozenset[Name]:
 def free_vars_ordered(t: Term) -> tuple[Name, ...]:
     """Free variables in order of first (leftmost) occurrence."""
     return t.fv
-
-
-def fresh_var(ty: Type, avoid: Iterable[Name]) -> Name:
-    """A variable of type ty whose identifier collides with nothing in avoid.
-
-    Deterministic: picks x0, x1, ... at the lowest unused index, so equal
-    avoid sets always yield the same name.
-    """
-    used = {n.ident for n in avoid}
-    i = 0
-    while f"x{i}" in used:
-        i += 1
-    return Name(f"x{i}", ty)
 
 
 # ---------------------------------------------------------------------------

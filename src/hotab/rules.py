@@ -24,7 +24,7 @@ premises are members, it equals the table's, and the branch-dependent
 admissibility conditions hold.
 
 `CALCULI` has one row per calculus: a rule set and a language test, which
-the row's gate and `route_calculus` read.  Two rule sets run over one engine.
+`route_calculus` and `selection.gate` read.  Two rule sets run over one engine.
 
 The restricted calculus (its language is checked by `quasi_efo_violation`
 here) enforces, per branch A:
@@ -122,7 +122,9 @@ class RuleInstance:
     @functools.cached_property
     def closers(self) -> tuple:
         """Per alternative, the formulas that close it at once (the
-        `complements` of its own), or None if it is closed anyway."""
+        `complements` of its own), or None if it is closed anyway.  Only
+        search reads it; it stays on the shared instance because search
+        recomputing it per agenda was measurably slower."""
         return tuple(
             None if any(map(is_reflexive, alt)) else sum(map(complements, alt), ())
             for alt in self.alternatives
@@ -374,11 +376,6 @@ EFO_RULES = frozenset(
     }
 )
 
-#: Rules whose instances can branch; they come after every other rule.
-BRANCHING_RULES = frozenset(
-    map(RuleId, ("bool-eq", "bool-ext", "imp", "mate", "decompose", "confront"))
-)
-
 #: Leaf rules available only in eager-closing mode (plus n = 0 mate and
 #: decompose instances, which both calculi already provide).
 EAGER_RULES = frozenset({RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL})
@@ -522,19 +519,6 @@ class Calculus:
     name: str
     rules: frozenset[RuleId]
     outside: Callable[[Branch, Term], str | None]
-
-    def gate(self, branch: Branch, members) -> None:
-        """Raise FragmentViolation for the first of the branch's members the
-        calculus cannot take: one outside its language, or, on an open
-        branch, one no rule consumes."""
-        for s in members:
-            reason = self.outside(branch, s)
-            if reason is not None:
-                raise FragmentViolation(reason)
-        if not branch.is_closed:
-            for s in members:
-                if branch.info(s).kind is FormulaKind.OTHER:
-                    raise FragmentViolation(f"no rule for {show_term(s)}")
 
 
 #: The two calculi, in the order `route_calculus` tries them.

@@ -2,20 +2,20 @@
 
 `refute` picks a row of the calculus table `rules.CALCULI` (by
 `rules.route_calculus` in auto mode) and runs one engine with it: the row
-gives the rule set and the fragment gate.  It develops a branch depth-first
-and puts off real splits (Hähnle, "Tableaux and related methods", 2001;
-leanTAP): each node applies the first instance in search order (rule
-priority, then member insertion order) with two or more alternatives that
-all close at once but one at most, found by `selection.Agenda`, else the
-first applicable instance, read lazily from `selection.instances`.  Runs
-are deterministic.  Instances are read from the table `rules.instance_of`
-fills, which proof reading and replay share; no cache changes which
-instance is applied.  The path is one branch, extended in place: the
-branch and the agenda record every change on the branch's trail, and a
-frame keeps the trail mark its alternatives start from.  This module
-keeps the depth-first path, backjumping and the budgets; every rule
-condition it relies on is stated in `rules`, every choice it makes in
-`selection`.
+gives the rule set and `selection.gate`'s language test.  It develops a
+branch depth-first and puts off real splits (Hähnle, "Tableaux and related
+methods", 2001; leanTAP): each node applies the first instance in search
+order (rule priority, then member insertion order) with two or more
+alternatives that all close at once but one at most, found by
+`selection.Agenda`, else the first applicable instance, read lazily from
+`selection.instances`.  Runs are deterministic.  Instances are read from
+the table `rules.instance_of` fills, which proof reading and replay share;
+no cache changes which instance is applied.  The path is one branch,
+extended in place: the branch and the agenda record every change on the
+branch's trail, and a frame keeps the trail mark its alternatives start
+from.  This module keeps the depth-first path, backjumping and the budgets;
+every rule condition it relies on is stated in `rules`, every choice it
+makes in `selection`.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used, the `selection.support` of each of its instances:
@@ -72,6 +72,7 @@ from .selection import (
     applicable_efo,  # noqa: F401
     applicable_stt,  # noqa: F401
     closing_instance,
+    gate,
     instances,
     is_evident,
     support,
@@ -240,7 +241,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, deadline, counter):
     while True:
         leaf = closing_instance(branch, cfg.eager_close, added)
         if leaf is None:
-            calc.gate(branch, added)
+            gate(calc, branch, added)
             rest = instances(calc, branch, fuel, cfg.reserved, agenda.dead)
             agenda.add(branch, added)
             r = agenda.pick(branch) or next(rest, None)

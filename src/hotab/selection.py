@@ -13,8 +13,12 @@ admissibility restrictions this makes "no instance applicable" coincide
 with the closure conditions that guarantee a model exists.  `CANDIDATES`
 gives the instantiation terms of each calculus's one "term" rule;
 `applicable_efo` and `applicable_stt` list the same instances without a
-dead set, the reference search is tested against.  `Agenda` is search's
-closing-first index.  `support` names the members an instance needs to keep passing
+dead set, the reference search is tested against.  `gate` holds members to
+a calculus (its language test, and some rule for each), and `fresh_var`
+names witnesses.  `Agenda` is search's closing-first index, over the rules
+that branch (`BRANCHING_RULES`); it and `closing_instance` read what closes
+at once (`rules.complements`, `RuleInstance.closers`).
+`support` names the members an instance needs to keep passing
 `rules.check_instance` on a smaller branch, which backjumping rests on.
 `is_evident` reads the rule table backwards: the model-existence conditions.
 """
@@ -25,7 +29,7 @@ import functools
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .branch import Branch, FormulaKind
 from .kernel import (
@@ -41,14 +45,12 @@ from .kernel import (
     as_neg,
     diseq,
     eq_const,
-    fresh_var,
     is_var_ref,
     o,
     ref,
     show_term,
 )
 from .rules import (
-    BRANCHING_RULES,
     CALCULI,
     RULES,
     Calculus,
@@ -291,6 +293,19 @@ def productive(branch: Branch, alternatives) -> bool:
     return all(any(f not in branch for f in alt) for alt in alternatives)
 
 
+def fresh_var(ty: Type, avoid: Iterable[Name]) -> Name:
+    """A variable of type ty whose identifier collides with nothing in avoid.
+
+    Deterministic: picks x0, x1, ... at the lowest unused index, so equal
+    avoid sets always yield the same name.
+    """
+    used = {n.ident for n in avoid}
+    i = 0
+    while f"x{i}" in used:
+        i += 1
+    return Name(f"x{i}", ty)
+
+
 def _fresh_witness(branch: Branch, ty: Type, reserved: tuple[Name, ...]) -> Term:
     return ref(fresh_var(ty, (*branch.free_names, *reserved)))
 
@@ -324,6 +339,20 @@ CANDIDATES = {
 }
 
 
+def gate(calculus: Calculus, branch: Branch, members) -> None:
+    """Raise FragmentViolation for the first of the branch's members the
+    calculus cannot take: one outside its language, or, on an open branch,
+    one no rule consumes."""
+    for s in members:
+        reason = calculus.outside(branch, s)
+        if reason is not None:
+            raise FragmentViolation(reason)
+    if not branch.is_closed:
+        for s in members:
+            if branch.info(s).kind is FormulaKind.OTHER:
+                raise FragmentViolation(f"no rule for {show_term(s)}")
+
+
 def applicable_stt(
     branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
 ) -> list[RuleInstance]:
@@ -335,7 +364,7 @@ def applicable_stt(
     members outside the negation-and-equality language.  Search reads the
     same instances lazily (`instances`).
     """
-    CALCULI["stt"].gate(branch, branch.formulas)
+    gate(CALCULI["stt"], branch, branch.formulas)
     return list(instances(CALCULI["stt"], branch, fuel, reserved))
 
 
@@ -350,7 +379,7 @@ def applicable_efo(
     branch is closed or satisfies the model-existence conditions.  Search
     reads the same instances lazily (`instances`).
     """
-    CALCULI["efo"].gate(branch, branch.formulas)
+    gate(CALCULI["efo"], branch, branch.formulas)
     return list(instances(CALCULI["efo"], branch, reserved=reserved))
 
 
@@ -414,6 +443,11 @@ def closing_instance(
                 return instance_of(RuleId.CLOSE_REFL, (s,))
     return None
 
+
+#: Rules whose instances can branch; they come after every other rule.
+BRANCHING_RULES = frozenset(
+    map(RuleId, ("bool-eq", "bool-ext", "imp", "mate", "decompose", "confront"))
+)
 
 #: The confront row, whose pairs `Agenda` meets through its side index.
 _CONFRONT = RULES[RuleId.CONFRONT]
@@ -668,7 +702,7 @@ def is_evident(
     if scope == "auto":
         scope = route_calculus(branch)
     else:
-        calculus_named(scope).gate(branch, branch.formulas)
+        gate(calculus_named(scope), branch, branch.formulas)
     out: list[Violation] = []
     bounded = False
 

@@ -2,7 +2,8 @@
 
 `extract_model` realizes a saturated branch as a finite model, following
 the model-existence argument: each sort's domain is the branch's
-discriminants at that sort, and first-order variables' values are read off
+`discriminants` at that sort (maximal sets of its discriminating terms with
+no disequation between members), and first-order variables' values are read off
 the branch (a cell, one tuple of discriminants, takes the truth value of the
 atoms or the discriminant of the applications found there; a sort or truth
 variable is one cell with no arguments).  Each variable's values are
@@ -98,6 +99,57 @@ def variables_in(formulas: Iterable[Term]) -> tuple[Name, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Discriminants
+
+
+def discriminants(branch: Branch, at: Type) -> tuple[frozenset[Term], ...]:
+    """Maximal sets of the branch's discriminating terms at a type with no
+    disequation between members, deterministically.
+
+    With no disequations at the type this is (frozenset(),): the branch
+    induces a one-element domain.
+    """
+    vs = branch.discriminating_terms(at)
+    conflict: dict[Term, set[Term]] = {v: set() for v in vs}
+    for d in branch.disequations(at):
+        info = branch.info(d)
+        conflict[info.lhs].add(info.rhs)
+        conflict[info.rhs].add(info.lhs)
+    return _max_independent_sets(vs, conflict)
+
+
+def _max_independent_sets(
+    vs: tuple[Term, ...], conflict: dict[Term, set[Term]]
+) -> tuple[frozenset[Term], ...]:
+    """All maximal independent sets of the conflict graph, deterministically.
+
+    Bron-Kerbosch with pivoting on the complement graph.  Vertices that
+    conflict with themselves (s != s on the branch) can join no independent
+    set and are dropped up front.
+    """
+    idx = {v: i for i, v in enumerate(vs)}
+    ok = [v for v in vs if v not in conflict[v]]
+    adj = {v: {w for w in ok if w != v and w not in conflict[v]} for v in ok}
+    out: list[frozenset[Term]] = []
+
+    def bk(r: frozenset[Term], p: set[Term], x: set[Term]) -> None:
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(
+            sorted(p | x, key=lambda v: idx[v]), key=lambda v: len(p & adj[v])
+        )
+        for v in sorted(p - adj[pivot], key=lambda v: idx[v]):
+            bk(r | {v}, p & adj[v], x & adj[v])
+            p.discard(v)
+            x.add(v)
+
+    bk(frozenset(), set(ok), set())
+    out.sort(key=lambda s: sorted(idx[v] for v in s))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Model extraction from a saturated branch
 
 
@@ -119,7 +171,7 @@ def extract_model(branch: Branch, max_table: int = DEFAULT_MAX_TABLE) -> Model:
     may fail with ExtractionFailure.
     """
     discs: dict[Base, tuple[frozenset, ...]] = {
-        s: branch.discriminants(s) for s in sorts_in(branch.formulas)
+        s: discriminants(branch, s) for s in sorts_in(branch.formulas)
     }
     frame = Frame(
         {s: len(d) for s, d in discs.items()},

@@ -9,11 +9,12 @@ as an independent oracle for the package's canonical representation.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hotab.branch import FormulaKind, branch_of
 from hotab.fragments import classify_branch, lam_subterm
 from hotab.kernel import (
+    App,
     Fun,
     Lam,
     Name,
@@ -33,6 +34,20 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import normalize
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """All subterms of t, outermost first (t itself included)."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if type(s) is App:
+            stack.append(s.arg)
+            stack.append(s.fun)
+        elif type(s) is Lam:
+            stack.append(s.body)
+
 
 # ---------------------------------------------------------------------------
 # Named terms (oracle representation)

@@ -1,8 +1,8 @@
-"""Branch tests: classification, closure, and discriminant enumeration."""
+"""Branch tests: classification, construction and undo, closure, and
+discriminating terms."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -24,6 +24,7 @@ from hotab.kernel import (
     sort,
 )
 from hotab.normalize import is_normal, normalize
+from hotab.semantics import discriminants
 
 from helpers import Gen
 
@@ -89,7 +90,7 @@ def test_classify_rejects_non_formulas():
 
 
 def test_add_is_in_place_and_a_noop_records_nothing():
-    b0 = Branch.empty()
+    b0 = Branch()
     s = app(ref(g), ref(x))
     assert b0.add(s) is None and list(b0) == [s]
     mark = len(b0.trail)
@@ -121,7 +122,7 @@ def test_undo_restores_the_branch_of_the_prefix():
         pool += [diseq(u, v) for u in us for v in us if u.ty == v.ty][:8]
         pool += [ref(p), neg(ref(p))]
         types = {a, b, o} | {classify(d).ty for d in pool if classify(d).ty}
-        br, prefix, marks = Branch.empty(), [], []
+        br, prefix, marks = Branch(), [], []
         for _ in range(40):
             if marks and rng.random() < 0.3:
                 i = rng.randrange(len(marks))
@@ -139,7 +140,7 @@ def test_undo_restores_the_branch_of_the_prefix():
             assert _state(br) == _state(fresh), (seed, prefix)
             for ty in sorted(types, key=repr)[: rng.randint(0, len(types))]:
                 assert br.discriminating_terms(ty) == fresh.discriminating_terms(ty)
-                assert br.discriminants(ty) == fresh.discriminants(ty)
+                assert discriminants(br, ty) == discriminants(fresh, ty)
         walks += 1
     assert walks == 40
 
@@ -147,9 +148,9 @@ def test_undo_restores_the_branch_of_the_prefix():
 def test_add_rejects_bad_members():
     ident = lam(x, ref(x))
     with pytest.raises(TypeError):
-        Branch.empty().add(ref(x))  # not a formula
+        Branch().add(ref(x))  # not a formula
     with pytest.raises(ValueError):
-        Branch.empty().add(app(lam(p, ref(p)), ref(q)))  # not normal
+        Branch().add(app(lam(p, ref(p)), ref(q)))  # not normal
 
 
 def test_free_names_in_first_occurrence_order():
@@ -182,7 +183,7 @@ def test_disequations_and_their_sides_at_every_type():
     assert b1.discriminating_terms(fun(a, o)) == (ref(g), ref(k))
     assert b1.discriminating_terms(fun(a, b)) == ()
     assert b1.discriminating_terms(o) is b1.discriminating_terms(o)  # memoized
-    assert set(b1.discriminants(o)) == {frozenset([ref(p)]), frozenset([ref(q)])}
+    assert set(discriminants(b1, o)) == {frozenset([ref(p)]), frozenset([ref(q)])}
 
 
 # ---------------------------------------------------------------------------
@@ -211,90 +212,13 @@ def test_not_closed_by_compound_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# Discriminants
+# Discriminating terms
 
 
 def test_discriminating_terms_order_and_dedup():
     b1 = branch_of(diseq(ref(x), ref(y)), diseq(ref(y), ref(z)))
     assert b1.discriminating_terms(a) == (ref(x), ref(y), ref(z))
     assert b1.discriminating_terms(b) == ()
-
-
-def test_discriminants_hand_cases():
-    assert Branch.empty().discriminants(a) == (frozenset(),)
-    b1 = branch_of(diseq(ref(x), ref(y)))
-    assert set(b1.discriminants(a)) == {frozenset([ref(x)]), frozenset([ref(y)])}
-    tri = branch_of(
-        diseq(ref(x), ref(y)), diseq(ref(y), ref(z)), diseq(ref(x), ref(z))
-    )
-    assert set(tri.discriminants(a)) == {
-        frozenset([ref(x)]),
-        frozenset([ref(y)]),
-        frozenset([ref(z)]),
-    }
-    path = branch_of(diseq(ref(x), ref(y)), diseq(ref(y), ref(z)))
-    assert set(path.discriminants(a)) == {
-        frozenset([ref(x), ref(z)]),
-        frozenset([ref(y)]),
-    }
-
-
-def test_discriminants_with_self_conflict():
-    t = app(ref(f), ref(x))
-    b1 = branch_of(diseq(t, t))
-    # t conflicts with itself, so the only maximal independent set is empty
-    assert b1.discriminants(a) == (frozenset(),)
-
-
-def _oracle_discriminants(vertices, diseq_pairs):
-    """Exhaustive subset check: maximal conflict-free subsets."""
-    conf = set()
-    for u, v in diseq_pairs:
-        conf.add((u, v))
-        conf.add((v, u))
-
-    def independent(s):
-        return all((u, v) not in conf for u in s for v in s)
-
-    subsets = []
-    for r in range(len(vertices) + 1):
-        for c in itertools.combinations(vertices, r):
-            if independent(set(c)):
-                subsets.append(frozenset(c))
-    return {
-        s for s in subsets if not any(s < t for t in subsets)
-    }
-
-
-def test_discriminants_match_exhaustive_oracle():
-    rng = random.Random(99)
-    pool = [ref(Name(f"d{i}", a)) for i in range(6)] + [
-        app(ref(f), ref(Name(f"d{i}", a))) for i in range(2)
-    ]
-    for _ in range(300):
-        k = rng.randint(0, 6)
-        pairs = [
-            (rng.choice(pool), rng.choice(pool)) for _ in range(k)
-        ]
-        b1 = Branch.empty()
-        for u, v in pairs:
-            b1 = branch_of(*b1, diseq(u, v))
-        got = b1.discriminants(a)
-        vertices = b1.discriminating_terms(a)
-        want = _oracle_discriminants(vertices, pairs)
-        assert set(got) == want
-        assert len(got) == len(set(got))
-        assert len(got) <= 2 ** len(b1.disequations(a))
-        # deterministic and memoized
-        assert b1.discriminants(a) is got
-        # distinct discriminants are separated by some disequation
-        conf = {(u, v) for u, v in pairs} | {(v, u) for u, v in pairs}
-        for d1 in got:
-            for d2 in got:
-                if d1 != d2:
-                    assert any(
-                        (u, v) in conf for u in d1 for v in d2
-                    ) or any((u, v) in conf for u in d2 for v in d1)
 
 
 def test_branch_equality_is_extensional():

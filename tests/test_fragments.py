@@ -1,5 +1,7 @@
 """Fragment classifiers, witnesses, and the terminating decision procedure."""
 
+from collections import Counter
+
 import pytest
 
 from hotab.branch import branch_of
@@ -285,10 +287,14 @@ def test_decide_terminates_and_agrees_with_model_enumeration():
 
 
 def test_decide_terminates_on_random_bsr_branches():
-    done = 0
-    for seed in range(40):
-        g = Gen(seed + 27000)
-        forms = [normalize(g.bsr_formula()) for _ in range(2)]
+    # pairs of formulas with a prefix of 0-2 quantifiers each, then pairs
+    # with 2 or 3 nested quantifiers each
+    inputs = [(seed + 27000, None) for seed in range(40)]
+    inputs += [(seed + 27500, 2 + seed % 2) for seed in range(40)]
+    done = {None: Counter(), 2: Counter(), 3: Counter()}
+    for seed, n_quant in inputs:
+        g = Gen(seed)
+        forms = [normalize(g.bsr_formula(n_quant)) for _ in range(2)]
         if any(bsr_violation(s) is not None for s in forms):
             continue
         v = decide(branch_of(*forms))
@@ -296,6 +302,9 @@ def test_decide_terminates_on_random_bsr_branches():
             assert check_model(v.model, forms)
         else:
             assert isinstance(v, Refuted)
+            assert check_proof(forms, v.proof), seed
             assert next(enumerate_models(forms, max_size=2), None) is None
-        done += 1
-    assert done >= 25
+        done[n_quant][type(v)] += 1
+    assert sum(done[None].values()) >= 25
+    for n_quant in (2, 3):  # the deeper prefixes give both verdicts
+        assert done[n_quant][Refuted] >= 5 and done[n_quant][Satisfiable] >= 5

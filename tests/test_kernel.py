@@ -29,7 +29,6 @@ from hotab.kernel import (
     forall_const,
     free_vars,
     free_vars_ordered,
-    fresh_var,
     fun,
     imp,
     instantiate,
@@ -43,12 +42,12 @@ from hotab.kernel import (
     show_type,
     sort,
     spine,
-    subterms,
     type_of,
 )
 from hotab.normalize import is_normal, substitute
 from hotab.problems import parse
 from hotab.search import Refuted, SearchConfig, refute
+from hotab.selection import fresh_var
 from helpers import (
     Gen,
     chain_text,
@@ -58,6 +57,7 @@ from helpers import (
     nlam,
     nvar,
     rename_binders,
+    subterms,
 )
 
 a = sort("a")

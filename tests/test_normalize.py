@@ -20,12 +20,11 @@ from hotab.kernel import (
     ref,
     sort,
     spine,
-    subterms,
     type_of,
 )
 from hotab.normalize import apply_norm, is_normal, normalize, substitute
 from hotab.rules import as_branch
-from helpers import Gen
+from helpers import Gen, subterms
 
 a = sort("a")
 b = sort("b")

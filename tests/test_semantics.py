@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hotab.branch import branch_of
+from hotab.branch import Branch, branch_of
 from hotab.fragments import decide
 from hotab.kernel import (
     NOT,
@@ -42,6 +42,7 @@ from hotab.models import (
 from hotab.search import Satisfiable
 from hotab.semantics import (
     ExtractionFailure,
+    discriminants,
     enumerate_models,
     extract_model,
     has_model,
@@ -248,6 +249,88 @@ def test_sorts_and_variables_collection():
     t = forall(lam(x, app(ref(Name("g", fun(a, b, o))), ref(x), ref(Name("w", b)))))
     assert sorts_in([t]) == (a, b)
     assert variables_in([t]) == (Name("g", fun(a, b, o)), Name("w", b))
+
+
+# ---------------------------------------------------------------------------
+# Discriminants
+
+
+def test_discriminants_hand_cases():
+    assert discriminants(Branch(), a) == (frozenset(),)
+    b1 = branch_of(diseq(ref(x), ref(y)))
+    assert set(discriminants(b1, a)) == {frozenset([ref(x)]), frozenset([ref(y)])}
+    tri = branch_of(
+        diseq(ref(x), ref(y)), diseq(ref(y), ref(z)), diseq(ref(x), ref(z))
+    )
+    assert set(discriminants(tri, a)) == {
+        frozenset([ref(x)]),
+        frozenset([ref(y)]),
+        frozenset([ref(z)]),
+    }
+    path = branch_of(diseq(ref(x), ref(y)), diseq(ref(y), ref(z)))
+    assert set(discriminants(path, a)) == {
+        frozenset([ref(x), ref(z)]),
+        frozenset([ref(y)]),
+    }
+
+
+def test_discriminants_with_self_conflict():
+    t = app(ref(Name("f", fun(a, a))), ref(x))
+    b1 = branch_of(diseq(t, t))
+    # t conflicts with itself, so the only maximal independent set is empty
+    assert discriminants(b1, a) == (frozenset(),)
+
+
+def _oracle_discriminants(vertices, diseq_pairs):
+    """Exhaustive subset check: maximal conflict-free subsets."""
+    conf = set()
+    for u, v in diseq_pairs:
+        conf.add((u, v))
+        conf.add((v, u))
+
+    def independent(s):
+        return all((u, v) not in conf for u in s for v in s)
+
+    subsets = []
+    for r in range(len(vertices) + 1):
+        for c in itertools.combinations(vertices, r):
+            if independent(set(c)):
+                subsets.append(frozenset(c))
+    return {
+        s for s in subsets if not any(s < t for t in subsets)
+    }
+
+
+def test_discriminants_match_exhaustive_oracle():
+    rng = random.Random(99)
+    f = Name("f", fun(a, a))
+    pool = [ref(Name(f"d{i}", a)) for i in range(6)] + [
+        app(ref(f), ref(Name(f"d{i}", a))) for i in range(2)
+    ]
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        pairs = [
+            (rng.choice(pool), rng.choice(pool)) for _ in range(k)
+        ]
+        b1 = Branch()
+        for u, v in pairs:
+            b1 = branch_of(*b1, diseq(u, v))
+        got = discriminants(b1, a)
+        vertices = b1.discriminating_terms(a)
+        want = _oracle_discriminants(vertices, pairs)
+        assert set(got) == want
+        assert len(got) == len(set(got))
+        assert len(got) <= 2 ** len(b1.disequations(a))
+        # deterministic
+        assert discriminants(b1, a) == got
+        # distinct discriminants are separated by some disequation
+        conf = {(u, v) for u, v in pairs} | {(v, u) for u, v in pairs}
+        for d1 in got:
+            for d2 in got:
+                if d1 != d2:
+                    assert any(
+                        (u, v) in conf for u in d1 for v in d2
+                    ) or any((u, v) in conf for u in d2 for v in d1)
 
 
 # ---------------------------------------------------------------------------
