@@ -6,16 +6,16 @@ gives the rule set and `selection.gate`'s language test.  It develops a
 branch depth-first and puts off real splits (Hähnle, "Tableaux and related
 methods", 2001; leanTAP): each node applies the first instance in search
 order (rule priority, then member insertion order) with two or more
-alternatives that all close at once but one at most, found by
-`selection.Agenda`, else the first applicable instance, read lazily from
-`selection.instances`.  Runs are deterministic.  Instances are read from
-the table `rules.instance_of` fills, which proof reading and replay share;
-no cache changes which instance is applied.  The path is one branch,
-extended in place: the branch and the agenda record every change on the
-branch's trail, and a frame keeps the trail mark its alternatives start
-from.  This module keeps the depth-first path, backjumping and the budgets;
-every rule condition it relies on is stated in `rules`, every choice it
-makes in `selection`.
+alternatives that all close at once but one at most, else the first
+applicable instance; `selection.Agenda`, the one index of instance keys,
+finds both.  Runs are deterministic.  Instances are read from the table
+`rules.instance_of` fills, which proof reading and replay share; no cache
+changes which instance is applied.  The path is one branch, extended in
+place: the branch and the agenda record every change on the branch's
+trail, and a frame keeps the trail mark its alternatives start from.  This
+module keeps the depth-first path, backjumping and the budgets; every rule
+condition it relies on is stated in `rules`, every choice it makes in
+`selection`.
 
 The search backjumps (proof condensation).  A closed subtree reports the
 branch members it used, the `selection.support` of each of its instances:
@@ -73,7 +73,6 @@ from .selection import (
     applicable_stt,  # noqa: F401
     closing_instance,
     gate,
-    instances,
     is_evident,
     support,
 )
@@ -242,8 +241,8 @@ def _saturate(branch, calc: Calculus, fuel, cfg, deadline, counter):
         leaf = closing_instance(branch, cfg.eager_close, added)
         if leaf is None:
             gate(calc, branch, added)
-            rest = instances(calc, branch, fuel, cfg.reserved, agenda.dead)
             agenda.add(branch, added)
+            rest = agenda.instances(branch, fuel, cfg.reserved)
             r = agenda.pick(branch) or next(rest, None)
             if r is None:
                 return "open", branch

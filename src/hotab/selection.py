@@ -4,21 +4,22 @@ Nothing here is trusted.  A proof built with these functions is replayed by
 `rules.check_proof`, and a model is certified by `models.check_model`, so a
 fault here can cost a verdict but cannot make a wrong one.
 
-`instances`, the one lazy instance generator, yields the instances a row of
-the calculus table `rules.CALCULI` admits on a branch in search order, and
-skips those that cannot make progress.  Nothing here builds an instance:
+`Agenda` is search's one index of instance keys, scoped to the path by the
+branch's trail: it builds each key of a row of the calculus table
+`rules.CALCULI` once, when its last premise arrives, and queues it in
+search order.  Its walk (`Agenda.instances`) yields the productive
+instances lazily and skips the dead ones; `pick` reads what closes at once
+(`rules.complements`, `RuleInstance.closers`) for the rules that branch
+(`BRANCHING_RULES`), closing first.  Nothing here builds an instance:
 instances are read from the table that `rules.instance_of` fills, the
-builder proof reading and replay use too.  Together with the
-admissibility restrictions this makes "no instance applicable" coincide
-with the closure conditions that guarantee a model exists.  `CANDIDATES`
-gives the instantiation terms of each calculus's one "term" rule;
-`applicable_efo` and `applicable_stt` list the same instances without a
-dead set, the reference search is tested against.  `gate` holds members to
-a calculus (its language test, and some rule for each), and `fresh_var`
-names witnesses.  `Agenda` is search's closing-first index, over the rules
-that branch (`BRANCHING_RULES`); it and `closing_instance` read what closes
-at once (`rules.complements`, `RuleInstance.closers`).
-`support` names the members an instance needs to keep passing
+builder proof reading and replay use too.  Together with the admissibility
+restrictions this makes "no instance applicable" coincide with the closure
+conditions that guarantee a model exists.  `CANDIDATES` gives the
+instantiation terms of each calculus's one "term" rule, and `fresh_var`
+names witnesses.  `instances` reads a fresh agenda over a copy of a branch,
+and `applicable_efo` and `applicable_stt` list its instances behind `gate`,
+which holds members to a calculus (its language test, and some rule for
+each).  `support` names the members an instance needs to keep passing
 `rules.check_instance` on a smaller branch, which backjumping rests on.
 `is_evident` reads the rule table backwards: the model-existence conditions.
 """
@@ -190,102 +191,22 @@ def instantiation_candidates(branch: Branch, ty: Type, fuel: int):
             yield u
 
 
-
 # ---------------------------------------------------------------------------
 # Instances in search order
 
 
-@functools.cache
-def _groups(rules: frozenset[RuleId]) -> tuple[dict, ...]:
-    """The rules' priority groups, lowest priority first.  A group maps each
-    member kind it takes to the (rule, row, premise position) triples that
-    take it, in table order."""
-    groups: dict[int, dict[FormulaKind, list]] = {}
-    for rule, row in RULES.items():
-        if rule in rules:
-            uses = groups.setdefault(row.priority, {})
-            for at, kind in enumerate(row.kinds):
-                uses.setdefault(kind, []).append((rule, row, at))
-    return tuple(
-        {kind: tuple(t) for kind, t in groups[p].items()} for p in sorted(groups)
-    )
-
-
 def instances(
-    calculus: Calculus,
-    branch: Branch,
-    fuel: int = 3,
-    reserved: tuple[Name, ...] = (),
-    dead: dict | None = None,
+    calculus: Calculus, branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
 ) -> Iterator[RuleInstance]:
     """The calculus's instances on the branch, lazily, in search order, and
-    without its gate: members no rule takes are passed over.
-
-    The order is rule priority, then the insertion order of the (last)
-    premise, then the order of the other premise, the witness or the
-    candidate term; `CANDIDATES` lists the instantiation terms of a "term"
-    rule, enumerated up to fuel where they range over all terms.  Witness
-    rules avoid the reserved names.  An instance helps only if every
-    alternative adds something new; the others are skipped.
-
-    Instances are read from the table `rules.instance_of` fills, under
-    their key (rule, premises, term).  An instance found unproductive stays
-    so on every extension of the branch, and so does a fresh-witness
-    premise whose conclusion is on the branch (`concluded`): its key, with
-    no term, goes into dead, recorded on the branch's trail, and is skipped
-    from then on.  Search passes its `Agenda`'s dead set; without one the
-    walk keeps nothing from one call to the next.
-    """
+    without its gate: members no rule takes are passed over.  A fresh
+    `Agenda` over a copy of the branch reads them (`Agenda.instances`), so
+    nothing is kept from one call to the next."""
     if branch.is_closed:
-        return
-    trail, dead = ([], {}) if dead is None else (branch.trail, dead)
-    for uses in _groups(calculus.rules):
-        if len(uses) == 1:
-            members = branch.members(next(iter(uses)))
-        else:
-            members = [s for s in branch.formulas if branch.info(s).kind in uses]
-        earlier: dict[FormulaKind, list[Term]] = {kind: [] for kind in uses}
-        for s in members:
-            info = branch.info(s)
-            for rule, row, at in uses[info.kind]:
-                if row.inst == "fresh":
-                    key = (rule, (s,), None)
-                    if key in dead:
-                        continue
-                    if concluded(branch, rule, info):
-                        dead[key] = None
-                        trail.append(dead.popitem)
-                        continue
-                    x = _fresh_witness(branch, inst_type(info), reserved)
-                    r = instance_of(rule, (s,), x)
-                    if productive(branch, r.alternatives):
-                        yield r
-                    continue
-                if row.inst == "term":
-                    keys = (
-                        (rule, (s,), u)
-                        for u in CANDIDATES[rule](branch, info, fuel, reserved)
-                    )
-                elif len(row.kinds) == 2:
-                    # pair s with the earlier members that fill the other premise
-                    keys = (
-                        (rule, (s, other) if at == 0 else (other, s), None)
-                        for other in earlier[row.kinds[1 - at]]
-                    )
-                else:
-                    keys = ((rule, (s,), None),)
-                for key in keys:
-                    if key in dead:
-                        continue
-                    r = instance_of(*key)
-                    if r is None:
-                        continue
-                    if productive(branch, r.alternatives):
-                        yield r
-                    else:
-                        dead[key] = None
-                        trail.append(dead.popitem)
-            earlier[info.kind].append(s)
+        return iter(())
+    copy, agenda = branch.copy(), Agenda(calculus)
+    agenda.add(copy, tuple(copy))
+    return agenda.instances(copy, fuel, reserved)
 
 
 def productive(branch: Branch, alternatives) -> bool:
@@ -362,7 +283,7 @@ def applicable_stt(
     reserved names are avoided when introducing witness variables.  On a
     closed branch nothing is applicable.  Raises FragmentViolation for
     members outside the negation-and-equality language.  Search reads the
-    same instances lazily (`instances`).
+    same instances lazily (`Agenda.instances`).
     """
     gate(CALCULI["stt"], branch, branch.formulas)
     return list(instances(CALCULI["stt"], branch, fuel, reserved))
@@ -377,7 +298,7 @@ def applicable_efo(
     restricted terms; anything else raises FragmentViolation.  On a closed
     branch nothing is applicable.  The result is empty exactly when the
     branch is closed or satisfies the model-existence conditions.  Search
-    reads the same instances lazily (`instances`).
+    reads the same instances lazily (`Agenda.instances`).
     """
     gate(CALCULI["efo"], branch, branch.formulas)
     return list(instances(CALCULI["efo"], branch, reserved=reserved))
@@ -456,17 +377,21 @@ _OTHER = {_EQ: _DQ, _DQ: _EQ}
 
 
 class Agenda:
-    """What one saturation found on the path from the root, for search to
-    apply first a branching instance whose alternatives all close at once
-    but one at most.  Each entry goes on the branch's trail, so undoing the
-    branch cuts the agenda back with it.
+    """The one index of instance keys on the path from the root, for search
+    to apply first a branching instance whose alternatives all close at once
+    but one at most (`pick`), else the first productive one (`instances`).
+    Each entry goes on the branch's trail, so undoing the branch cuts the
+    agenda back with it.
 
-    dead: the keys of unproductive instances, which `instances` skips.
+    uses: per member kind, the calculus's (rule, row, premise position)
+    triples that take it, in table order.  queues: per priority, in search
+    order, the keys the rows' shapes accept and the (rule, (premise,), n)
+    entries the walk expands.  dead: the keys of unproductive instances.
     closing: (search order, key, row, closers) entries with one open
-    alternative at most (a closed one stays so), by key; `ordered`
-    holds the same entries sorted, less those `pick` found dead.  waiting:
-    per closer, the entries that had two open or more.  present: per side
-    pair (x, y), the members that close x != y at once (`side_pairs`).
+    alternative at most (a closed one stays so), by key; `ordered` holds
+    the same entries sorted, less those `pick` found dead.  waiting: per
+    closer, the entries that had two open or more.  present: per side pair
+    (x, y), the members that close x != y at once (`side_pairs`).
 
     A `confront` pair closes once a side pair (x, y) is shut (x == y, or in
     present); only such are tested, through an index of the sorts with an
@@ -476,7 +401,12 @@ class Agenda:
     """
 
     def __init__(self, calculus: Calculus):
-        self.groups = _groups(calculus.rules & BRANCHING_RULES - {RuleId.CONFRONT})
+        self.uses: dict = {}
+        for rule, row in RULES.items():
+            if rule in calculus.rules:
+                for at, kind in enumerate(row.kinds):
+                    self.uses.setdefault(kind, []).append((rule, row, at))
+        self.queues = {p: [] for p in sorted(RULES[r].priority for r in calculus.rules)}
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.closing: dict = {}  # likewise
         self.ordered: list = []
@@ -492,12 +422,14 @@ class Agenda:
 
     def add(self, branch: Branch, added: tuple[Term, ...]) -> None:
         """Index what added, the branch's newest members, complete, close or
-        are.  An instance is completed by its last premise; a pair rule pairs
-        it with each earlier member of the other premise's kind.  Its search
-        order is that of `instances`: priority, position of the last premise,
-        rank of the other among the members of its kind.  A rule with sides
-        is not built: its closers are its side pairs.  The others give the
-        `closers` of the instance read from the table.  `confront` pairs come
+        are.  A key is built once, by its last premise; a pair rule pairs it
+        with each earlier member of the other premise's kind.  Its search
+        order is priority, position of the last premise, rank of the other
+        among the members of its kind.  A "term", witness or `confront`
+        premise is queued alone, the last with its number of earlier members
+        of the other kind.  Of the branching rules, a rule with sides is not
+        built: its closers are its side pairs; the others give the `closers`
+        of the instance read from the table.  `confront`'s closing pairs come
         from the side index (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
@@ -517,25 +449,32 @@ class Agenda:
             info = branch.info(s)
             if info.kind in _OTHER:
                 self._meet(branch, s, i, info, pairs)
-            for uses in self.groups:
-                for rule, row, at in uses.get(info.kind, ()):
-                    keys = [((row.priority, i, 0), (rule, (s,), None))]
-                    if len(row.kinds) == 2:
-                        others = enumerate(branch.members(row.kinds[1 - at]))
-                        keys = [
-                            ((row.priority, i, j), (rule, pair, None))
-                            for j, p in others
-                            if p not in later
-                            for pair in [(p, s) if at else (s, p)]
-                        ]
-                    for order, key in keys:
+            for rule, row, at in self.uses.get(info.kind, ()):
+                if row.inst is not None or row is _CONFRONT:  # the walk expands it
+                    others = () if row.inst else branch.members(_OTHER[info.kind])
+                    n = None if row.inst else sum(p not in later for p in others)
+                    self._push(branch, self.queues, row.priority, (rule, (s,), n))
+                    continue
+                keys = [((row.priority, i, 0), (rule, (s,), None))]
+                if len(row.kinds) == 2:
+                    others = enumerate(branch.members(row.kinds[1 - at]))
+                    keys = [
+                        ((row.priority, i, j), (rule, pair, None))
+                        for j, p in others
+                        if p not in later
+                        for pair in [(p, s) if at else (s, p)]
+                    ]
+                for order, key in keys:
+                    if row.shape is not None:
+                        infos = tuple(map(branch.info, key[1]))
+                        if not row.shape(key[1], infos):
+                            continue
+                    self._push(branch, self.queues, row.priority, key)
+                    if rule in BRANCHING_RULES:
                         if row.sides is None:
-                            r = instance_of(*key)
-                            closers = () if r is None else r.closers
+                            closers = instance_of(*key).closers
                         else:
-                            infos = tuple(map(branch.info, key[1]))
-                            ok = row.shape is None or row.shape(key[1], infos)
-                            closers = row.sides(*infos) if ok else ()
+                            closers = row.sides(*infos)
                         if len(closers) >= 2:
                             self._test(branch, (order, key, row, closers), True)
         for e, d in pairs:  # a position orders like the rank in its kind
@@ -587,6 +526,54 @@ class Agenda:
             for alt, done in zip(entry[3], shut):
                 for c in () if done else alt:
                     self._push(branch, self.waiting, c, entry)
+
+    def instances(
+        self, branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
+    ) -> Iterator[RuleInstance]:
+        """The productive instances of the queues, lazily, in search order:
+        a "term" premise gives a key per term of `CANDIDATES` (up to fuel), a
+        witness premise one with a variable that avoids the reserved names
+        unless its conclusion is on the branch (`concluded`), a `confront`
+        premise one per earlier member of the other kind at its sort.  An
+        unproductive key or concluded premise stays so on every extension of
+        the branch: it goes into dead, on the trail, and is skipped."""
+        dead, trail = self.dead, branch.trail
+        for queue in self.queues.values():
+            for entry in queue:
+                if entry in dead:
+                    continue
+                rule, ps, n = entry
+                inst = RULES[rule].inst
+                if inst == "fresh":
+                    info = branch.info(ps[0])
+                    if concluded(branch, rule, info):
+                        dead[entry] = None
+                        trail.append(dead.popitem)
+                        continue
+                    x = _fresh_witness(branch, inst_type(info), reserved)
+                    keys = ((rule, ps, x),)
+                elif inst == "term":
+                    us = CANDIDATES[rule](branch, branch.info(ps[0]), fuel, reserved)
+                    keys = ((rule, ps, u) for u in us)
+                elif n is None:
+                    keys = (entry,)
+                else:  # confront: the n earlier members of the other kind
+                    info = branch.info(ps[0])
+                    others = branch.members(_OTHER[info.kind])[:n]
+                    keys = (
+                        (rule, ps + (p,) if info.kind is _EQ else (p,) + ps, None)
+                        for p in others
+                        if branch.info(p).ty is info.ty
+                    )
+                for key in keys:
+                    if key in dead:
+                        continue
+                    r = instance_of(*key)
+                    if productive(branch, r.alternatives):
+                        yield r
+                    else:
+                        dead[key] = None
+                        trail.append(dead.popitem)
 
     def pick(self, branch: Branch) -> RuleInstance | None:
         """The first productive closing instance in search order; the dead

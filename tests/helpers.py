@@ -1,5 +1,6 @@
 """Shared test machinery: a naive named-term oracle, seeded random
-generators, problem texts and the acceptance corpus.
+generators, problem texts, the acceptance corpus, and a member walk that
+lists a branch's instances, the reference for search's instance index.
 
 The named representation here is deliberately primitive (nested tuples with
 string binders, alpha-equivalence by parallel binder stacks) so it can serve
@@ -34,6 +35,8 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import normalize
+from hotab.rules import RULES, concluded, inst_type, instance_of
+from hotab.selection import CANDIDATES, fresh_var
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -373,6 +376,59 @@ class Gen:
         for b in reversed(binders):
             body = forall(lam(b, body))
         return body
+
+
+# ---------------------------------------------------------------------------
+# The reference listing of instances
+
+
+def reference_instances(calculus, branch, fuel: int = 3, reserved=()) -> list:
+    """The calculus's instances on the branch in search order, listed by a
+    walk over all its members at once, per priority group of the rule table.
+
+    It shares with `selection.Agenda`, which search reads its instances
+    from, only the rule table, `rules.instance_of` and the candidate terms
+    of a "term" rule (`CANDIDATES`).  The order is rule priority, then the
+    insertion order of the (last) premise, then the order of the other
+    premise (an earlier member of its kind) or the candidate term.  A
+    witness rule takes the first variable free on neither the branch nor
+    reserved, unless its conclusion is on the branch (`concluded`).  Only
+    instances whose every alternative adds a formula are listed."""
+    if branch.is_closed:
+        return []
+    groups: dict = {}
+    for rule, row in RULES.items():
+        if rule in calculus.rules:
+            uses = groups.setdefault(row.priority, {})
+            for at, kind in enumerate(row.kinds):
+                uses.setdefault(kind, []).append((rule, row, at))
+    out = []
+    for _, uses in sorted(groups.items()):
+        earlier: dict = {kind: [] for kind in uses}
+        for s in branch.formulas:
+            info = branch.info(s)
+            for rule, row, at in uses.get(info.kind, ()):
+                if row.inst == "fresh":
+                    avoid = (*branch.free_names, *reserved)
+                    x = ref(fresh_var(inst_type(info), avoid))
+                    keys = [] if concluded(branch, rule, info) else [(rule, (s,), x)]
+                elif row.inst == "term":
+                    us = CANDIDATES[rule](branch, info, fuel, reserved)
+                    keys = [(rule, (s,), u) for u in us]
+                elif len(row.kinds) == 2:
+                    others = earlier[row.kinds[1 - at]]
+                    keys = [(rule, (s, p) if at == 0 else (p, s), None) for p in others]
+                else:
+                    keys = [(rule, (s,), None)]
+                for key in keys:
+                    r = instance_of(*key)
+                    if r is not None and all(
+                        any(f not in branch for f in alt) for alt in r.alternatives
+                    ):
+                        out.append(r)
+            if info.kind in earlier:
+                earlier[info.kind].append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from hotab.kernel import (
     neg,
     o,
     ref,
+    shift,
+    show_term,
     sort,
 )
 from hotab.models import CardinalityError, Frame, Model, eval_term
@@ -39,6 +41,7 @@ from hotab.rules import (
     check_proof,
     concluded,
     make_instance,
+    as_branch,
     match_schema,
 )
 from hotab.search import Proof, Refuted, Satisfiable, SearchConfig, refute
@@ -52,7 +55,7 @@ from hotab.selection import (
 )
 from hotab.semantics import enumerate_models, sorts_in, variables_in
 
-from helpers import Gen
+from helpers import Gen, subterms
 from test_outputs import problems as pinned_problems
 
 a = sort("a")
@@ -644,10 +647,10 @@ def test_a_forged_instance_is_refused_after_the_genuine_one_is_built():
 
 
 def test_premises_a_shape_rejects_stay_refused_after_search_looked_them_up():
-    # search pairs p c with not (q c) for mate, c = d with e1 != e2 for
-    # confront, and takes e1 != e2 for decompose; each row's shape rejects
-    # its premises, and the table keeps that as a rejection, so proof
-    # reading and replay still refuse them
+    # p c with not (q c) for mate, c = d with e1 != e2 for confront, and
+    # e1 != e2 for decompose: each row's shape rejects its premises, so
+    # search's index never looks them up, and the table keeps the rejection
+    # that proof reading finds, so reading and replay still refuse them
     from hotab.problems import parse
 
     problem = parse(
@@ -666,7 +669,7 @@ def test_premises_a_shape_rejects_stay_refused_after_search_looked_them_up():
     assert isinstance(v, Satisfiable)
     br = problem.branch()
     for rule, premises, line in rejected:
-        assert rules._built[rule, premises, None] is None  # search asked
+        assert (rule, premises, None) not in rules._built  # search never asked
         with pytest.raises(ValueError, match="wrong shape"):
             make_instance(rule, premises)
         with pytest.raises(ParseError, match="wrong shape"):
@@ -770,11 +773,54 @@ def _mutants(text: str):
             yield "swap", lines[:b0] + second + lines[b1:c0] + first + lines[c1:]
 
 
+def _branch_mutants(proof: Proof, root: Branch):
+    """(kind, proof) for every single-point mutant of a proof that puts in
+    place of a premise another member of its node's branch of the same kind
+    ("premise"), swaps the premises of a pair rule ("swap-premises"), or
+    puts in place of an instantiation term another closed term of its type
+    on the branch ("term").  The mutated node is built as `parse_proof`
+    builds a line, with `make_instance` and `Proof`; where they refuse it
+    the proof is None."""
+    r = proof.instance
+
+    def mutant(premises, inst):
+        try:
+            return Proof(make_instance(r.rule, premises, inst), proof.children)
+        except ValueError:
+            return None
+
+    for k, p in enumerate(r.premises):
+        for m in root.members(root.info(p).kind):
+            if m != p:
+                premises = r.premises[:k] + (m,) + r.premises[k + 1 :]
+                yield "premise", mutant(premises, r.inst)
+    if len(r.premises) == 2:
+        yield "swap-premises", mutant(r.premises[::-1], r.inst)
+    if RULES[r.rule].inst == "term":
+        terms = (t for s in root for t in subterms(s) if t.ty == r.inst.ty)
+        for t in dict.fromkeys(t for t in terms if t != r.inst and shift(t, 1) is t):
+            yield "term", mutant(r.premises, t)
+    for i, (alt, child) in enumerate(zip(r.alternatives, proof.children)):
+        for kind, m in _branch_mutants(child, branch_of(*root, *alt)):
+            kids = proof.children[:i] + (m,) + proof.children[i + 1 :]
+            yield kind, m and Proof(r, kids)
+
+
+def _read(lines, problem) -> Proof | None:
+    try:
+        return parse_proof("\n".join(lines), problem)
+    except ParseError:
+        return None
+
+
 def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
-    # the 160 pairs above, with each proof file mutated at one point: no
-    # mutant may replay on the weakened problem, which has a model.  A
-    # swapped pair of sibling subtrees replays each on the other's branch,
-    # which catches a replay whose undo leaks a sibling's members
+    # the 160 pairs above, with each proof file mutated at one point, and
+    # each proof with a premise or an instantiation term replaced by what
+    # its node's branch offers: no mutant that reads may replay on the
+    # weakened problem, which has a model.  A swapped pair of sibling
+    # subtrees replays each on the other's branch, which catches a replay
+    # whose undo leaks a sibling's members.  Swapped premises never read:
+    # a pair rule's premises are of two kinds
     seen = Counter()
     for key, forms, reserved, budget in pinned_problems():
         for eager in (False, True):
@@ -794,15 +840,20 @@ def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
                 if _space_at_two(w) <= 2**14
                 and next(enumerate_models(w, 2), None) is not None
             ]
+            if not weaker:
+                continue
             names = tuple(dict.fromkeys((*variables_in(forms), *reserved)))
             declared = Problem(sorts_in(forms), names, forms)
-            for kind, lines in _mutants(serialize_proof(v.proof)):
+            read = (
+                (kind, _read(lines, declared))
+                for kind, lines in _mutants(serialize_proof(v.proof))
+            )
+            built = _branch_mutants(v.proof, as_branch(forms))
+            for kind, proof in itertools.chain(read, built):
                 seen[kind] += len(weaker)
-                try:
-                    proof = parse_proof("\n".join(lines), declared)
-                except ParseError:
+                if proof is None:
                     continue
-                seen["replayed"] += len(weaker)
+                seen[kind, "replayed"] += len(weaker)
                 for w in weaker:
                     assert not check_proof(w, proof, v.calculus, eager), (key, kind)
     assert seen == {
@@ -811,7 +862,13 @@ def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
         "alt": 2021,
         "rule": 8213,
         "swap": 772,
-        "replayed": 1442,
+        "premise": 8610,
+        "swap-premises": 652,
+        "term": 1976,
+        ("rule", "replayed"): 670,
+        ("swap", "replayed"): 772,
+        ("premise", "replayed"): 5493,
+        ("term", "replayed"): 1976,
     }
 
 

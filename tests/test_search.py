@@ -44,6 +44,7 @@ from helpers import (
     clique_text,
     double_neg_mate_text,
     fclique_text,
+    reference_instances,
     rel_text,
 )
 
@@ -772,39 +773,35 @@ def _in_search_order(br, instances) -> bool:
     return keys == sorted(keys)
 
 
+_APPLICABLE = {
+    "efo": lambda b, fuel, reserved: applicable_efo(b, reserved),
+    "stt": applicable_stt,
+}
+
+
 def test_search_instance_is_the_reference_first_on_random_branches():
-    calculi = [
-        (
-            "efo",
-            lambda g: g.efo_formula(2, quasi=True),
-            applicable_efo,
-            lambda b: instances(CALCULI["efo"], b),
-        )
-    ] + [
-        (
-            f"stt fuel {fuel}",
-            lambda g: g.formula(2),
-            lambda b, fuel=fuel: applicable_stt(b, fuel),
-            lambda b, fuel=fuel: instances(CALCULI["stt"], b, fuel),
-        )
-        for fuel in (1, 2, 3)
-    ]
+    runs = [("efo", lambda g: g.efo_formula(2, quasi=True), 3)]
+    runs += [("stt", lambda g: g.formula(2), fuel) for fuel in (1, 2, 3)]
     compared = 0
-    for name, formula, reference, lazy in calculi:
+    for name, formula, fuel in runs:
+        calc = CALCULI[name]
         for seed in range(60):
             g = Gen(seed + 21000)
             br = branch_of(*(normalize(formula(g)) for _ in range(3)))
             for step in range(12):
-                rules._built.clear()  # the reference reads an emptied table
+                where = (name, fuel, seed, step)
+                rules._built.clear()  # each listing reads an emptied table
                 try:
-                    listed = reference(br)
+                    listed = _APPLICABLE[name](br, fuel, ())
                 except FragmentViolation:
                     break
-                assert _in_search_order(br, listed), (name, seed, step)
+                rules._built.clear()
+                assert reference_instances(calc, br, fuel) == listed, where
+                assert _in_search_order(br, listed), where
                 expected = _first(listed)
                 rules._built.clear()  # cold, then warm
-                assert next(lazy(br), None) == expected, (name, seed, step)
-                assert next(lazy(br), None) == expected, (name, seed, step)
+                assert next(instances(calc, br, fuel), None) == expected, where
+                assert next(instances(calc, br, fuel), None) == expected, where
                 compared += 1
                 if expected is None:
                     break
@@ -813,44 +810,42 @@ def test_search_instance_is_the_reference_first_on_random_branches():
     assert compared >= 700
 
 
-_REFERENCE = {
-    "efo": lambda b, fuel, reserved: applicable_efo(b, reserved),
-    "stt": applicable_stt,
-}
-
-
 def _check_every_node(monkeypatch, forced: list | None = None) -> list:
-    """Make search compare, at every node, the instance it applies with
-    `closing_first` over the reference list, computed from an emptied
-    instance table, and the lazy generator's first instance with the list's
-    first, read with the table emptied, with it warm, and with the dead set;
-    returns the list the formulas of each visited branch are appended to.
-    forced gets the branches where the choice is not the list's first."""
+    """Make search's agenda check, at every node where it walks its queues,
+    that `reference_instances` and `applicable_*` list the same instances,
+    each read from an emptied instance table, that its walk's first
+    instance is the listing's first, and that search applies `closing_first`
+    over the listing; returns the list the formulas of each visited branch
+    are appended to.  forced gets the branches where the choice is not the
+    listing's first."""
     import hotab.search as search
 
     visited = []
     choice = []  # the reference's choice on the branch last visited
 
-    def checked(calc, b, fuel, reserved, dead):
-        rules._built.clear()
-        listed = _REFERENCE[calc.name](b, fuel, reserved)
-        expected = _first(listed)
-        rules._built.clear()
-        assert next(instances(calc, b, fuel, reserved), None) == expected
-        assert next(instances(calc, b, fuel, reserved), None) == expected
-        assert next(instances(calc, b, fuel, reserved, dead), None) == expected
-        visited.append(tuple(b))
-        choice[:] = [closing_first(b, listed)]
-        if forced is not None and choice[0] != expected:
-            forced.append(b)
-        return instances(calc, b, fuel, reserved, dead)
+    class Checked(search.Agenda):
+        def __init__(self, calculus):
+            super().__init__(calculus)
+            self.calculus = calculus
+
+        def instances(self, b, fuel, reserved):
+            rules._built.clear()
+            listed = reference_instances(self.calculus, b, fuel, reserved)
+            rules._built.clear()
+            assert _APPLICABLE[self.calculus.name](b, fuel, reserved) == listed
+            assert next(super().instances(b, fuel, reserved), None) == _first(listed)
+            visited.append(tuple(b))
+            choice[:] = [closing_first(b, listed)]
+            if forced is not None and choice[0] != _first(listed):
+                forced.append(b)
+            return super().instances(b, fuel, reserved)
 
     def applied(r, *rest):
         assert r == choice[0]
         return frame(r, *rest)
 
     frame = search._Frame
-    monkeypatch.setattr(search, "instances", checked)
+    monkeypatch.setattr(search, "Agenda", Checked)
     monkeypatch.setattr(search, "_Frame", applied)
     return visited
 
@@ -1064,6 +1059,39 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     br.undo(mark)
     assert not any(agenda.active.values()) and not any(agenda.sides.values())
     assert not agenda.ordered and not agenda.closing
+
+
+def test_undoing_the_branch_cuts_the_agenda_queues_back():
+    # a new member's keys join its rule's priority queue, in search order:
+    # a mate key the row's shape accepts, a confront premise with its
+    # number of earlier members of the other kind; the shape rejects
+    # decompose on c != d.  Undoing the branch takes them out again
+    from hotab.problems import parse
+    from hotab.selection import Agenda
+
+    br = parse(
+        "(sort a)(var p (> a o))(var c a)(var d a)(assume (p c))(assume (neq c d))"
+    ).branch()
+    pc, cd = br.formulas
+    agenda = Agenda(CALCULI["efo"])
+    agenda.add(br, tuple(br))
+    queue = {r: agenda.queues[RULES[r].priority] for r in CALCULI["efo"].rules}
+    before = {p: list(q) for p, q in agenda.queues.items()}
+    assert queue[RuleId.CONFRONT] == [(RuleId.CONFRONT, (cd,), 0)]
+    assert not queue[RuleId.MATE] and not queue[RuleId.DECOMPOSE]
+    mark = len(br.trail)
+    c, d = (ref(Name(n, sort("a"))) for n in "cd")
+    new = (neg(app(ref(Name("p", fun(sort("a"), o))), d)), eq(c, d))
+    for s in new:
+        br.add(s)
+    agenda.add(br, new)
+    assert queue[RuleId.MATE] == [(RuleId.MATE, (pc, new[0]), None)]
+    assert queue[RuleId.CONFRONT][1:] == [(RuleId.CONFRONT, (new[1],), 1)]
+    # the mate only adds c != d, which is on the branch: the walk finds it dead
+    assert [r.rule for r in agenda.instances(br)] == [RuleId.CONFRONT]
+    assert list(agenda.dead) == [queue[RuleId.MATE][0]]
+    br.undo(mark)
+    assert agenda.queues == before and not agenda.dead
 
 
 def test_pick_drops_the_dead_entries_it_walks_past():
