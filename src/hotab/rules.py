@@ -658,7 +658,7 @@ def check_proof(
     """
     try:
         branch = as_branch(branch_or_formulas)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, AttributeError):
         return False
     if calculus == "auto":
         try:

@@ -9,8 +9,8 @@ branch's trail: it builds each key of a row of the calculus table
 `rules.CALCULI` once, when its last premise arrives, and queues it in
 search order.  Its walk (`Agenda.instances`) yields the productive
 instances lazily and skips the dead ones; `pick` reads what closes at once
-(`rules.complements`, `RuleInstance.closers`) for the rules that branch
-(`BRANCHING_RULES`), closing first.  Nothing here builds an instance:
+(`rules.complements`, `RuleInstance.closers`) for the keys with two
+alternatives or more, closing first.  Nothing here builds an instance:
 instances are read from the table that `rules.instance_of` fills, the
 builder proof reading and replay use too.  Together with the admissibility
 restrictions this makes "no instance applicable" coincide with the closure
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -365,11 +365,6 @@ def closing_instance(
     return None
 
 
-#: Rules whose instances can branch; they come after every other rule.
-BRANCHING_RULES = frozenset(
-    map(RuleId, ("bool-eq", "bool-ext", "imp", "mate", "decompose", "confront"))
-)
-
 #: The confront row, whose pairs `Agenda` meets through its side index.
 _CONFRONT = RULES[RuleId.CONFRONT]
 _EQ, _DQ = _CONFRONT.kinds
@@ -387,17 +382,15 @@ class Agenda:
     triples that take it, in table order.  queues: per priority, in search
     order, the keys the rows' shapes accept and the (rule, (premise,), n)
     entries the walk expands.  dead: the keys of unproductive instances.
-    closing: (search order, key, row, closers) entries with one open
-    alternative at most (a closed one stays so), by key; `ordered` holds
-    the same entries sorted, less those `pick` found dead.  waiting: per
-    closer, the entries that had two open or more.  present: per side pair
-    (x, y), the members that close x != y at once (`side_pairs`).
+    ordered: sorted (search order, key, row, closers) entries with one open
+    alternative at most (a closed one stays so), one per key, less those
+    `pick` found dead.  waiting: per closer, the entries with two open or more.
 
-    A `confront` pair closes once a side pair (x, y) is shut (x == y, or in
-    present); only such are tested, through an index of the sorts with an
-    equation and a disequation (`active`): `sides` has (member, position)
-    pairs per (kind, side) and (kind, lhs, rhs), `shut` per (kind, side)
-    the other sides of its shut pairs (equation side, disequation side).
+    A `confront` pair closes once a side pair (x, y) is shut (x == y, or
+    x != y closes at once: `side_pairs`); only such are tested, through an
+    index of the sorts with an equation and a disequation (`active`):
+    `sides` has (member, position) pairs per (kind, side) and (kind, lhs,
+    rhs), `shut` per (kind, side) the other sides of its shut pairs.
     """
 
     def __init__(self, calculus: Calculus):
@@ -408,10 +401,8 @@ class Agenda:
                     self.uses.setdefault(kind, []).append((rule, row, at))
         self.queues = {p: [] for p in sorted(RULES[r].priority for r in calculus.rules)}
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
-        self.closing: dict = {}  # likewise
         self.ordered: list = []
         self.waiting: dict = {}
-        self.present: dict = {}
         self.active, self.sides, self.shut = {}, {}, {}  # confront's index
 
     @staticmethod
@@ -427,16 +418,14 @@ class Agenda:
         order is priority, position of the last premise, rank of the other
         among the members of its kind.  A "term", witness or `confront`
         premise is queued alone, the last with its number of earlier members
-        of the other kind.  Of the branching rules, a rule with sides is not
-        built: its closers are its side pairs; the others give the `closers`
-        of the instance read from the table.  `confront`'s closing pairs come
-        from the side index (`_meet`)."""
+        of the other kind.  A key with two closers or more is tested: a rule
+        with sides gives its side pairs, the others the `closers` of the
+        instance read from the table, and `confront` the side index (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
             closes = side_pairs(s)
             if closes:
-                self._push(branch, self.present, closes, s)
                 joined.append(closes)
                 x, y = closes  # pair the members it shuts, then index it
                 es, ds = self.sides.get((_EQ, x), ()), self.sides.get((_DQ, y), ())
@@ -470,22 +459,20 @@ class Agenda:
                         if not row.shape(key[1], infos):
                             continue
                     self._push(branch, self.queues, row.priority, key)
-                    if rule in BRANCHING_RULES:
-                        if row.sides is None:
-                            closers = instance_of(*key).closers
-                        else:
-                            closers = row.sides(*infos)
-                        if len(closers) >= 2:
-                            self._test(branch, (order, key, row, closers), True)
+                    sides = row.sides
+                    closers = sides(*infos) if sides else instance_of(*key).closers
+                    if len(closers) >= 2:
+                        self._test(branch, (order, key, row, closers), True)
         for e, d in pairs:  # a position orders like the rank in its kind
             key = (RuleId.CONFRONT, (e[0], d[0]), None)
-            if key not in self.closing and key not in self.dead:
-                order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
+            order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
+            if not self._known(order, key):
                 sides = _CONFRONT.sides(branch.info(e[0]), branch.info(d[0]))
                 self._test(branch, (order, key, _CONFRONT, sides), False)
         for c in joined:
             for entry in self.waiting.get(c, ()):
-                self._test(branch, entry, False)
+                if not self._known(*entry[:2]):
+                    self._test(branch, entry, False)
 
     def _meet(self, branch: Branch, s: Term, i: int, info, pairs: dict) -> None:
         """Index s, at position i, and pair it with the members one shut pair
@@ -509,19 +496,22 @@ class Agenda:
                 for p in self.sides.get((_OTHER[info.kind], w), ()):
                     pairs[(new[0], p) if info.kind is _EQ else (p, new[0])] = None
 
+    def _known(self, order: tuple, key: tuple) -> bool:  # dead, or in `ordered`
+        at = bisect_left(self.ordered, (order,))  # a key has one search order
+        return key in self.dead or at < len(self.ordered) and self.ordered[at][1] == key
+
     def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
         if entry[2].sides is None:
             shut = [cl is None or any(c in branch for c in cl) for cl in entry[3]]
         else:
-            get = self.present.get
-            shut = [any(x == y or get((x, y)) for x, y in alt) for alt in entry[3]]
+            get = self.shut.get
+            shut = [
+                any(x == y or y in get((_EQ, x), ()) for x, y in a) for a in entry[3]
+            ]
         if shut.count(False) <= 1:
-            if entry[1] not in self.closing:
-                self.closing[entry[1]] = entry
-                ordered = self.ordered
-                insort(ordered, entry)
-                branch.trail.append(self.closing.popitem)
-                branch.trail.append(lambda: ordered.pop(bisect_left(ordered, entry)))
+            at = bisect_left(self.ordered, entry)
+            self.ordered.insert(at, entry)
+            branch.trail.append(functools.partial(self.ordered.pop, at))
         elif new:
             for alt, done in zip(entry[3], shut):
                 for c in () if done else alt:

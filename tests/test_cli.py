@@ -287,6 +287,21 @@ def test_printed_terms_reparse_to_the_same_term():
     assert hits >= 200
 
 
+def test_binders_past_the_sixth_print_with_numbered_names_and_reparse():
+    # the display names run x y z u v w, then x1 y1 ...: an 8-deep
+    # abstraction at a, compared with itself so that it is a formula
+    names = [Name(f"b{i}", a) for i in range(8)]
+    t = ref(names[-1])
+    for n in reversed(names):
+        t = lam(n, t)
+    text = show_term(t)
+    assert text == (
+        "(lam (x a) (lam (y a) (lam (z a) (lam (u a) (lam (v a) (lam (w a) "
+        "(lam (x1 a) (lam (y1 a) y1))))))))"
+    )
+    assert parse(f"(sort a)(assume (= {text} {text}))").assumptions == (eq(t, t),)
+
+
 # ---------------------------------------------------------------------------
 # Proof files
 

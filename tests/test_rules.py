@@ -621,6 +621,33 @@ def test_check_refuses_a_logical_constant_as_a_witness():
     assert not check_instance(br, constant)
 
 
+def test_check_refuses_a_discriminating_term_outside_the_restricted_language():
+    # f (p = q) is a side of c != f (p = q), so it discriminates at a, but
+    # it uses equality at o: forall-inst may take c and not it, however the
+    # calculus was chosen
+    P, f, x = V("P", fun(a, o)), V("f", fun(o, a)), V("x", a)
+    c, p, q = ref(V("c", a)), ref(V("p", o)), ref(V("q", o))
+    u = app(ref(f), eq(p, q))
+    quantified = forall(lam(x, app(ref(P), ref(x))))
+    br = branch_of(quantified, diseq(c, u))
+    assert set(br.discriminating_terms(a)) == {c, u}
+    assert check_instance(br, make_instance(RuleId.FORALL_INST, (quantified,), c))
+    assert not check_instance(br, make_instance(RuleId.FORALL_INST, (quantified,), u))
+
+
+def test_check_proof_refuses_what_it_cannot_route_or_read():
+    # auto mode routes by language, and implication beside an equation at o
+    # fits neither calculus; a list holding a non-formula is no branch.
+    # Both are refused, not raised; forcing efo replays the proof
+    p, q = ref(V("p", o)), ref(V("q", o))
+    v = refute([imp(p, q), p, neg(q)], SearchConfig(calculus="efo"))
+    mixed = [imp(p, q), p, neg(q), eq(p, q)]
+    assert check_proof(mixed, v.proof, "efo")
+    assert not check_proof(mixed, v.proof)
+    for stray in (ref(V("c", a)), "p", None, V("p", o)):
+        assert not check_proof([imp(p, q), p, neg(q), stray], v.proof, "efo")
+
+
 # ---------------------------------------------------------------------------
 # The instance table: search, proof reading and replay share its instances
 

@@ -1058,7 +1058,7 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     ]
     br.undo(mark)
     assert not any(agenda.active.values()) and not any(agenda.sides.values())
-    assert not agenda.ordered and not agenda.closing
+    assert not agenda.ordered
 
 
 def test_undoing_the_branch_cuts_the_agenda_queues_back():
@@ -1115,6 +1115,64 @@ def test_pick_drops_the_dead_entries_it_walks_past():
     assert not agenda.ordered and len(agenda.dead) == 2 and not rules._built
     br.undo(mark)
     assert len(agenda.ordered) == 2 and not agenda.dead
+
+
+def test_the_agenda_orders_each_closing_key_once():
+    # a key is in the ordered entries once: a confront pair met through two
+    # side pairs shut in one add, then through a third; a mate woken by
+    # both its closers in one add; and a mate that pick found dead and took
+    # out, woken again.  Undoing the branch restores the ordered entries
+    from hotab.problems import parse
+    from hotab.selection import Agenda
+
+    decls = "(sort a)(var p (> a a o))" + "".join(f"(var {n} a)" for n in "cdeg")
+    c, d, e, g = (ref(V(n, a)) for n in "cdeg")
+
+    def agenda_on(assumptions):
+        br = parse(decls + assumptions).branch()
+        agenda = Agenda(CALCULI["efo"])
+        agenda.add(br, tuple(br))
+        return br, agenda
+
+    def extend(br, agenda, *new):
+        for s in new:
+            br.add(s)
+        agenda.add(br, new)
+
+    def count(agenda, key):
+        return [k for _, k, _, _ in agenda.ordered].count(key)
+
+    # confront c = d, e != g: c = e and d = g shut both alternatives
+    br, agenda = agenda_on("(assume (= c d))(assume (neq e g))")
+    key = (RuleId.CONFRONT, tuple(br.formulas), None)
+    mark, before = len(br.trail), list(agenda.ordered)
+    extend(br, agenda, eq(c, e), eq(d, g))
+    extend(br, agenda, eq(c, g))
+    assert count(agenda, key) == 1
+    br.undo(mark)
+    assert agenda.ordered == before
+
+    # mate p c e, not p d g: alternatives c != d | e != g
+    br, agenda = agenda_on("(assume (p c e))(assume (not (p d g)))")
+    key = (RuleId.MATE, tuple(br.formulas), None)
+    mark, before = len(br.trail), list(agenda.ordered)
+    extend(br, agenda, eq(c, d), eq(e, g))
+    assert count(agenda, key) == 1
+    br.undo(mark)
+    assert agenda.ordered == before
+
+    # with c != d on the branch the mate is unproductive; e = g shuts its
+    # other alternative, and not not (e = g) shuts it again
+    br, agenda = agenda_on("(assume (p c e))(assume (not (p d g)))(assume (neq c d))")
+    key = (RuleId.MATE, tuple(br.formulas[:2]), None)
+    extend(br, agenda, eq(e, g))
+    mark, before = len(br.trail), list(agenda.ordered)
+    assert count(agenda, key) == 1
+    assert agenda.pick(br) is None and list(agenda.dead) == [key]
+    extend(br, agenda, neg(neg(eq(e, g))))
+    assert count(agenda, key) == 0
+    br.undo(mark)
+    assert agenda.ordered == before and not agenda.dead
 
 
 # ---------------------------------------------------------------------------
