@@ -15,7 +15,7 @@ import sys
 from .fragments import FragmentViolation, classify_branch
 from .models import show_model
 from .problems import ParseError, Problem, parse, parse_proof, serialize_proof
-from .rules import EAGER_RULES, check_proof
+from .rules import check_proof
 from .search import Refuted, Satisfiable, SearchConfig, Unknown, refute
 
 __all__ = ["main", "Problem", "parse"]
@@ -58,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=schedule,
         metavar="A,B,...",
         help=f"instantiation depths for iterative deepening (default {schedule})",
-    )
-    ap.add_argument(
-        "--eager-close",
-        action="store_true",
-        help="close branches on complementary or reflexive members immediately",
     )
     ap.add_argument("--proof-out", metavar="PATH", help="write the proof here")
     ap.add_argument("--model-out", metavar="PATH", help="write the model here")
@@ -112,10 +107,8 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
 def _run_check_proof(problem: Problem, path: str) -> int:
     with open(path, encoding="utf-8") as f:
         proof = parse_proof(f.read(), problem)
-    # the calculus follows the problem's language, as in search; the eager
-    # leaf rules are admitted only when the proof uses them
-    eager = any(p.instance.rule in EAGER_RULES for p in proof.nodes())
-    if check_proof(problem.branch(), proof, eager=eager):
+    # the calculus follows the problem's language, as in search
+    if check_proof(problem.branch(), proof):
         print("proof ok")
         return 0
     print("proof does not check", file=sys.stderr)
@@ -153,7 +146,6 @@ def main(argv=None) -> int:
             fuel_schedule=_parse_schedule(args.fuel_schedule),
             max_nodes=args.max_nodes,
             timeout=args.timeout,
-            eager_close=args.eager_close,
             # witnesses must not take a declared name, used or not, or the
             # proof file would not parse against the problem
             reserved=problem.variables,

@@ -286,9 +286,9 @@ class Rule:
     condition on (premises, infos), or None.  inst: None, "term" (an
     instance drawn from the branch's terms) or "fresh" (a witness variable
     not free on the branch).  priority: the group search applies the rule
-    in, lower first; None for the eager leaf rules, which search never
-    lists.  sides: the side pairs of the disequations alts adds, if that
-    is all it adds.
+    in, lower first; None for the `LEAF_RULES`, which search closes with
+    before it reads its agenda.  sides: the side pairs of the disequations
+    alts adds, if that is all it adds.
     """
 
     kinds: tuple[FormulaKind | None, ...]
@@ -376,9 +376,9 @@ EFO_RULES = frozenset(
     }
 )
 
-#: Leaf rules available only in eager-closing mode (plus n = 0 mate and
-#: decompose instances, which both calculi already provide).
-EAGER_RULES = frozenset({RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL})
+#: The leaf rules of both calculi beside the atomic mate and decompose
+#: leaves: a formula with its negation, and a reflexive disequation.
+LEAF_RULES = frozenset({RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL})
 
 
 def _premise_kinds(rules) -> frozenset[FormulaKind]:
@@ -583,7 +583,7 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Closing at once: a formula whose complement is on the branch, or a
 # reflexive disequation.  The closers of an instance read these two, and so
-# do eager closing and the side pairs of `selection`.
+# do the leaf rules and the side pairs of `selection`.
 
 
 def complements(s: Term) -> tuple[Term, ...]:
@@ -603,22 +603,21 @@ def is_reflexive(s: Term) -> bool:
 # Instance and proof checking
 
 
-def check_instance(branch: Branch, inst: RuleInstance, eager: bool = False) -> bool:
+def check_instance(branch: Branch, inst: RuleInstance) -> bool:
     """Validate a claimed rule instance against a branch.
 
     The premises must be members, the instance must equal what the rule's
     row builds from them, and the branch-dependent conditions must hold:
     the admissibility restrictions, and that branching instances only fire
-    on non-closed branches.  The eager flag admits the two wider leaf
-    rules.
+    on non-closed branches.
     """
     try:
-        return _check(branch, inst, eager)
+        return _check(branch, inst)
     except (TypeError, ValueError, AttributeError):
         return False
 
 
-def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
+def _check(branch: Branch, r: RuleInstance) -> bool:
     if any(p not in branch for p in r.premises):
         return False
     if r.alternatives and branch.is_closed:
@@ -626,8 +625,6 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
     built = instance_of(r.rule, r.premises, r.inst)
     if built is None or (r is not built and r != built):
         return False
-    if r.rule in EAGER_RULES:
-        return eager
     taken = RULES[r.rule].inst
     if taken is None:
         return True
@@ -643,18 +640,15 @@ def _check(branch: Branch, r: RuleInstance, eager: bool) -> bool:
     return r.rule is not RuleId.FORALL_INST or _forall_admissible(branch, info, u)
 
 
-def check_proof(
-    branch_or_formulas, proof, calculus: str = "auto", eager: bool = False
-) -> bool:
+def check_proof(branch_or_formulas, proof, calculus: str = "auto") -> bool:
     """Replay a proof against the assumptions it claims to refute.
 
     A proof is a tree of rule instances (`search.Proof`).  Every node's
     instance must pass check_instance on its branch, use only the
-    calculus's rules (plus the eager leaf rules when eager is set), and
-    have one child per alternative.  The branches are rebuilt depth-first
-    on one copy of the given branch: a child is its parent's trail mark
-    plus its alternative.  A calculus name other than "auto", "efo" and
-    "stt" raises ValueError.
+    calculus's rules or the `LEAF_RULES`, and have one child per
+    alternative.  The branches are rebuilt depth-first on one copy of the
+    given branch: a child is its parent's trail mark plus its alternative.
+    A calculus name other than "auto", "efo" and "stt" raises ValueError.
     """
     try:
         branch = as_branch(branch_or_formulas)
@@ -665,9 +659,7 @@ def check_proof(
             calculus = route_calculus(branch)
         except FragmentViolation:
             return False
-    allowed = calculus_named(calculus).rules
-    if eager:
-        allowed = allowed | EAGER_RULES
+    allowed = calculus_named(calculus).rules | LEAF_RULES
 
     b = branch.copy()
     stack = [(0, (), proof)]
@@ -681,7 +673,7 @@ def check_proof(
             return False
         if len(node.children) != len(r.alternatives):
             return False
-        if not check_instance(b, r, eager):
+        if not check_instance(b, r):
             return False
         mark = len(b.trail)
         stack.extend((mark, alt, c) for alt, c in zip(r.alternatives, node.children))

@@ -4,11 +4,14 @@
 `rules.route_calculus` in auto mode) and runs one engine with it: the row
 gives the rule set and `selection.gate`'s language test.  It develops a
 branch depth-first and puts off real splits (Hähnle, "Tableaux and related
-methods", 2001; leanTAP): each node applies the first instance in search
-order (rule priority, then member insertion order) with two or more
-alternatives that all close at once but one at most, else the first
-applicable instance; `selection.Agenda`, the one index of instance keys,
-finds both.  Runs are deterministic.  Instances are read from the table
+methods", 2001; leanTAP).  A node closes as soon as its branch holds a
+formula and its negation or a reflexive disequation (the leaf
+`selection.closing_instance` returns; Smullyan, "First-Order Logic",
+1968).  Otherwise it applies the first instance in search order (rule
+priority, then member insertion order) with two or more alternatives
+that all close at once but one at most, else the first applicable
+instance; `selection.Agenda`, the one index of instance keys, finds both.
+Runs are deterministic.  Instances are read from the table
 `rules.instance_of` fills, which proof reading and replay share; no cache
 changes which instance is applied.  The path is one branch, extended in
 place: the branch and the agenda record every change on the branch's
@@ -43,8 +46,8 @@ decides.
 A Proof is a tree of rule instances, one child per alternative; leaves are
 instances with no alternatives, witnessing closure.  A closed saturation
 gives a Refuted verdict only once `rules.check_proof` has replayed its proof
-with the calculus and eager setting of the search, and Unknown if the
-replay fails: an `unsat` rests on the trusted core in `rules` alone.
+with the calculus of the search, and Unknown if the replay fails: an
+`unsat` rests on the trusted core in `rules` alone.
 """
 
 from __future__ import annotations
@@ -174,18 +177,16 @@ class SearchConfig:
     fuel_schedule: strictly increasing integer instantiation-size bounds
     tried in turn by the unrestricted calculus.  max_nodes counts rule
     applications across the whole run; timeout is wall-clock seconds;
-    neither may be negative, and either may be None for no limit.  eager_close also
-    closes on complementary non-atoms and reflexive disequations, recorded
-    with dedicated leaf rules.  reserved names are never chosen for
-    introduced variables.  max_table bounds function-space enumeration
-    during model extraction; it may not be negative or None.
+    neither may be negative, and either may be None for no limit.
+    reserved names are never chosen for introduced variables.  max_table
+    bounds function-space enumeration during model extraction; it may not
+    be negative or None.
     """
 
     calculus: str = "auto"
     fuel_schedule: tuple[int, ...] = (1, 2, 3, 4)
     max_nodes: int | None = 100_000
     timeout: float | None = 10.0
-    eager_close: bool = False
     reserved: tuple[Name, ...] = ()
     max_table: int = DEFAULT_MAX_TABLE
 
@@ -238,7 +239,7 @@ def _saturate(branch, calc: Calculus, fuel, cfg, deadline, counter):
     agenda = Agenda(calc)
     added = tuple(branch)
     while True:
-        leaf = closing_instance(branch, cfg.eager_close, added)
+        leaf = closing_instance(branch, added)
         if leaf is None:
             gate(calc, branch, added)
             agenda.add(branch, added)
@@ -306,7 +307,7 @@ def refute(branch_or_formulas, cfg: SearchConfig | None = None) -> Verdict:
                 branch.copy(), calc, fuel, cfg, deadline, counter
             )
             if status == "closed":
-                if not check_proof(branch, payload, calc.name, cfg.eager_close):
+                if not check_proof(branch, payload, calc.name):
                     return Unknown("search found a proof, but it failed replay")
                 return Refuted(payload, calc.name)
             if not payload.members(FormulaKind.FUN_EQ):

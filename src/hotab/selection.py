@@ -43,6 +43,7 @@ from .kernel import (
     Term,
     Type,
     as_diseq,
+    as_eq,
     as_neg,
     diseq,
     eq_const,
@@ -329,39 +330,40 @@ def support(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
 
 def side_pairs(s: Term) -> tuple[Term, Term] | None:
     """The sides (x, y) of the disequation among the `complements` of s (s
-    is x = y or not not (x = y)): the side pair s closes at once."""
-    return next((d[1:] for d in map(as_diseq, complements(s)) if d), None)
+    is x = y or not not (x = y)): the side pair s closes at once.  Read off
+    s itself, as `closing_instance` has built the complements of s."""
+    d = as_eq(s) or as_diseq(as_neg(s))
+    return None if d is None else d[1:]
 
 
 def closing_instance(
-    branch: Branch, eager: bool = False, added: tuple[Term, ...] | None = None
+    branch: Branch, added: tuple[Term, ...] | None = None
 ) -> RuleInstance | None:
     """The leaf instance witnessing that the branch is closed, if any.
 
-    Closure proper: a variable with its negation, or a reflexive
-    disequation between identical variables at a sort — witnessed by a
-    zero-alternative mate or decompose instance.  With eager=True the wider
-    conditions are also reported, as dedicated leaf rules, for the first
-    member of added (by default every member), in insertion order, that has
-    a complement before it or is reflexive.  Search passes a node's new
-    members, as the others closed nothing at its parent.
+    First the branch's own closure: a variable with its negation, or a
+    reflexive disequation between identical variables at a sort, witnessed
+    by a zero-alternative mate or decompose instance.  Then the leaf rules
+    (`rules.LEAF_RULES`) for the first member of added (by default every
+    member), in insertion order, that has a complement before it or is
+    reflexive.  Search passes a node's new members, as the others closed
+    nothing at its parent.
     """
     w = branch.closing_witness
     if w is not None:
         if w[0] == "compl":
             return instance_of(RuleId.MATE, (w[1], w[2]))
         return instance_of(RuleId.DECOMPOSE, (w[1],))
-    if eager:
-        added = branch.formulas if added is None else added
-        later = set(added)
-        for s in added:
-            later.discard(s)
-            for c in complements(s):
-                if c in branch and c not in later:
-                    pair = (c, s) if as_neg(s) == c else (s, c)
-                    return instance_of(RuleId.CLOSE_COMPL, pair)
-            if is_reflexive(s):
-                return instance_of(RuleId.CLOSE_REFL, (s,))
+    added = branch.formulas if added is None else added
+    later = set(added)
+    for s in added:
+        later.discard(s)
+        for c in complements(s):
+            if c in branch and c not in later:
+                pair = (c, s) if as_neg(s) == c else (s, c)
+                return instance_of(RuleId.CLOSE_COMPL, pair)
+        if is_reflexive(s):
+            return instance_of(RuleId.CLOSE_REFL, (s,))
     return None
 
 

@@ -12,6 +12,7 @@ import itertools
 import time
 from pathlib import Path
 
+from hotab import cli
 from hotab.branch import FormulaKind, branch_of
 from hotab.fragments import classify_branch, decide
 from hotab.kernel import (
@@ -34,6 +35,7 @@ from hotab.kernel import (
 )
 from hotab.normalize import apply_norm, normalize, substitute
 from hotab.models import CardinalityError, Frame, Model, check_model, eval_term
+from hotab.problems import parse, parse_proof
 from hotab.rules import check_instance, check_proof, make_instance
 from hotab.search import Refuted, Satisfiable, refute
 from hotab.selection import applicable_efo, applicable_stt, fresh_var, is_evident
@@ -75,15 +77,17 @@ def test_criterion_1_golden_refutations():
     assert isinstance(v, Refuted)
     assert elapsed < 1.0
     assert check_proof(branch_of(*running), v.proof, calculus=v.calculus)
-    counts = v.proof.rule_counts()
-    # the published derivation: one extensionality step at each of the two
-    # types, two double negations, and mating/decomposition everywhere else
-    assert counts["fun-ext"] == 1
-    assert counts["bool-ext"] == 1
-    assert counts["double-neg"] == 2
-    assert set(counts) <= {"mate", "decompose", "fun-ext", "bool-ext", "double-neg"}
-    assert counts.get("mate", 0) >= 2
-    assert counts.get("mate", 0) + counts.get("decompose", 0) == 5
+    # one extensionality step at each of the two types; each alternative of
+    # bool-ext closes on a formula and its negation, where the published
+    # derivation (below) goes on to atoms with double negations, mates and
+    # decompositions
+    assert v.proof.rule_counts() == {
+        "mate": 1,
+        "fun-ext": 1,
+        "bool-ext": 1,
+        "double-neg": 1,
+        "close-compl": 2,
+    }
 
     z = Name("z", o)
     y = Name("y", o)
@@ -95,6 +99,51 @@ def test_criterion_1_golden_refutations():
     assert elapsed2 < 1.0
     assert v2.calculus == "stt"
     assert check_proof(branch_of(*boolean_lam), v2.proof, calculus="stt")
+
+
+RUNNING = """\
+(sort a)
+(var f (> a o))
+(var p (> (> a o) o))
+(assume (p f))
+(assume (not (p (lam (x a) (not (not (f x)))))))
+"""
+
+#: The paper's derivation of the running example, which closes on atoms
+#: only: a mate and a decomposition below each alternative of bool-ext.
+PUBLISHED_PROOF = """\
+mate ((p f) (not (p (lam (x a) (not (not (f x)))))))
+. 0 fun-ext ((not (= f (lam (x a) (not (not (f x))))))) (x0 a)
+.. 0 bool-ext ((not (= (f x0) (not (not (f x0))))))
+... 0 double-neg ((not (not (not (f x0)))))
+.... 0 mate ((f x0) (not (f x0)))
+..... 0 decompose ((not (= x0 x0)))
+... 1 double-neg ((not (not (f x0))))
+.... 0 mate ((f x0) (not (f x0)))
+..... 0 decompose ((not (= x0 x0)))
+"""
+
+
+def test_criterion_1_the_published_derivation_still_checks(tmp_path, capsys):
+    # search now closes earlier, but a proof that closes on atoms only, as
+    # proof files written before did, still checks in both calculi
+    problem = parse(RUNNING)
+    proof = parse_proof(PUBLISHED_PROOF, problem)
+    assert proof.rule_counts() == {
+        "mate": 3,
+        "fun-ext": 1,
+        "bool-ext": 1,
+        "double-neg": 2,
+        "decompose": 2,
+    }
+    assert check_proof(problem.branch(), proof)
+    for calculus in ("efo", "stt"):
+        assert check_proof(problem.branch(), proof, calculus)
+    problem_path, proof_path = tmp_path / "running.p", tmp_path / "published.proof"
+    problem_path.write_text(RUNNING)
+    proof_path.write_text(PUBLISHED_PROOF)
+    assert cli.main([str(problem_path), "--check-proof", str(proof_path)]) == 0
+    assert capsys.readouterr().out == "proof ok\n"
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_deep_proofs_compare_without_recursion():
     text = serialize_proof(verdict.proof)
     again = parse_proof(text, problem)
     assert again == verdict.proof and hash(again) == hash(verdict.proof)
-    # the deepest leaf closed by the eager rule instead: same shape, other proof
+    # the deepest leaf closed by the leaf rule instead: same shape, other proof
     head, last = text.rstrip("\n").rsplit("\n", 1)
     assert last.endswith(f"mate (p{n} (not p{n}))")
     tampered = parse_proof(
@@ -390,7 +390,7 @@ def test_parse_proof_checks_alternative_indices_and_arity():
     problem = parse(RUNNING)
     good = serialize_proof(refute(problem.branch()).proof)
     # renumber a child line out of order
-    broken = good.replace("... 1 double-neg", "... 0 double-neg")
+    broken = good.replace("... 1 close-compl", "... 0 close-compl")
     with pytest.raises(ParseError, match="alternative"):
         parse_proof(broken, problem)
     # drop a required subtree
@@ -697,15 +697,43 @@ def test_cli_many_truth_variables_without_recursion(tmp_path, capsys):
     assert check_model(Model(Frame({}), interp), parse(text).assumptions)
 
 
-def test_cli_eager_close_changes_the_proof(tmp_path, capsys):
-    text = "(var y o)(assume (not y))(assume (not (not y)))"
-    proof_path = tmp_path / "eager.proof"
-    code = _run(tmp_path, text, "--eager-close", "--proof-out", str(proof_path))
-    capsys.readouterr()
-    assert code == 20
-    body = proof_path.read_text()
-    assert "close-compl" in body
-    # the eager proof round-trips through the checker entry point
-    code = _run(tmp_path, text, "--check-proof", str(proof_path))
-    out = capsys.readouterr()
-    assert code == 0 and "proof ok" in out.out
+def test_cli_has_one_closure_notion(tmp_path, capsys):
+    # closing on a formula and its negation is no option
+    with pytest.raises(SystemExit) as ex:
+        _run(tmp_path, "(var y o)(assume y)", "--eager-close")
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --eager-close" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "decls, s, t, calculus",
+    [
+        ("(var P (> a o))", "(P c)", "(P (f c))", "efo"),
+        ("(var p o)", "(= p (= c c))", "(= p p)", "stt"),
+    ],
+)
+def test_cli_checks_the_leaf_rules(tmp_path, capsys, decls, s, t, calculus):
+    # s with its negation closes at once, in either calculus; a leaf rule
+    # whose premise is not on the branch does not check (exit 3), and one
+    # whose premises do not close does not read (exit 2)
+    decls = f"(sort a)(var f (> a a))(var c a){decls}"
+    text = f"{decls}(assume {s})(assume (not {s}))(assume {t})"
+    proof_path = tmp_path / "out.proof"
+    assert _run(tmp_path, text, "--proof-out", str(proof_path)) == 20
+    assert f"calculus: {calculus}" in capsys.readouterr().err
+    assert proof_path.read_text() == f"close-compl ({s} (not {s}))\n"
+    assert _run(tmp_path, text, "--check-proof", str(proof_path)) == 0
+    assert capsys.readouterr().out == "proof ok\n"
+    refl = "(neq (f c) (f c))"
+    for leaf, code in (
+        (f"close-compl ({t} (not {t}))", 3),
+        (f"close-refl ({refl})", 3),
+        (f"close-compl ({s} (not {t}))", 2),
+        (f"close-compl ((not {s}) {s})", 2),
+        ("close-refl ((neq (f c) c))", 2),
+    ):
+        proof_path.write_text(leaf + "\n")
+        assert _run(tmp_path, text, "--check-proof", str(proof_path)) == code, leaf
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert ("does not check" if code == 3 else "wrong shape") in out.err, leaf

@@ -1,11 +1,11 @@
 """Every output of a fixed problem set, pinned by digest.
 
-Each problem is refuted with calculus auto, efo and stt, each with
-`eager_close` off and on, and decided where `classify_branch` says it is
-decidable.  A run's output is its verdict with the proof file text, the
-model text with the evidence report, the `Unknown` reason, or the
-exception's type and message.  The first 16 hex digits of its sha256 are
-kept in outputs.json, keyed "problem|calculus|eager" ("problem|decide").
+Each problem is refuted with calculus auto, efo and stt, and decided
+where `classify_branch` says it is decidable.  A run's output is its
+verdict with the proof file text, the model text with the evidence report,
+the `Unknown` reason, or the exception's type and message.  The first 16
+hex digits of its sha256 are kept in outputs.json, keyed
+"problem|calculus" ("problem|decide").
 
 A change that is meant to keep every proof, model and message the same
 must leave the digests as they are.  No output may depend on which terms
@@ -97,16 +97,10 @@ def digests(pinned=None) -> dict[str, str]:
     out = {}
     for key, forms, reserved, budget in pinned or problems():
         for calculus in ("auto", "efo", "stt"):
-            for eager in (False, True):
-                cfg = SearchConfig(
-                    calculus=calculus,
-                    max_nodes=budget,
-                    timeout=None,
-                    eager_close=eager,
-                    reserved=reserved,
-                )
-                flag = "eager" if eager else "lazy"
-                out[f"{key}|{calculus}|{flag}"] = _digest(_output(refute, forms, cfg))
+            cfg = SearchConfig(
+                calculus=calculus, max_nodes=budget, timeout=None, reserved=reserved
+            )
+            out[f"{key}|{calculus}"] = _digest(_output(refute, forms, cfg))
         branch = branch_of(*forms)
         if classify_branch(branch).decidable():
             out[f"{key}|decide"] = _digest(_output(decide, branch))

@@ -462,28 +462,53 @@ def test_reflexive_disequation_leaf():
     assert check_instance(br, leaf)
 
 
-def test_eager_leaves_need_the_flag():
+def test_leaf_rules_close_what_the_branch_does_not():
+    # the branch's own closure is atomic; a formula with its negation, or a
+    # reflexive disequation between non-variables, closes by a leaf rule
     p, q = V("p", o), V("q", o)
     s = eq(ref(p), ref(q))
     br = branch_of(s, neg(s))
     assert not br.is_closed
-    assert closing_instance(br) is None
-    leaf = closing_instance(br, eager=True)
-    assert leaf is not None and leaf.rule is RuleId.CLOSE_COMPL
-    assert leaf.premises == (s, neg(s))
-    assert not check_instance(br, leaf)
-    assert check_instance(br, leaf, eager=True)
+    leaf = closing_instance(br)
+    assert leaf == RuleInstance(RuleId.CLOSE_COMPL, (s, neg(s)), ())
+    assert check_instance(br, leaf)
 
     f = V("f", fun(a, a))
     d = diseq(ref(f), ref(f))
     br2 = branch_of(d)
-    assert closing_instance(br2) is None
-    leaf2 = closing_instance(br2, eager=True)
+    assert not br2.is_closed
+    leaf2 = closing_instance(br2)
     assert leaf2 == RuleInstance(RuleId.CLOSE_REFL, (d,), ())
-    assert check_instance(br2, leaf2, eager=True)
+    assert check_instance(br2, leaf2)
 
 
-def test_eager_leaf_is_the_first_member_closing_at_once():
+def test_check_proof_refuses_leaf_rules_that_do_not_close():
+    # in both calculi: close-compl needs both premises on the branch and
+    # the second the negation of the first, close-refl a disequation
+    # between identical sides
+    P, f, g = V("P", fun(a, o)), V("f", fun(a, a)), V("g", fun(a, a))
+    c = ref(V("c", a))
+    s, t = app(ref(P), c), app(ref(P), app(ref(f), c))
+    fc, gc = app(ref(f), c), app(ref(g), c)
+    same, other = diseq(fc, fc), diseq(fc, gc)
+
+    def leaf(rule, *premises):
+        return Proof(RuleInstance(rule, premises, ()), ())
+
+    compl, refl = RuleId.CLOSE_COMPL, RuleId.CLOSE_REFL
+    for calculus in ("efo", "stt"):
+        assert check_proof([s, neg(s)], leaf(compl, s, neg(s)), calculus)
+        assert not check_proof([s], leaf(compl, s, neg(s)), calculus)
+        assert not check_proof([neg(s)], leaf(compl, s, neg(s)), calculus)
+        assert not check_proof([s, neg(t)], leaf(compl, s, neg(t)), calculus)
+        assert not check_proof([s, neg(s)], leaf(compl, neg(s), s), calculus)
+        assert not check_proof([s, s], leaf(compl, s, s), calculus)
+        assert check_proof([same], leaf(refl, same), calculus)
+        assert not check_proof([other], leaf(refl, other), calculus)
+        assert not check_proof([other], leaf(refl, same), calculus)
+
+
+def test_leaf_is_the_first_member_closing_at_once():
     # a non-variable atom with its negation, a reflexive disequation between
     # non-variables; of two complementary pairs, the one whose later member
     # comes first, even where the other's first member comes first
@@ -492,7 +517,7 @@ def test_eager_leaf_is_the_first_member_closing_at_once():
     s, t, u = app(ref(g), ref(x)), app(ref(f), ref(x)), app(ref(g), ref(y))
 
     def leaf(*formulas, added=None):
-        return closing_instance(branch_of(*formulas), eager=True, added=added)
+        return closing_instance(branch_of(*formulas), added=added)
 
     compl = RuleInstance(RuleId.CLOSE_COMPL, (s, neg(s)), ())
     assert leaf(s, neg(s)) == compl
@@ -635,6 +660,50 @@ def test_check_refuses_a_discriminating_term_outside_the_restricted_language():
     assert not check_instance(br, make_instance(RuleId.FORALL_INST, (quantified,), u))
 
 
+def _forall_inst(*members):
+    """The quantifier forall x. P x at a sort with no disequation, on a
+    branch with the given members, and its forall-inst with a term."""
+    P, x = V("P", fun(a, o)), V("x", a)
+    quantified = forall(lam(x, app(ref(P), ref(x))))
+    br = branch_of(quantified, *members)
+    return br, lambda u: make_instance(RuleId.FORALL_INST, (quantified,), u)
+
+
+def test_check_refuses_a_second_forall_instance_without_discriminating_terms():
+    # with no discriminating term at a, a quantifier gets one instance: once
+    # P c is on the branch, the instance with the free variable d is refused
+    P, Q = V("P", fun(a, o)), V("Q", fun(a, o))
+    c, d = ref(V("c", a)), ref(V("d", a))
+    br, inst = _forall_inst(app(ref(Q), d))
+    assert check_instance(br, inst(d))
+    assert not check_instance(branch_of(*br, app(ref(P), c)), inst(d))
+
+
+def test_check_refuses_a_non_variable_forall_instance_without_discriminating_terms():
+    # with c : a free and no discriminating term at a, the instance takes a
+    # free variable, not f c.  check_instance would refuse f c anyway, as
+    # f c has no name to look up, so the condition is also read directly
+    Q, f = V("Q", fun(a, o)), V("f", fun(a, a))
+    c = ref(V("c", a))
+    br, inst = _forall_inst(app(ref(Q), c))
+    assert check_instance(br, inst(c))
+    assert not check_instance(br, inst(app(ref(f), c)))
+    info = br.info(br.formulas[0])
+    assert rules._forall_admissible(br, info, app(ref(f), c)) is False
+
+
+def test_check_refuses_a_forall_instance_with_a_variable_not_free():
+    # with c : a free and no discriminating term at a, the instance takes a
+    # free variable: d, which is not free, is refused; with no variable of
+    # a free, d is admitted
+    Q = V("Q", fun(a, o))
+    c, d = ref(V("c", a)), ref(V("d", a))
+    br, inst = _forall_inst(app(ref(Q), c))
+    assert not check_instance(br, inst(d))
+    br, inst = _forall_inst()
+    assert check_instance(br, inst(d))
+
+
 def test_check_proof_refuses_what_it_cannot_route_or_read():
     # auto mode routes by language, and implication beside an equation at o
     # fits neither calculus; a list holding a non-formula is no branch.
@@ -736,25 +805,22 @@ def test_check_proof_rejects_every_proof_of_a_weakened_satisfiable_problem():
     # with one assumption dropped, fails wherever brute force finds a model
     refutations = rejected = 0
     for key, forms, reserved, budget in pinned_problems():
-        for eager in (False, True):
-            cfg = SearchConfig(
-                max_nodes=budget, timeout=None, eager_close=eager, reserved=reserved
-            )
-            try:
-                v = refute(forms, cfg)
-            except FragmentViolation:
+        cfg = SearchConfig(max_nodes=budget, timeout=None, reserved=reserved)
+        try:
+            v = refute(forms, cfg)
+        except FragmentViolation:
+            continue
+        if not isinstance(v, Refuted):
+            continue
+        refutations += 1
+        for i in range(len(forms)):
+            weaker = forms[:i] + forms[i + 1 :]
+            if _space_at_two(weaker) > 2**14:
                 continue
-            if not isinstance(v, Refuted):
-                continue
-            refutations += 1
-            for i in range(len(forms)):
-                weaker = forms[:i] + forms[i + 1 :]
-                if _space_at_two(weaker) > 2**14:
-                    continue
-                if next(enumerate_models(weaker, 2), None) is not None:
-                    rejected += 1
-                    assert not check_proof(weaker, v.proof, v.calculus, eager), key
-    assert (refutations, rejected) == (110, 160)
+            if next(enumerate_models(weaker, 2), None) is not None:
+                rejected += 1
+                assert not check_proof(weaker, v.proof, v.calculus), key
+    assert (refutations, rejected) == (55, 80)
 
 
 def _depth(line: str) -> int:
@@ -841,7 +907,7 @@ def _read(lines, problem) -> Proof | None:
 
 
 def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
-    # the 160 pairs above, with each proof file mutated at one point, and
+    # the 80 pairs above, with each proof file mutated at one point, and
     # each proof with a premise or an instantiation term replaced by what
     # its node's branch offers: no mutant that reads may replay on the
     # weakened problem, which has a model.  A swapped pair of sibling
@@ -850,52 +916,49 @@ def test_check_proof_refuses_every_mutant_of_a_proof_of_a_weakened_problem():
     # a pair rule's premises are of two kinds
     seen = Counter()
     for key, forms, reserved, budget in pinned_problems():
-        for eager in (False, True):
-            cfg = SearchConfig(
-                max_nodes=budget, timeout=None, eager_close=eager, reserved=reserved
-            )
-            try:
-                v = refute(forms, cfg)
-            except FragmentViolation:
+        cfg = SearchConfig(max_nodes=budget, timeout=None, reserved=reserved)
+        try:
+            v = refute(forms, cfg)
+        except FragmentViolation:
+            continue
+        if not isinstance(v, Refuted):
+            continue
+        weaker = [
+            w
+            for i in range(len(forms))
+            for w in [forms[:i] + forms[i + 1 :]]
+            if _space_at_two(w) <= 2**14
+            and next(enumerate_models(w, 2), None) is not None
+        ]
+        if not weaker:
+            continue
+        names = tuple(dict.fromkeys((*variables_in(forms), *reserved)))
+        declared = Problem(sorts_in(forms), names, forms)
+        read = (
+            (kind, _read(lines, declared))
+            for kind, lines in _mutants(serialize_proof(v.proof))
+        )
+        built = _branch_mutants(v.proof, as_branch(forms))
+        for kind, proof in itertools.chain(read, built):
+            seen[kind] += len(weaker)
+            if proof is None:
                 continue
-            if not isinstance(v, Refuted):
-                continue
-            weaker = [
-                w
-                for i in range(len(forms))
-                for w in [forms[:i] + forms[i + 1 :]]
-                if _space_at_two(w) <= 2**14
-                and next(enumerate_models(w, 2), None) is not None
-            ]
-            if not weaker:
-                continue
-            names = tuple(dict.fromkeys((*variables_in(forms), *reserved)))
-            declared = Problem(sorts_in(forms), names, forms)
-            read = (
-                (kind, _read(lines, declared))
-                for kind, lines in _mutants(serialize_proof(v.proof))
-            )
-            built = _branch_mutants(v.proof, as_branch(forms))
-            for kind, proof in itertools.chain(read, built):
-                seen[kind] += len(weaker)
-                if proof is None:
-                    continue
-                seen[kind, "replayed"] += len(weaker)
-                for w in weaker:
-                    assert not check_proof(w, proof, v.calculus, eager), (key, kind)
+            seen[kind, "replayed"] += len(weaker)
+            for w in weaker:
+                assert not check_proof(w, proof, v.calculus), (key, kind)
     assert seen == {
-        "drop": 2181,
-        "dup": 2181,
-        "alt": 2021,
-        "rule": 8213,
-        "swap": 772,
-        "premise": 8610,
-        "swap-premises": 652,
-        "term": 1976,
-        ("rule", "replayed"): 670,
-        ("swap", "replayed"): 772,
-        ("premise", "replayed"): 5493,
-        ("term", "replayed"): 1976,
+        "drop": 841,
+        "dup": 841,
+        "alt": 761,
+        "rule": 2660,
+        "swap": 274,
+        "premise": 3593,
+        "swap-premises": 319,
+        "term": 988,
+        ("rule", "replayed"): 96,
+        ("swap", "replayed"): 274,
+        ("premise", "replayed"): 2023,
+        ("term", "replayed"): 988,
     }
 
 

@@ -66,12 +66,13 @@ def running_example():
     return [normalize(s1), normalize(s2)]
 
 
+# each alternative of bool-ext closes on a formula and its negation
 RUNNING_COUNTS = {
-    "mate": 3,
+    "mate": 1,
     "fun-ext": 1,
     "bool-ext": 1,
-    "double-neg": 2,
-    "decompose": 2,
+    "double-neg": 1,
+    "close-compl": 2,
 }
 
 
@@ -161,18 +162,23 @@ def test_identity_vs_constant_function_refuted():
     assert v.proof.rule_counts() == {
         "fun-eq": 2,
         "bool-eq": 3,
-        "mate": 4,
-        "double-neg": 1,
+        "mate": 3,
+        "close-compl": 1,
     }
     assert check_proof([t], v.proof)
 
 
 def test_confrontation_closes_equation_against_disequation():
     x, y = V("x", a), V("y", a)
-    forms = [eq(ref(x), ref(y)), diseq(ref(x), ref(y))]
+    forms = [eq(ref(x), ref(y)), diseq(ref(y), ref(x))]
     v = refute(forms)
     assert isinstance(v, Refuted)
     assert v.proof.rule_counts() == {"confront": 1, "decompose": 2}
+    assert check_proof(forms, v.proof)
+    # x = y with its own negation closes at once, without confront
+    forms = [eq(ref(x), ref(y)), diseq(ref(x), ref(y))]
+    v = refute(forms)
+    assert v.proof.rule_counts() == {"close-compl": 1}
     assert check_proof(forms, v.proof)
 
 
@@ -191,7 +197,7 @@ def test_forall_instantiates_with_existing_variable():
     forms = [forall(lam(x, app(ref(p), ref(x)))), neg(app(ref(p), ref(y)))]
     v = refute(forms)
     assert isinstance(v, Refuted)
-    assert v.proof.rule_counts() == {"forall-inst": 1, "mate": 1, "decompose": 1}
+    assert v.proof.rule_counts() == {"forall-inst": 1, "close-compl": 1}
     insts = [
         n.instance.inst
         for n in v.proof.nodes()
@@ -212,7 +218,7 @@ def test_forall_instantiates_every_discriminating_term():
     assert isinstance(v, Refuted)
     # search instantiates with y first, and that instance already closes
     # against not (p y): backjumping drops the instance with z
-    assert v.proof.rule_counts() == {"forall-inst": 1, "mate": 1, "decompose": 1}
+    assert v.proof.rule_counts() == {"forall-inst": 1, "close-compl": 1}
     assert check_proof(forms, v.proof)
     insts = [
         n.instance.inst
@@ -369,29 +375,27 @@ def test_search_config_rejects_negative_limits():
 
 
 # ---------------------------------------------------------------------------
-# Eager closing
+# Closing on a formula and its negation, or a reflexive disequation
 
 
-def test_eager_close_complement():
+def test_close_complement():
+    # not y with not not y closes at once, before double-neg, in both calculi
     y = V("y", o)
     forms = [neg(ref(y)), neg(neg(ref(y)))]
-    lazy = refute(forms)
-    assert lazy.proof.rule_counts() == {"double-neg": 1, "mate": 1}
-    eager = refute(forms, SearchConfig(eager_close=True))
-    assert eager.proof.rule_counts() == {"close-compl": 1}
-    assert check_proof(forms, eager.proof, eager=True)
-    assert not check_proof(forms, eager.proof, eager=False)
+    for calculus in ("efo", "stt"):
+        v = refute(forms, SearchConfig(calculus=calculus))
+        assert v.proof.rule_counts() == {"close-compl": 1}
+        assert check_proof(forms, v.proof, calculus)
 
 
-def test_eager_close_reflexivity():
+def test_close_reflexivity():
+    # f x != f x closes at once, without decomposing it, in both calculi
     f, x = V("f", fun(a, a)), V("x", a)
     forms = [diseq(app(ref(f), ref(x)), app(ref(f), ref(x)))]
-    lazy = refute(forms)
-    assert lazy.proof.rule_counts() == {"decompose": 2}
-    eager = refute(forms, SearchConfig(eager_close=True))
-    assert eager.proof.rule_counts() == {"close-refl": 1}
-    assert check_proof(forms, eager.proof, eager=True)
-    assert not check_proof(forms, eager.proof, eager=False)
+    for calculus in ("efo", "stt"):
+        v = refute(forms, SearchConfig(calculus=calculus))
+        assert v.proof.rule_counts() == {"close-refl": 1}
+        assert check_proof(forms, v.proof, calculus)
 
 
 # ---------------------------------------------------------------------------
@@ -863,10 +867,10 @@ def _search_chain_checked(monkeypatch, n: int, budget: int):
 
 
 def test_search_instance_is_the_reference_first_on_chain(monkeypatch):
-    # closing-first refutes chain(2) in 47 rule applications (170 without)
+    # closing-first refutes chain(2) in 40 rule applications (35 without)
     root, v, visited = _search_chain_checked(monkeypatch, 2, 500)
     assert isinstance(v, Refuted) and check_proof(root, v.proof, "efo")
-    assert len(visited) == 47
+    assert len(visited) == 40
 
 
 def test_search_instance_is_the_reference_first_on_chain_to_the_budget(
@@ -924,7 +928,7 @@ def test_closing_first_reference():
             "stt",
             200,
             1,
-            18,
+            8,
             id="funeq1",
         ),
         # two fuel rounds, each with its own unproductive set
@@ -933,26 +937,27 @@ def test_closing_first_reference():
             "stt",
             None,
             2,
-            9,
+            8,
             id="boolean-lambda",
         ),
         # not not (x = y) closes x != y at once, so the mate comes first:
-        # all its alternatives but z != z close
+        # all its alternatives but z != z close, and z != z closes too, so
+        # the root is the one node that walks the agenda
         pytest.param(
-            double_neg_mate_text("="), "efo", None, 1, 6, id="double-neg-eq"
+            double_neg_mate_text("="), "efo", None, 1, 1, id="double-neg-eq"
         ),
         # the closing-first split comes before the witness rule fires; its
-        # first alternative concludes f != g (f c != g c), its second does
-        # not, so f != g is dead below the first alternative only
+        # first alternative, which concludes f != g (f c != g c), closes at
+        # once against q c, and the witness fires below its second
         pytest.param(
             "(sort a)(var f (> a a))(var g (> a a))(var c a)(var q (> a o))"
-            "(assume (= f g))(assume (neq f g))(assume (q c))"
+            "(assume (= g f))(assume (neq f g))(assume (q c))"
             "(assume (= (neq (f c) (g c)) (not (q c))))",
             "stt",
             200,
             1,
-            14,
-            id="witness-concluded-in-one-alternative",
+            8,
+            id="split-before-witness",
         ),
     ],
 )
@@ -1009,14 +1014,14 @@ def test_search_instance_is_the_reference_first_on_funeq_sat_to_the_budget(
         # y != w meets x = z through the side pair (x, y) that x = y shut
         # before it came: the two share no side
         pytest.param(
-            "(assume (= x z))(assume (= x y))(assume (neq y w))", 4, id="old-shut-pair"
+            "(assume (= x z))(assume (= x y))(assume (neq y w))", 2, id="old-shut-pair"
         ),
         # x = y comes below the imp and shuts (x, y) between x = z and
         # y != w, which were on the branch before it
         pytest.param(
             "(var p o)(assume (= x z))(assume (neq y w))(assume p)"
             "(assume (imp p (= x y)))",
-            5,
+            3,
             id="new-shut-pair",
         ),
     ],
@@ -1032,6 +1037,25 @@ def test_search_instance_is_the_reference_first_through_shut_side_pairs(
     v = refute(root, SearchConfig(calculus="efo", timeout=None))
     assert isinstance(v, Satisfiable)
     assert len(visited) == visits
+
+
+def test_side_pairs_are_the_sides_of_the_disequation_among_the_complements():
+    # side_pairs reads s itself rather than building its complements again;
+    # it must name the sides of the disequation complements(s) holds
+    from hotab.kernel import as_diseq
+    from hotab.selection import side_pairs
+
+    x, y = ref(V("x", a)), ref(V("y", a))
+    forms = [eq(x, y), diseq(x, y), neg(neg(eq(x, y))), neg(neg(diseq(x, y)))]
+    for seed in range(200):
+        s = normalize(Gen(seed).formula(2))
+        forms += [s, neg(s), neg(neg(s))]
+    shut = 0
+    for s in forms:
+        want = next((d[1:] for d in map(as_diseq, complements(s)) if d), None)
+        assert side_pairs(s) == want, s
+        shut += want is not None
+    assert shut >= 20
 
 
 def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
@@ -1199,9 +1223,7 @@ def test_backjumping_keeps_the_disequation_a_discriminating_instance_needs():
         "forall-inst",
         "mate",
         "forall-inst",
-        "mate",
-        "decompose",
-        "decompose",
+        "close-compl",
     ]
 
 
@@ -1284,7 +1306,7 @@ def test_search_applies_the_reference_choice_on_random_branches(monkeypatch):
     forced: list = []
     visited = _check_every_node(monkeypatch, forced)
     seen = Counter()
-    for seed in range(40):
+    for seed in range(80):
         g = Gen(seed + 25000)
         efo_forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(3)]
         efo_unsat = efo_forms[1:] + [normalize(neg(efo_forms[0])), efo_forms[0]]
