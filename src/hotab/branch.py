@@ -11,10 +11,10 @@ of when `len(trail)` was mark.  `selection.Agenda` records on the same
 trail.  `copy` gives a branch with an empty trail, so that search and
 replay never change a caller's branch.
 
-The discriminating terms of a type (the sides of its disequations) are
-memoized per type and number of disequations, each entry on the trail:
-search's candidate terms and the checker's quantifier restriction both
-read them.
+The discriminating terms of each type (the sides of its disequations) are
+kept as they arrive, like the free names: `sides` maps each to the first
+disequation it is a side of.  Search's candidate terms, `support` and the
+checker's quantifier restriction all read them.
 """
 
 from __future__ import annotations
@@ -142,6 +142,9 @@ def classify(s: Term) -> FormulaInfo:
     return FormulaInfo(FormulaKind.OTHER)
 
 
+_DISEQ_KINDS = (FormulaKind.BOOL_DISEQ, FormulaKind.SORT_DISEQ, FormulaKind.FUN_DISEQ)
+
+
 def _diseq_kind(at: Type) -> FormulaKind:
     k = FormulaKind
     return k.BOOL_DISEQ if at == o else k.SORT_DISEQ if is_sort(at) else k.FUN_DISEQ
@@ -156,7 +159,7 @@ class Branch:
         "_by_kind",
         "free_names",
         "closing_witness",
-        "_sides",
+        "sides",
         "trail",
     )
 
@@ -166,18 +169,18 @@ class Branch:
         self._by_kind: dict[FormulaKind, list[Term]] = {}
         self.free_names: dict[Name, Term] = {}  # to the first member with it
         self.closing_witness: tuple | None = None
-        self._sides: dict[tuple, tuple] = {}  # discriminating_terms' memo
+        self.sides: dict[Type, dict[Term, Term]] = {}  # to the first diseq
         self.trail: list = []  # undo steps, newest last
 
     def copy(self) -> "Branch":
-        """A branch with the same members and memos, and an empty trail."""
+        """A branch with the same members and indexes, and an empty trail."""
         b = Branch()
         b.formulas = self.formulas.copy()
         b._info = self._info.copy()
         b._by_kind = {kind: ms.copy() for kind, ms in self._by_kind.items()}
         b.free_names = self.free_names.copy()
         b.closing_witness = self.closing_witness
-        b._sides = self._sides.copy()
+        b.sides = {ty: ts.copy() for ty, ts in self.sides.items()}
         return b
 
     # -- queries --
@@ -207,6 +210,10 @@ class Branch:
         """The disequations at a type (a sort, o or a function type), in order."""
         ds = self._by_kind.get(_diseq_kind(at), ())
         return tuple(d for d in ds if self._info[d].ty == at)
+
+    def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
+        """Sides of the disequations at the given type, deduplicated, in order."""
+        return tuple(self.sides.get(at, ()))
 
     @property
     def is_closed(self) -> bool:
@@ -239,6 +246,12 @@ class Branch:
             if n not in self.free_names:
                 self.free_names[n] = s
                 trail.append(self.free_names.popitem)
+        if info.kind in _DISEQ_KINDS:
+            sides = self.sides.setdefault(info.ty, {})
+            for t in (info.lhs, info.rhs):
+                if t not in sides:
+                    sides[t] = s
+                    trail.append(sides.popitem)
 
     def undo(self, mark: int) -> None:
         """Undo every change recorded on the trail after position mark."""
@@ -260,20 +273,6 @@ class Branch:
         ):
             return ("refl", s)
         return None
-
-    # -- discriminating terms --
-
-    def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
-        """Sides of the disequations at the given type, deduplicated;
-        memoized on the trail per count of disequations of at's kind."""
-        key = (at, len(self._by_kind.get(_diseq_kind(at), ())))
-        out = self._sides.get(key)
-        if out is None:
-            infos = [self._info[d] for d in self.disequations(at)]
-            out = tuple(dict.fromkeys(t for i in infos for t in (i.lhs, i.rhs)))
-            self._sides[key] = out
-            self.trail.append(self._sides.popitem)
-        return out
 
 
 def branch_of(*formulas: Term) -> Branch:

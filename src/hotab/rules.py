@@ -571,7 +571,7 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
     """
     if efo_violation(u) is not None:
         return False
-    discs = branch.discriminating_terms(info.sort)
+    discs = branch.sides.get(info.sort)
     if discs:
         return u in discs
     if concluded(branch, RuleId.FORALL_INST, info) or not is_var_ref(u):

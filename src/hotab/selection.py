@@ -20,7 +20,8 @@ names witnesses.  `instances` reads a fresh agenda over a copy of a branch,
 and `applicable_efo` and `applicable_stt` list its instances behind `gate`,
 which holds members to a calculus (its language test, and some rule for
 each).  `support` names the members an instance needs to keep passing
-`rules.check_instance` on a smaller branch, which backjumping rests on.
+`rules.check_instance` on a smaller branch, read off the branch's `sides`
+and `free_names`; backjumping rests on it.
 `is_evident` reads the rule table backwards: the model-existence conditions.
 """
 
@@ -316,11 +317,9 @@ def support(branch: Branch, r: RuleInstance) -> tuple[Term, ...]:
     if r.rule is not RuleId.FORALL_INST:
         return r.premises
     u = r.inst
-    for d in branch.disequations(u.ty):
-        info = branch.info(d)
-        if u == info.lhs or u == info.rhs:
-            return r.premises + (d,)
-    first = branch.free_names.get(u.name) if is_var_ref(u) else None
+    first = branch.sides.get(u.ty, {}).get(u)
+    if first is None and is_var_ref(u):
+        first = branch.free_names.get(u.name)
     return r.premises if first is None else r.premises + (first,)
 
 
@@ -383,16 +382,18 @@ class Agenda:
     uses: per member kind, the calculus's (rule, row, premise position)
     triples that take it, in table order.  queues: per priority, in search
     order, the keys the rows' shapes accept and the (rule, (premise,), n)
-    entries the walk expands.  dead: the keys of unproductive instances.
-    ordered: sorted (search order, key, row, closers) entries with one open
-    alternative at most (a closed one stays so), one per key, less those
-    `pick` found dead.  waiting: per closer, the entries with two open or more.
+    entries the walk expands (n: a `confront` premise's position).  dead:
+    the keys of unproductive instances.  ordered: sorted (search order, key,
+    row, closers) entries with one open alternative at most (a closed one
+    stays so), one per key, less those `pick` found dead.  waiting: per
+    closer, the entries with two open or more.
 
     A `confront` pair closes once a side pair (x, y) is shut (x == y, or
-    x != y closes at once: `side_pairs`); only such are tested, through an
-    index of the sorts with an equation and a disequation (`active`):
-    `sides` has (member, position) pairs per (kind, side) and (kind, lhs,
-    rhs), `shut` per (kind, side) the other sides of its shut pairs.
+    x != y closes at once: `side_pairs`); only such are tested.  at_sort
+    has the (member, position) pairs of each sort equation and disequation
+    per (kind, sort); a sort with members of both kinds is indexed by side
+    too: `sides` has them per (kind, side) and (kind, lhs, rhs), and `shut`
+    per (kind, side) the other sides of its shut pairs.
     """
 
     def __init__(self, calculus: Calculus):
@@ -405,7 +406,7 @@ class Agenda:
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.ordered: list = []
         self.waiting: dict = {}
-        self.active, self.sides, self.shut = {}, {}, {}  # confront's index
+        self.at_sort, self.sides, self.shut = {}, {}, {}  # confront's index
 
     @staticmethod
     def _push(branch: Branch, index: dict, key, value) -> None:
@@ -419,10 +420,10 @@ class Agenda:
         with each earlier member of the other premise's kind.  Its search
         order is priority, position of the last premise, rank of the other
         among the members of its kind.  A "term", witness or `confront`
-        premise is queued alone, the last with its number of earlier members
-        of the other kind.  A key with two closers or more is tested: a rule
-        with sides gives its side pairs, the others the `closers` of the
-        instance read from the table, and `confront` the side index (`_meet`)."""
+        premise is queued alone, the last with its position.  A key with two
+        closers or more is tested: a rule with sides gives its side pairs,
+        the others the `closers` of the instance read from the table, and
+        `confront` the side index (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
@@ -442,8 +443,7 @@ class Agenda:
                 self._meet(branch, s, i, info, pairs)
             for rule, row, at in self.uses.get(info.kind, ()):
                 if row.inst is not None or row is _CONFRONT:  # the walk expands it
-                    others = () if row.inst else branch.members(_OTHER[info.kind])
-                    n = None if row.inst else sum(p not in later for p in others)
+                    n = None if row.inst else i
                     self._push(branch, self.queues, row.priority, (rule, (s,), n))
                     continue
                 keys = [((row.priority, i, 0), (rule, (s,), None))]
@@ -477,17 +477,16 @@ class Agenda:
                     self._test(branch, entry, False)
 
     def _meet(self, branch: Branch, s: Term, i: int, info, pairs: dict) -> None:
-        """Index s, at position i, and pair it with the members one shut pair
-        away.  A sort is indexed from the node it first has an equation and a
-        disequation on, which reads its earlier members in."""
-        new = [(s, i)]
-        if not self.active.get(info.ty):
-            others = branch.members(_OTHER[info.kind])
-            if all(branch.info(p).ty is not info.ty for p in others):
-                return  # nothing to pair with yet
-            self._push(branch, self.active, info.ty, True)
-            ps = enumerate(itertools.islice(branch.formulas, i))
-            new += [(p, at) for at, p in ps if branch.info(p).ty is info.ty]
+        """Index s, at position i, under its sort, and by side once the sort
+        has an equation and a disequation; pair it with the members one shut
+        pair away.  The first member of its kind at a sort that has the other
+        kind reads that kind's members in."""
+        own = self.at_sort.get((info.kind, info.ty))
+        others = self.at_sort.get((_OTHER[info.kind], info.ty))
+        self._push(branch, self.at_sort, (info.kind, info.ty), (s, i))
+        if not others:
+            return  # nothing to pair with yet
+        new = [(s, i)] if own else [(s, i), *others]
         for m in new:  # the earlier ones are all of one kind: no pairs
             q = branch.info(m[0])
             keys = ((q.kind, q.lhs), (q.kind, q.rhs), (_DQ, q.lhs, q.rhs))
@@ -549,13 +548,12 @@ class Agenda:
                     keys = ((rule, ps, u) for u in us)
                 elif n is None:
                     keys = (entry,)
-                else:  # confront: the n earlier members of the other kind
+                else:  # confront: the other kind at its sort, below position n
                     info = branch.info(ps[0])
-                    others = branch.members(_OTHER[info.kind])[:n]
+                    others = self.at_sort.get((_OTHER[info.kind], info.ty), ())
                     keys = (
                         (rule, ps + (p,) if info.kind is _EQ else (p,) + ps, None)
-                        for p in others
-                        if branch.info(p).ty is info.ty
+                        for p, at in itertools.takewhile(lambda m: m[1] < n, others)
                     )
                 for key in keys:
                     if key in dead:

@@ -1,6 +1,7 @@
 """Shared test machinery: a naive named-term oracle, seeded random
-generators, problem texts, the acceptance corpus, and a member walk that
-lists a branch's instances, the reference for search's instance index.
+generators, problem texts, the acceptance corpus, and member walks that
+list a branch's instances and an instance's support, the references for
+search's instance index and for `selection.support`.
 
 The named representation here is deliberately primitive (nested tuples with
 string binders, alpha-equivalence by parallel binder stacks) so it can serve
@@ -25,8 +26,10 @@ from hotab.kernel import (
     diseq,
     eq,
     forall,
+    free_vars_ordered,
     fun,
     imp,
+    is_var_ref,
     lam,
     neg,
     o,
@@ -35,7 +38,7 @@ from hotab.kernel import (
     spine,
 )
 from hotab.normalize import normalize
-from hotab.rules import RULES, concluded, inst_type, instance_of
+from hotab.rules import RULES, RuleId, concluded, inst_type, instance_of
 from hotab.selection import CANDIDATES, fresh_var
 
 
@@ -429,6 +432,22 @@ def reference_instances(calculus, branch, fuel: int = 3, reserved=()) -> list:
             if info.kind in earlier:
                 earlier[info.kind].append(s)
     return out
+
+
+def reference_support(branch, r) -> tuple:
+    """`selection.support` by a scan of the branch: the premises, and for
+    forall-inst the first disequation at the term's type with the term as
+    a side, else, for a variable, the first member it is free in."""
+    if r.rule is not RuleId.FORALL_INST:
+        return r.premises
+    u = r.inst
+    for d in branch.disequations(u.ty):
+        if u in (branch.info(d).lhs, branch.info(d).rhs):
+            return r.premises + (d,)
+    for s in branch.formulas if is_var_ref(u) else ():
+        if u.name in free_vars_ordered(s):
+            return r.premises + (s,)
+    return r.premises
 
 
 # ---------------------------------------------------------------------------

@@ -101,17 +101,19 @@ def test_add_is_in_place_and_a_noop_records_nothing():
 
 
 def _state(br: Branch) -> tuple:
+    # undo may leave a type's sides empty, as it leaves a kind's members
     return (
         list(br),
         [br.members(kind) for kind in FormulaKind],
-        list(br.free_names),
+        list(br.free_names.items()),
         br.closing_witness,
+        {ty: list(ts.items()) for ty, ts in br.sides.items() if ts},
     )
 
 
 def test_undo_restores_the_branch_of_the_prefix():
-    # random add/undo walks, with the memoized discriminant queries asked
-    # between steps; after every step the branch answers as a fresh
+    # random add/undo walks, with the discriminant queries asked between
+    # steps; after every step the branch (its sides too) answers as a fresh
     # branch_of its members would
     walks = 0
     for seed in range(40):
@@ -182,7 +184,14 @@ def test_disequations_and_their_sides_at_every_type():
     assert b1.discriminating_terms(fun(a, a)) == (ref(f), ref(h))
     assert b1.discriminating_terms(fun(a, o)) == (ref(g), ref(k))
     assert b1.discriminating_terms(fun(a, b)) == ()
-    assert b1.discriminating_terms(o) is b1.discriminating_terms(o)  # memoized
+    # each side to the first disequation it is a side of, as they arrived
+    assert b1.sides == {
+        o: {ref(p): pq, ref(q): pq},
+        fun(a, a): {ref(f): fh, ref(h): fh},
+        a: {ref(x): xy, ref(y): xy},
+        fun(a, o): {ref(g): gk, ref(k): gk},
+    }
+    assert list(b1.sides) == [o, fun(a, a), a, fun(a, o)]
     assert set(discriminants(b1, o)) == {frozenset([ref(p)]), frozenset([ref(q)])}
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from hotab import rules
-from hotab.branch import Branch, branch_of, classify
+from hotab.branch import Branch, FormulaKind, branch_of, classify
 from hotab.fragments import FragmentViolation
 from hotab.kernel import (
     NOT,
@@ -50,12 +50,13 @@ from hotab.selection import (
     applicable_efo,
     applicable_stt,
     closing_instance,
+    fresh_var,
     instantiation_candidates,
     support,
 )
 from hotab.semantics import enumerate_models, sorts_in, variables_in
 
-from helpers import Gen, subterms
+from helpers import Gen, reference_support, subterms
 from test_outputs import problems as pinned_problems
 
 a = sort("a")
@@ -1034,6 +1035,30 @@ def test_support_keeps_every_instance_checkable():
                 assert check_instance(branch_of(*support(br, r)), r), (seed, r)
                 seen[r.rule] += 1
     assert sum(seen.values()) >= 5000 and seen[RuleId.FORALL_INST] >= 1000, seen
+
+
+def test_support_names_what_the_member_scan_names():
+    # support looks a forall-inst term up in the branch's sides, then in its
+    # free names; for every quantifier on random branches and every term at
+    # its sort (each side, each free variable, a fresh one) it must name
+    # what the scan over disequations and members names (reference_support)
+    seen = Counter()
+    for seed in range(300):
+        g = Gen(seed + 29000)
+        forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(4)]
+        us = [ref(g.var(a)) for _ in range(3)]
+        forms += [diseq(u, v) for u, v in itertools.combinations(us, 2)][: seed % 4]
+        br = branch_of(*forms)
+        for s in br.members(FormulaKind.FORALL):
+            at = br.info(s).sort
+            terms = [*br.discriminating_terms(at), *map(ref, br.vars_of_type(at))]
+            for u in dict.fromkeys([*terms, ref(fresh_var(at, br.free_names))]):
+                r = rules.instance_of(RuleId.FORALL_INST, (s,), u)
+                want = reference_support(br, r)
+                assert support(br, r) == want, (seed, r)
+                side = u in br.discriminating_terms(at)
+                seen["side" if side else "free" if len(want) > 1 else "none"] += 1
+    assert min(seen["side"], seen["free"], seen["none"]) >= 100, seen
 
 
 # ---------------------------------------------------------------------------

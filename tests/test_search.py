@@ -1060,35 +1060,37 @@ def test_side_pairs_are_the_sides_of_the_disequation_among_the_complements():
 
 def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     # confront's side index records nothing for a sort with disequations
-    # alone; the first equation brings in the earlier disequations, and
-    # undoing the branch takes the index back with it
+    # alone, only the sort's list of them; the first equation brings in the
+    # earlier disequations, and undoing the branch takes the index back
     from hotab.problems import parse
     from hotab.selection import Agenda
 
     br = parse(clique_text(4)).branch()
     agenda = Agenda(CALCULI["efo"])
     agenda.add(br, tuple(br))
-    assert not any(agenda.active.values()) and not any(agenda.sides.values())
+    diseqs = br.members(FormulaKind.SORT_DISEQ)
+    by_sort = {key: [m for m, _ in ms] for key, ms in agenda.at_sort.items()}
+    assert by_sort == {(FormulaKind.SORT_DISEQ, sort("a")): list(diseqs)}
+    assert not any(agenda.sides.values())
     mark = len(br.trail)
     c0, c1 = (ref(Name(f"c{i}", sort("a"))) for i in (0, 1))
     br.add(eq(c0, c1))
     agenda.add(br, (eq(c0, c1),))
-    assert [ty for ty, on in agenda.active.items() if on] == [sort("a")]
+    assert agenda.at_sort[FormulaKind.SORT_EQ, sort("a")] == [(eq(c0, c1), len(diseqs))]
     assert len(agenda.sides[FormulaKind.SORT_DISEQ, c0]) == 3
     # every disequation but c2 != c3 shares a side with c0 = c1
-    diseqs = br.members(FormulaKind.SORT_DISEQ)
     assert [key for _, key, _, _ in agenda.ordered] == [
         (RuleId.CONFRONT, (eq(c0, c1), d), None) for d in diseqs[:-1]
     ]
     br.undo(mark)
-    assert not any(agenda.active.values()) and not any(agenda.sides.values())
-    assert not agenda.ordered
+    assert not any(agenda.sides.values()) and not agenda.ordered
+    assert not agenda.at_sort[FormulaKind.SORT_EQ, sort("a")]
 
 
 def test_undoing_the_branch_cuts_the_agenda_queues_back():
     # a new member's keys join its rule's priority queue, in search order:
     # a mate key the row's shape accepts, a confront premise with its
-    # number of earlier members of the other kind; the shape rejects
+    # position on the branch; the shape rejects
     # decompose on c != d.  Undoing the branch takes them out again
     from hotab.problems import parse
     from hotab.selection import Agenda
@@ -1101,7 +1103,7 @@ def test_undoing_the_branch_cuts_the_agenda_queues_back():
     agenda.add(br, tuple(br))
     queue = {r: agenda.queues[RULES[r].priority] for r in CALCULI["efo"].rules}
     before = {p: list(q) for p, q in agenda.queues.items()}
-    assert queue[RuleId.CONFRONT] == [(RuleId.CONFRONT, (cd,), 0)]
+    assert queue[RuleId.CONFRONT] == [(RuleId.CONFRONT, (cd,), 1)]
     assert not queue[RuleId.MATE] and not queue[RuleId.DECOMPOSE]
     mark = len(br.trail)
     c, d = (ref(Name(n, sort("a"))) for n in "cd")
@@ -1110,7 +1112,7 @@ def test_undoing_the_branch_cuts_the_agenda_queues_back():
         br.add(s)
     agenda.add(br, new)
     assert queue[RuleId.MATE] == [(RuleId.MATE, (pc, new[0]), None)]
-    assert queue[RuleId.CONFRONT][1:] == [(RuleId.CONFRONT, (new[1],), 1)]
+    assert queue[RuleId.CONFRONT][1:] == [(RuleId.CONFRONT, (new[1],), 3)]
     # the mate only adds c != d, which is on the branch: the walk finds it dead
     assert [r.rule for r in agenda.instances(br)] == [RuleId.CONFRONT]
     assert list(agenda.dead) == [queue[RuleId.MATE][0]]
@@ -1300,6 +1302,12 @@ def test_closing_first_refutes_chains_within_budgets(n, budget):
     assert check_proof(problem.branch(), replayed, "efo")
 
 
+def _unsat(f0, f1, f2) -> list:
+    """f0, f0 -> f1, not f1, f2: unsatisfiable, and no member sits beside
+    its negation, so a refutation takes a rule application first."""
+    return [f0, normalize(imp(f0, f1)), normalize(neg(f1)), f2]
+
+
 def test_search_applies_the_reference_choice_on_random_branches(monkeypatch):
     # the per-node check on random efo and stt branches (budgets keep the
     # few slow stt branches short)
@@ -1309,7 +1317,7 @@ def test_search_applies_the_reference_choice_on_random_branches(monkeypatch):
     for seed in range(80):
         g = Gen(seed + 25000)
         efo_forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(3)]
-        efo_unsat = efo_forms[1:] + [normalize(neg(efo_forms[0])), efo_forms[0]]
+        efo_unsat = _unsat(*efo_forms)
         g = Gen(seed + 26000)
         stt_forms = [normalize(g.formula(2)) for _ in range(3)]
         runs = [("efo", efo_forms, 3), ("efo", efo_unsat, 3)]
@@ -1323,9 +1331,12 @@ def test_search_applies_the_reference_choice_on_random_branches(monkeypatch):
             except FragmentViolation:
                 continue
             seen[calculus, type(v).__name__] += 1
+            if isinstance(v, Refuted) and v.proof.size() > 1:
+                seen[calculus, "past the root"] += 1  # read some search choice
     for calculus in ("efo", "stt"):
         assert seen[calculus, "Refuted"] >= 10, seen
         assert seen[calculus, "Satisfiable"] >= 10, seen
+    assert seen["efo", "past the root"] >= 10, seen
     assert len(visited) >= 500 and len(forced) >= 30
 
 
@@ -1336,8 +1347,7 @@ def test_backjumping_verdicts_certify_on_random_branches():
     for seed in range(60):
         g = Gen(seed + 23000)
         efo_forms = [normalize(g.efo_formula(2, quasi=True)) for _ in range(3)]
-        # the same with the first formula's negation, which must close
-        efo_unsat = efo_forms[1:] + [normalize(neg(efo_forms[0])), efo_forms[0]]
+        efo_unsat = _unsat(*efo_forms)
         g = Gen(seed + 24000)
         stt_forms = [normalize(g.formula(2)) for _ in range(3)]
         runs = [("efo", efo_forms, 3), ("efo", efo_unsat, 3)]
@@ -1358,9 +1368,12 @@ def test_backjumping_verdicts_certify_on_random_branches():
                 assert rep.evident, (where, rep.describe())
                 assert check_model(v.model, forms), where
             seen[calculus, type(v).__name__] += 1
+            if isinstance(v, Refuted) and v.proof.size() > 1:
+                seen[calculus, "past the root"] += 1  # read some search choice
     for calculus in ("efo", "stt"):
         assert seen[calculus, "Refuted"] >= 10, seen
         assert seen[calculus, "Satisfiable"] >= 10, seen
+    assert seen["efo", "past the root"] >= 10, seen
 
 
 # ---------------------------------------------------------------------------
