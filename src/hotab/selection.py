@@ -366,8 +366,9 @@ def closing_instance(
     return None
 
 
-#: The confront row, whose pairs `Agenda` meets through its side index.
-_CONFRONT = RULES[RuleId.CONFRONT]
+#: The confront row, whose pairs `Agenda` meets through its side index,
+#: and the mate row, whose pairs it reads from the members with one head.
+_CONFRONT, _MATE = RULES[RuleId.CONFRONT], RULES[RuleId.MATE]
 _EQ, _DQ = _CONFRONT.kinds
 _OTHER = {_EQ: _DQ, _DQ: _EQ}
 
@@ -388,12 +389,14 @@ class Agenda:
     stays so), one per key, less those `pick` found dead.  waiting: per
     closer, the entries with two open or more.
 
-    A `confront` pair closes once a side pair (x, y) is shut (x == y, or
-    x != y closes at once: `side_pairs`); only such are tested.  at_sort
-    has the (member, position) pairs of each sort equation and disequation
-    per (kind, sort); a sort with members of both kinds is indexed by side
-    too: `sides` has them per (kind, side) and (kind, lhs, rhs), and `shut`
-    per (kind, side) the other sides of its shut pairs.
+    groups: the (member, position) pairs of each pair-rule premise, per
+    (kind, sort) for sort equations and disequations and per (kind, head)
+    for atoms; a pair is read from the other kind's group.  A `confront`
+    pair closes once a side pair (x, y) is shut (x == y, or x != y closes
+    at once: `side_pairs`); only such are tested.  A sort with members of
+    both kinds is indexed by side too: `by_side` has them per (kind, side)
+    and (kind, lhs, rhs), and `shut` per (kind, side) the other sides of
+    its shut pairs.
     """
 
     def __init__(self, calculus: Calculus):
@@ -406,7 +409,7 @@ class Agenda:
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.ordered: list = []
         self.waiting: dict = {}
-        self.at_sort, self.sides, self.shut = {}, {}, {}  # confront's index
+        self.groups, self.by_side, self.shut = {}, {}, {}  # the pair rules'
 
     @staticmethod
     def _push(branch: Branch, index: dict, key, value) -> None:
@@ -416,14 +419,14 @@ class Agenda:
 
     def add(self, branch: Branch, added: tuple[Term, ...]) -> None:
         """Index what added, the branch's newest members, complete, close or
-        are.  A key is built once, by its last premise; a pair rule pairs it
-        with each earlier member of the other premise's kind.  Its search
-        order is priority, position of the last premise, rank of the other
-        among the members of its kind.  A "term", witness or `confront`
-        premise is queued alone, the last with its position.  A key with two
-        closers or more is tested: a rule with sides gives its side pairs,
-        the others the `closers` of the instance read from the table, and
-        `confront` the side index (`_meet`)."""
+        are.  A key is built once, by its last premise; `mate` pairs it with
+        each earlier atom of the other kind in its head's group.  Its search
+        order is priority, position of the last premise, position of the
+        other.  A "term", witness or `confront` premise is queued alone, the
+        last with its position.  A key with two closers or more is tested: a
+        rule with sides gives its side pairs, the others the `closers` of the
+        instance read from the table, and `confront` the side index
+        (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
@@ -431,28 +434,27 @@ class Agenda:
             if closes:
                 joined.append(closes)
                 x, y = closes  # pair the members it shuts, then index it
-                es, ds = self.sides.get((_EQ, x), ()), self.sides.get((_DQ, y), ())
+                es, ds = self.by_side.get((_EQ, x), ()), self.by_side.get((_DQ, y), ())
                 pairs.update(dict.fromkeys(itertools.product(es, ds)))
                 self._push(branch, self.shut, (_EQ, x), y)
                 self._push(branch, self.shut, (_DQ, y), x)
-        later = set(added)
         for i, s in enumerate(added, len(branch) - len(added)):
-            later.discard(s)
             info = branch.info(s)
             if info.kind in _OTHER:
                 self._meet(branch, s, i, info, pairs)
+            elif info.kind in _MATE.kinds:
+                self._push(branch, self.groups, (info.kind, info.head), (s, i))
             for rule, row, at in self.uses.get(info.kind, ()):
                 if row.inst is not None or row is _CONFRONT:  # the walk expands it
                     n = None if row.inst else i
                     self._push(branch, self.queues, row.priority, (rule, (s,), n))
                     continue
                 keys = [((row.priority, i, 0), (rule, (s,), None))]
-                if len(row.kinds) == 2:
-                    others = enumerate(branch.members(row.kinds[1 - at]))
+                if row is _MATE:  # the earlier atoms of the other kind, same head
+                    others = self.groups.get((row.kinds[1 - at], info.head), ())
                     keys = [
                         ((row.priority, i, j), (rule, pair, None))
-                        for j, p in others
-                        if p not in later
+                        for p, j in others
                         for pair in [(p, s) if at else (s, p)]
                     ]
                 for order, key in keys:
@@ -465,7 +467,7 @@ class Agenda:
                     closers = sides(*infos) if sides else instance_of(*key).closers
                     if len(closers) >= 2:
                         self._test(branch, (order, key, row, closers), True)
-        for e, d in pairs:  # a position orders like the rank in its kind
+        for e, d in pairs:  # ordered by positions, as mate keys are
             key = (RuleId.CONFRONT, (e[0], d[0]), None)
             order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
             if not self._known(order, key):
@@ -481,20 +483,20 @@ class Agenda:
         has an equation and a disequation; pair it with the members one shut
         pair away.  The first member of its kind at a sort that has the other
         kind reads that kind's members in."""
-        own = self.at_sort.get((info.kind, info.ty))
-        others = self.at_sort.get((_OTHER[info.kind], info.ty))
-        self._push(branch, self.at_sort, (info.kind, info.ty), (s, i))
+        first = not self.groups.get((info.kind, info.ty))  # undo leaves []
+        others = self.groups.get((_OTHER[info.kind], info.ty))
+        self._push(branch, self.groups, (info.kind, info.ty), (s, i))
         if not others:
             return  # nothing to pair with yet
-        new = [(s, i)] if own else [(s, i), *others]
+        new = [(s, i), *others] if first else [(s, i)]
         for m in new:  # the earlier ones are all of one kind: no pairs
             q = branch.info(m[0])
             keys = ((q.kind, q.lhs), (q.kind, q.rhs), (_DQ, q.lhs, q.rhs))
             for key in keys[: 3 if q.kind is _DQ else 2]:
-                self._push(branch, self.sides, key, m)
+                self._push(branch, self.by_side, key, m)
         for z in (info.lhs, info.rhs):
             for w in (z, *self.shut.get((info.kind, z), ())):
-                for p in self.sides.get((_OTHER[info.kind], w), ()):
+                for p in self.by_side.get((_OTHER[info.kind], w), ()):
                     pairs[(new[0], p) if info.kind is _EQ else (p, new[0])] = None
 
     def _known(self, order: tuple, key: tuple) -> bool:  # dead, or in `ordered`
@@ -550,7 +552,7 @@ class Agenda:
                     keys = (entry,)
                 else:  # confront: the other kind at its sort, below position n
                     info = branch.info(ps[0])
-                    others = self.at_sort.get((_OTHER[info.kind], info.ty), ())
+                    others = self.groups.get((_OTHER[info.kind], info.ty), ())
                     keys = (
                         (rule, ps + (p,) if info.kind is _EQ else (p,) + ps, None)
                         for p, at in itertools.takewhile(lambda m: m[1] < n, others)
@@ -568,7 +570,7 @@ class Agenda:
     def pick(self, branch: Branch) -> RuleInstance | None:
         """The first productive closing instance in search order; the dead
         entries before it leave `ordered`.  Builds a `confront` one to return."""
-        ordered, dead, get = self.ordered, self.dead, self.sides.get
+        ordered, dead, get = self.ordered, self.dead, self.by_side.get
         while ordered:
             entry = _, key, row, closers = ordered[0]
             if key not in dead:

@@ -1060,8 +1060,10 @@ def test_side_pairs_are_the_sides_of_the_disequation_among_the_complements():
 
 def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     # confront's side index records nothing for a sort with disequations
-    # alone, only the sort's list of them; the first equation brings in the
-    # earlier disequations, and undoing the branch takes the index back
+    # alone, only the sort's group of them; the first equation brings in
+    # the earlier disequations, and undoing the branch takes the index
+    # back.  A sibling that adds the equation again (its group is empty but
+    # still keyed after the undo) brings them in again
     from hotab.problems import parse
     from hotab.selection import Agenda
 
@@ -1069,22 +1071,55 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     agenda = Agenda(CALCULI["efo"])
     agenda.add(br, tuple(br))
     diseqs = br.members(FormulaKind.SORT_DISEQ)
-    by_sort = {key: [m for m, _ in ms] for key, ms in agenda.at_sort.items()}
-    assert by_sort == {(FormulaKind.SORT_DISEQ, sort("a")): list(diseqs)}
-    assert not any(agenda.sides.values())
+    groups = {key: [m for m, _ in ms] for key, ms in agenda.groups.items()}
+    assert groups == {(FormulaKind.SORT_DISEQ, sort("a")): list(diseqs)}
+    assert not any(agenda.by_side.values())
     mark = len(br.trail)
     c0, c1 = (ref(Name(f"c{i}", sort("a"))) for i in (0, 1))
-    br.add(eq(c0, c1))
-    agenda.add(br, (eq(c0, c1),))
-    assert agenda.at_sort[FormulaKind.SORT_EQ, sort("a")] == [(eq(c0, c1), len(diseqs))]
-    assert len(agenda.sides[FormulaKind.SORT_DISEQ, c0]) == 3
     # every disequation but c2 != c3 shares a side with c0 = c1
-    assert [key for _, key, _, _ in agenda.ordered] == [
-        (RuleId.CONFRONT, (eq(c0, c1), d), None) for d in diseqs[:-1]
+    confronts = [(RuleId.CONFRONT, (eq(c0, c1), d), None) for d in diseqs[:-1]]
+    for _ in range(2):
+        br.add(eq(c0, c1))
+        agenda.add(br, (eq(c0, c1),))
+        eqs = agenda.groups[FormulaKind.SORT_EQ, sort("a")]
+        assert eqs == [(eq(c0, c1), len(diseqs))]
+        assert len(agenda.by_side[FormulaKind.SORT_DISEQ, c0]) == 3
+        assert [key for _, key, _, _ in agenda.ordered] == confronts
+        br.undo(mark)
+        assert not any(agenda.by_side.values()) and not agenda.ordered
+        assert not agenda.groups[FormulaKind.SORT_EQ, sort("a")]
+
+
+def test_the_agenda_pairs_an_atom_with_the_atoms_of_its_head():
+    # mate keys come from the group of the other kind under the atom's
+    # head, in the order of the members: the atoms of another head are
+    # never read, and undoing the branch empties the groups
+    from hotab.problems import parse
+    from hotab.selection import Agenda
+
+    br = parse(
+        "(sort a)(var p (> a o))(var q (> a o))(var c a)(var d a)"
+        "(assume (p c))(assume (q c))(assume (p d))"
+    ).branch()
+    pc, qc, pd = br.formulas
+    agenda = Agenda(CALCULI["efo"])
+    agenda.add(br, tuple(br))
+    mark = len(br.trail)
+    new = tuple(neg(s) for s in (qc, pd))
+    for s in new:
+        br.add(s)
+    agenda.add(br, new)
+    p, q = (Name(n, fun(sort("a"), o)) for n in "pq")
+    assert [m for m, _ in agenda.groups[FormulaKind.POS_ATOM, p]] == [pc, pd]
+    assert [m for m, _ in agenda.groups[FormulaKind.NEG_ATOM, q]] == [new[0]]
+    assert agenda.queues[RULES[RuleId.MATE].priority] == [
+        (RuleId.MATE, (qc, new[0]), None),
+        (RuleId.MATE, (pc, new[1]), None),
+        (RuleId.MATE, (pd, new[1]), None),
     ]
     br.undo(mark)
-    assert not any(agenda.sides.values()) and not agenda.ordered
-    assert not agenda.at_sort[FormulaKind.SORT_EQ, sort("a")]
+    assert not agenda.groups[FormulaKind.NEG_ATOM, p]
+    assert not agenda.queues[RULES[RuleId.MATE].priority]
 
 
 def test_undoing_the_branch_cuts_the_agenda_queues_back():
