@@ -2,19 +2,20 @@
 
 A branch stores its members in insertion order, a classification of each
 formula (what shape it has for rule application; its keys also answer
-membership and equality), the members of each kind in insertion order, the
-free variables in first-occurrence order, each with the first member it is
-free in, and the witness of closure proper (a variable with its negation,
-or x != x at a sort).  `add` extends the branch in place and puts one undo
-step on `trail` per container it changes; `undo(mark)` restores the state
-of when `len(trail)` was mark.  `selection.Agenda` records on the same
-trail.  `copy` gives a branch with an empty trail, so that search and
-replay never change a caller's branch.
+membership and equality), the members of each kind, the free variables in
+first-occurrence order, each with the first member it is free in, and the
+witness of closure proper (a variable with its negation, or x != x at a
+sort).  `add` extends the branch in place and puts one undo step on
+`trail` per container it changes; `undo(mark)` restores the state of when
+`len(trail)` was mark.  `selection.Agenda` records on the same trail.
+`copy` gives a branch with an empty trail, so that search and replay never
+change a caller's branch.
 
-The discriminating terms of each type (the sides of its disequations) are
-kept as they arrive, like the free names: `sides` maps each to the first
-disequation it is a side of.  Search's candidate terms, `support` and the
-checker's quantifier restriction all read them.
+Two indexes also grow as members arrive.  `group` lists the (dis)equations
+of a kind at a type and the atoms of a kind with a head, with positions,
+for the pair rules, evidence and extraction.  `sides` maps each side of a
+disequation at a type (a discriminating term: candidate terms, `support`
+and the quantifier restriction read them) to its first disequation.
 """
 
 from __future__ import annotations
@@ -94,12 +95,7 @@ def classify(s: Term) -> FormulaInfo:
             if is_sort(ty):
                 lh, largs = spine(l)
                 rh, rargs = spine(r)
-                if (
-                    type(lh) is Ref
-                    and lh.name.is_var
-                    and type(rh) is Ref
-                    and lh.name == rh.name
-                ):
+                if type(lh) is Ref and lh.name.is_var and lh == rh:
                     return FormulaInfo(
                         FormulaKind.SORT_DISEQ,
                         ty=ty,
@@ -143,11 +139,10 @@ def classify(s: Term) -> FormulaInfo:
 
 
 _DISEQ_KINDS = (FormulaKind.BOOL_DISEQ, FormulaKind.SORT_DISEQ, FormulaKind.FUN_DISEQ)
-
-
-def _diseq_kind(at: Type) -> FormulaKind:
-    k = FormulaKind
-    return k.BOOL_DISEQ if at == o else k.SORT_DISEQ if is_sort(at) else k.FUN_DISEQ
+#: The kinds a branch also groups: (dis)equations by type, atoms by head.
+_GROUPED = frozenset(
+    (*_DISEQ_KINDS, FormulaKind.SORT_EQ, FormulaKind.POS_ATOM, FormulaKind.NEG_ATOM)
+)
 
 
 class Branch:
@@ -166,7 +161,7 @@ class Branch:
     def __init__(self):
         self.formulas: list[Term] = []
         self._info: dict[Term, FormulaInfo] = {}
-        self._by_kind: dict[FormulaKind, list[Term]] = {}
+        self._by_kind: dict = {}  # kind: members; (kind, type or head): groups
         self.free_names: dict[Name, Term] = {}  # to the first member with it
         self.closing_witness: tuple | None = None
         self.sides: dict[Type, dict[Term, Term]] = {}  # to the first diseq
@@ -206,10 +201,13 @@ class Branch:
     def members(self, kind: FormulaKind) -> tuple[Term, ...]:
         return tuple(self._by_kind.get(kind, ()))
 
+    def group(self, kind: FormulaKind, at: Type | Name) -> list[tuple[Term, int]]:
+        """The (member, position) pairs of a kind at a type or head, in order."""
+        return self._by_kind.get((kind, at), ())
+
     def disequations(self, at: Type) -> tuple[Term, ...]:
         """The disequations at a type (a sort, o or a function type), in order."""
-        ds = self._by_kind.get(_diseq_kind(at), ())
-        return tuple(d for d in ds if self._info[d].ty == at)
+        return tuple(d for k in _DISEQ_KINDS for d, _ in self.group(k, at))
 
     def discriminating_terms(self, at: Type) -> tuple[Term, ...]:
         """Sides of the disequations at the given type, deduplicated, in order."""
@@ -242,6 +240,10 @@ class Branch:
         kind = self._by_kind.setdefault(info.kind, [])
         kind.append(s)
         trail += (self.formulas.pop, self._info.popitem, kind.pop)
+        if info.kind in _GROUPED:  # an atom has a head and no type
+            group = self._by_kind.setdefault((info.kind, info.ty or info.head), [])
+            group.append((s, len(self.formulas) - 1))
+            trail.append(group.pop)
         for n in free_vars_ordered(s):
             if n not in self.free_names:
                 self.free_names[n] = s
@@ -266,11 +268,8 @@ class Branch:
             x = Ref(info.head)
             if x in self._info:
                 return ("compl", x, s)
-        if (
-            info.kind is FormulaKind.SORT_DISEQ
-            and info.lhs == info.rhs
-            and is_var_ref(info.lhs)
-        ):
+        refl = info.kind is FormulaKind.SORT_DISEQ and info.lhs == info.rhs
+        if refl and is_var_ref(info.lhs):
             return ("refl", s)
         return None
 

@@ -7,10 +7,12 @@ fault here can cost a verdict but cannot make a wrong one.
 `Agenda` is search's one index of instance keys, scoped to the path by the
 branch's trail: it builds each key of a row of the calculus table
 `rules.CALCULI` once, when its last premise arrives, and queues it in
-search order.  Its walk (`Agenda.instances`) yields the productive
-instances lazily and skips the dead ones; `pick` reads what closes at once
-(`rules.complements`, `RuleInstance.closers`) for the keys with two
-alternatives or more, closing first.  Nothing here builds an instance:
+search order; a pair rule reads a premise's partners from the branch's
+groups (`Branch.group`), as `is_evident` does.  Its walk
+(`Agenda.instances`) yields the productive instances lazily and skips the
+dead ones; `pick` reads what closes at once (`rules.complements`,
+`RuleInstance.closers`) for the keys with two alternatives or more,
+closing first.  Nothing here builds an instance:
 instances are read from the table that `rules.instance_of` fills, the
 builder proof reading and replay use too.  Together with the admissibility
 restrictions this makes "no instance applicable" coincide with the closure
@@ -389,14 +391,13 @@ class Agenda:
     stays so), one per key, less those `pick` found dead.  waiting: per
     closer, the entries with two open or more.
 
-    groups: the (member, position) pairs of each pair-rule premise, per
-    (kind, sort) for sort equations and disequations and per (kind, head)
-    for atoms; a pair is read from the other kind's group.  A `confront`
-    pair closes once a side pair (x, y) is shut (x == y, or x != y closes
-    at once: `side_pairs`); only such are tested.  A sort with members of
-    both kinds is indexed by side too: `by_side` has them per (kind, side)
-    and (kind, lhs, rhs), and `shut` per (kind, side) the other sides of
-    its shut pairs.
+    A pair-rule premise is paired with the branch's group of the other
+    kind at its sort or head (`Branch.group`), below its own position.  A
+    `confront` pair closes once a side pair (x, y) is shut (x == y, or
+    x != y closes at once: `side_pairs`); only such are tested.  A sort
+    with members of both kinds is indexed by side: `by_side` has them per
+    (kind, side) and (kind, lhs, rhs), and `shut` per (kind, side) the
+    other sides of its shut pairs.
     """
 
     def __init__(self, calculus: Calculus):
@@ -409,7 +410,7 @@ class Agenda:
         self.dead: dict = {}  # insertion-ordered, so popitem drops the newest
         self.ordered: list = []
         self.waiting: dict = {}
-        self.groups, self.by_side, self.shut = {}, {}, {}  # the pair rules'
+        self.by_side, self.shut = {}, {}  # confront's side index
 
     @staticmethod
     def _push(branch: Branch, index: dict, key, value) -> None:
@@ -420,13 +421,13 @@ class Agenda:
     def add(self, branch: Branch, added: tuple[Term, ...]) -> None:
         """Index what added, the branch's newest members, complete, close or
         are.  A key is built once, by its last premise; `mate` pairs it with
-        each earlier atom of the other kind in its head's group.  Its search
-        order is priority, position of the last premise, position of the
-        other.  A "term", witness or `confront` premise is queued alone, the
-        last with its position.  A key with two closers or more is tested: a
-        rule with sides gives its side pairs, the others the `closers` of the
-        instance read from the table, and `confront` the side index
-        (`_meet`)."""
+        each earlier atom of the other kind in the branch's group of its
+        head.  Its search order is priority, position of the last premise,
+        position of the other.  A "term", witness or `confront` premise is
+        queued alone, the last with its position.  A key with two closers or
+        more is tested: a rule with sides gives its side pairs, the others
+        the `closers` of the instance read from the table, and `confront` the
+        side index (`_meet`)."""
         joined = list(added)
         pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
@@ -442,8 +443,6 @@ class Agenda:
             info = branch.info(s)
             if info.kind in _OTHER:
                 self._meet(branch, s, i, info, pairs)
-            elif info.kind in _MATE.kinds:
-                self._push(branch, self.groups, (info.kind, info.head), (s, i))
             for rule, row, at in self.uses.get(info.kind, ()):
                 if row.inst is not None or row is _CONFRONT:  # the walk expands it
                     n = None if row.inst else i
@@ -451,10 +450,11 @@ class Agenda:
                     continue
                 keys = [((row.priority, i, 0), (rule, (s,), None))]
                 if row is _MATE:  # the earlier atoms of the other kind, same head
-                    others = self.groups.get((row.kinds[1 - at], info.head), ())
+                    others = branch.group(row.kinds[1 - at], info.head)
                     keys = [
                         ((row.priority, i, j), (rule, pair, None))
                         for p, j in others
+                        if j < i
                         for pair in [(p, s) if at else (s, p)]
                     ]
                 for order, key in keys:
@@ -479,16 +479,16 @@ class Agenda:
                     self._test(branch, entry, False)
 
     def _meet(self, branch: Branch, s: Term, i: int, info, pairs: dict) -> None:
-        """Index s, at position i, under its sort, and by side once the sort
-        has an equation and a disequation; pair it with the members one shut
-        pair away.  The first member of its kind at a sort that has the other
-        kind reads that kind's members in."""
-        first = not self.groups.get((info.kind, info.ty))  # undo leaves []
-        others = self.groups.get((_OTHER[info.kind], info.ty))
-        self._push(branch, self.groups, (info.kind, info.ty), (s, i))
-        if not others:
+        """Index s, at position i, by side once its sort has an equation and
+        a disequation before i; pair it with the members one shut pair away.
+        The first member of its kind at the sort (its group's first position
+        is i) reads the other kind's earlier members in."""
+        others = branch.group(_OTHER[info.kind], info.ty)
+        if not others or others[0][1] > i:
             return  # nothing to pair with yet
-        new = [(s, i), *others] if first else [(s, i)]
+        new = [(s, i)]
+        if branch.group(info.kind, info.ty)[0][1] == i:
+            new += (m for m in others if m[1] < i)
         for m in new:  # the earlier ones are all of one kind: no pairs
             q = branch.info(m[0])
             keys = ((q.kind, q.lhs), (q.kind, q.rhs), (_DQ, q.lhs, q.rhs))
@@ -552,7 +552,7 @@ class Agenda:
                     keys = (entry,)
                 else:  # confront: the other kind at its sort, below position n
                     info = branch.info(ps[0])
-                    others = self.groups.get((_OTHER[info.kind], info.ty), ())
+                    others = branch.group(_OTHER[info.kind], info.ty)
                     keys = (
                         (rule, ps + (p,) if info.kind is _EQ else (p,) + ps, None)
                         for p, at in itertools.takewhile(lambda m: m[1] < n, others)
@@ -667,12 +667,13 @@ def is_evident(
 ) -> EvidenceReport:
     """Check the model-existence conditions member by member.
 
-    A member, then a pair of members, violates the condition of the rule
-    that takes premises of their kinds unless the rule's conclusion from
-    them is on the branch (`_concluded_on`); a quantifier also needs some
-    instance.  scope "efo" checks the restricted-calculus conditions (exact); "stt"
-    checks the unrestricted ones, where instance conditions on functional
-    equations are bounded by fuel; "auto" picks by language.  A forced
+    A member, then a pair of members (at one sort or head: `Branch.group`),
+    violates the condition of the rule that takes premises of their kinds
+    unless the rule's conclusion from them is on the branch
+    (`_concluded_on`); a quantifier also needs some instance.  scope "efo"
+    checks the restricted-calculus conditions (exact); "stt" checks the
+    unrestricted ones, where instance conditions on functional equations
+    are bounded by fuel; "auto" picks by language.  A forced
     scope runs its calculus's gate first; any other name raises ValueError.
     On non-closed branches in the restricted language, evident coincides
     with `applicable_efo` returning nothing.
@@ -716,9 +717,10 @@ def is_evident(
             )
 
     for kinds, rule in _RULE_OF.items():
-        if len(kinds) == 2:
+        if len(kinds) == 2:  # pairs at one sort or head (an atom has no type)
             for p in branch.members(kinds[0]):
-                for q in branch.members(kinds[1]):
+                info = branch.info(p)
+                for q, _ in branch.group(kinds[1], info.ty or info.head):
                     check(rule, (p, q))
 
     return EvidenceReport(

@@ -260,11 +260,9 @@ def _cell_candidates(
     shown: dict[tuple[int, ...], dict[int, None]] = {}
     if res == o:
         for value, kind in ((1, FormulaKind.POS_ATOM), (0, FormulaKind.NEG_ATOM)):
-            for s in branch.members(kind):
-                info = branch.info(s)
-                if info.head == n:
-                    for cell in cells_of(info.args):
-                        shown.setdefault(cell, {})[value] = None
+            for s, _ in branch.group(kind, n):
+                for cell in cells_of(branch.info(s).args):
+                    shown.setdefault(cell, {})[value] = None
     else:
         for j, d in enumerate(discs[res]):
             for t in d:

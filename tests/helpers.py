@@ -1,7 +1,8 @@
 """Shared test machinery: a naive named-term oracle, seeded random
 generators, problem texts, the acceptance corpus, and member walks that
-list a branch's instances and an instance's support, the references for
-search's instance index and for `selection.support`.
+list a branch's instances, an instance's support and the pair rules' unmet
+conditions, the references for search's instance index, for
+`selection.support` and for the pairs of `selection.is_evident`.
 
 The named representation here is deliberately primitive (nested tuples with
 string binders, alpha-equivalence by parallel binder stacks) so it can serve
@@ -39,7 +40,7 @@ from hotab.kernel import (
 )
 from hotab.normalize import normalize
 from hotab.rules import RULES, RuleId, concluded, inst_type, instance_of
-from hotab.selection import CANDIDATES, fresh_var
+from hotab.selection import CANDIDATES, _concluded_on, fresh_var
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -448,6 +449,21 @@ def reference_support(branch, r) -> tuple:
         if u.name in free_vars_ordered(s):
             return r.premises + (s,)
     return r.premises
+
+
+def reference_pair_violations(branch) -> list:
+    """`selection.is_evident`'s violations of the pair rules (`mate`,
+    `confront`) as (condition, premises), in its order, by the walk over
+    every pair of members of the row's two kinds: the row's shape rejects
+    the pairs at two heads or two sorts (`_concluded_on` holds there)."""
+    out = []
+    for rule, row in RULES.items():
+        if rule in (RuleId.MATE, RuleId.CONFRONT):
+            for p in branch.members(row.kinds[0]):
+                for q in branch.members(row.kinds[1]):
+                    if not _concluded_on(branch, rule, (p, q)):
+                        out.append((rule.value, (p, q)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,20 +101,24 @@ def test_add_is_in_place_and_a_noop_records_nothing():
 
 
 def _state(br: Branch) -> tuple:
-    # undo may leave a type's sides empty, as it leaves a kind's members
+    # undo may leave a type's sides or a group empty, as it leaves a kind's
+    # members; the groups are the tuple-keyed lists beside the kinds' members
+    groups = {k: ms for k, ms in br._by_kind.items() if type(k) is tuple and ms}
+    assert all(br.group(*k) is ms for k, ms in groups.items())
     return (
         list(br),
         [br.members(kind) for kind in FormulaKind],
         list(br.free_names.items()),
         br.closing_witness,
         {ty: list(ts.items()) for ty, ts in br.sides.items() if ts},
+        groups,
     )
 
 
 def test_undo_restores_the_branch_of_the_prefix():
     # random add/undo walks, with the discriminant queries asked between
-    # steps; after every step the branch (its sides too) answers as a fresh
-    # branch_of its members would
+    # steps; after every step the branch (its sides and groups too) answers
+    # as a fresh branch_of its members would
     walks = 0
     for seed in range(40):
         gen, rng = Gen(seed + 5100), random.Random(seed)
@@ -168,6 +172,20 @@ def test_members_by_kind_keep_insertion_order_across_heads():
     assert b1.members(FormulaKind.POS_ATOM) == (s, ref(p), u)
     assert b1.members(FormulaKind.NEG_ATOM) == (t, neg(ref(q)))
     assert b1.members(FormulaKind.FORALL) == ()
+
+
+def test_groups_list_members_by_type_or_head_with_positions():
+    s, t = app(ref(g), ref(x)), neg(app(ref(g), ref(y)))
+    xy, xz = diseq(ref(x), ref(y)), eq(ref(x), ref(z))
+    b1 = branch_of(s, ref(p), xy, t, xz, eq(ref(p), ref(q)))
+    assert b1.group(FormulaKind.POS_ATOM, g) == [(s, 0)]
+    assert b1.group(FormulaKind.POS_ATOM, p) == [(ref(p), 1)]
+    assert b1.group(FormulaKind.NEG_ATOM, g) == [(t, 3)]
+    assert b1.group(FormulaKind.SORT_DISEQ, a) == [(xy, 2)]
+    assert b1.group(FormulaKind.SORT_EQ, a) == [(xz, 4)]
+    assert b1.group(FormulaKind.NEG_ATOM, p) == b1.group(FormulaKind.SORT_EQ, b) == ()
+    # no reader pairs or lists equations at o, so they are not grouped
+    assert b1.group(FormulaKind.BOOL_EQ, o) == ()
 
 
 def test_disequations_and_their_sides_at_every_type():
