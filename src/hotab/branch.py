@@ -78,63 +78,62 @@ class FormulaInfo:
     decomposable: bool = False
 
 
+#: Each shape's kind, and its kind under one negation.
+_POLAR = {
+    "bool": (FormulaKind.BOOL_EQ, FormulaKind.BOOL_DISEQ),
+    "sort": (FormulaKind.SORT_EQ, FormulaKind.SORT_DISEQ),
+    "fun": (FormulaKind.FUN_EQ, FormulaKind.FUN_DISEQ),
+    "imp": (FormulaKind.IMP, FormulaKind.NEG_IMP),
+    "forall": (FormulaKind.FORALL, FormulaKind.NEG_FORALL),
+    "atom": (FormulaKind.POS_ATOM, FormulaKind.NEG_ATOM),
+}
+
+
 def classify(s: Term) -> FormulaInfo:
-    """Classify a normal formula by the rule shapes that can consume it."""
+    """Classify a normal formula by the rule shapes that can consume it.  The
+    info is kept in the `info` slot of s; a term that is not a formula raises
+    TypeError on every call and keeps nothing."""
+    info = getattr(s, "info", None)
+    if info is None:
+        info = _shape(s)
+        object.__setattr__(s, "info", info)
+    return info
+
+
+def _shape(s: Term) -> FormulaInfo:
     if s.ty != o:
         raise TypeError(f"not a formula: {s!r}")
     w = as_neg(s)
-    if w is not None:
-        inner = as_neg(w)
-        if inner is not None:
-            return FormulaInfo(FormulaKind.DOUBLE_NEG, lhs=inner)
-        e = as_eq(w)
-        if e is not None:
-            ty, l, r = e
-            if ty == o:
-                return FormulaInfo(FormulaKind.BOOL_DISEQ, ty=ty, lhs=l, rhs=r)
-            if is_sort(ty):
-                lh, largs = spine(l)
-                rh, rargs = spine(r)
-                if type(lh) is Ref and lh.name.is_var and lh == rh:
-                    return FormulaInfo(
-                        FormulaKind.SORT_DISEQ,
-                        ty=ty,
-                        lhs=l,
-                        rhs=r,
-                        head=lh.name,
-                        largs=largs,
-                        rargs=rargs,
-                        decomposable=True,
-                    )
-                return FormulaInfo(FormulaKind.SORT_DISEQ, ty=ty, lhs=l, rhs=r)
-            return FormulaInfo(FormulaKind.FUN_DISEQ, ty=ty, lhs=l, rhs=r)
-        i = as_imp(w)
-        if i is not None:
-            return FormulaInfo(FormulaKind.NEG_IMP, lhs=i[0], rhs=i[1])
-        f = as_forall(w)
-        if f is not None:
-            return FormulaInfo(FormulaKind.NEG_FORALL, sort=f[0], pred=f[1])
-        head, args = spine(w)
-        if type(head) is Ref and head.name.is_var:
-            return FormulaInfo(FormulaKind.NEG_ATOM, head=head.name, args=args)
-        return FormulaInfo(FormulaKind.OTHER)
-    e = as_eq(s)
+    if w is not None and as_neg(w) is not None:
+        return FormulaInfo(FormulaKind.DOUBLE_NEG, lhs=as_neg(w))
+    t, negated = (s, 0) if w is None else (w, 1)
+    e = as_eq(t)
     if e is not None:
         ty, l, r = e
-        if ty == o:
-            return FormulaInfo(FormulaKind.BOOL_EQ, ty=ty, lhs=l, rhs=r)
-        if is_sort(ty):
-            return FormulaInfo(FormulaKind.SORT_EQ, ty=ty, lhs=l, rhs=r)
-        return FormulaInfo(FormulaKind.FUN_EQ, ty=ty, lhs=l, rhs=r)
-    i = as_imp(s)
+        shape = "bool" if ty == o else "sort" if is_sort(ty) else "fun"
+        if negated and shape == "sort":
+            (lh, largs), (rh, rargs) = spine(l), spine(r)
+            if is_var_ref(lh) and lh == rh:
+                return FormulaInfo(
+                    FormulaKind.SORT_DISEQ,
+                    ty=ty,
+                    lhs=l,
+                    rhs=r,
+                    head=lh.name,
+                    largs=largs,
+                    rargs=rargs,
+                    decomposable=True,
+                )
+        return FormulaInfo(_POLAR[shape][negated], ty=ty, lhs=l, rhs=r)
+    i = as_imp(t)
     if i is not None:
-        return FormulaInfo(FormulaKind.IMP, lhs=i[0], rhs=i[1])
-    f = as_forall(s)
+        return FormulaInfo(_POLAR["imp"][negated], lhs=i[0], rhs=i[1])
+    f = as_forall(t)
     if f is not None:
-        return FormulaInfo(FormulaKind.FORALL, sort=f[0], pred=f[1])
-    head, args = spine(s)
-    if type(head) is Ref and head.name.is_var:
-        return FormulaInfo(FormulaKind.POS_ATOM, head=head.name, args=args)
+        return FormulaInfo(_POLAR["forall"][negated], sort=f[0], pred=f[1])
+    head, args = spine(t)
+    if is_var_ref(head):
+        return FormulaInfo(_POLAR["atom"][negated], head=head.name, args=args)
     return FormulaInfo(FormulaKind.OTHER)
 
 

@@ -11,10 +11,12 @@ emptied: equal ones are one object, and equality is identity.  The term
 table is emptied at SHARED_BOUND (2^15) entries, so equal terms may be
 distinct objects, and term equality stays structural.  Hashing is structural
 throughout.
-Each term also carries two facts computed from its children when it is
-built: `fv`, its free variables in order of first occurrence (constants
-excluded), and `normal`, whether it holds no beta redex.  Reading either
-walks nothing.
+Each term carries three facts computed from its children when it is built:
+`fv`, its free variables in order of first occurrence (constants excluded),
+`normal`, whether it holds no beta redex, and `efo`, its leftmost subterm
+outside the restricted signature, or None.  Two slots are filled on first
+use: `negation` by `neg`, `info` by `branch.classify`.  Reading a fact walks
+nothing, and an equal term built after the table is emptied gets the same.
 
 Binding (`lam`), shifting, instantiation and substitution are leaf maps
 over one traversal, `rebuild`, which counts the binders above each leaf
@@ -197,7 +199,7 @@ def forall_sort(n: Name) -> Type | None:
 class Term(metaclass=_Shared):
     """An intrinsically typed lambda term in alpha-canonical form."""
 
-    __slots__ = ("ty", "_hash", "fv", "normal")
+    __slots__ = ("ty", "_hash", "fv", "normal", "efo", "negation", "info")
     _table = _shared
 
     def __setattr__(self, *a):  # immutable
@@ -223,6 +225,11 @@ class Ref(Term):
         object.__setattr__(self, "_hash", hash(("Ref", name)))
         object.__setattr__(self, "fv", (name,) if name.is_var else ())
         object.__setattr__(self, "normal", True)
+        # the restricted signature: variables of any type, negation,
+        # implication, and equality and the quantifier at a sort
+        ty = eq_operand_type(name) or forall_sort(name)
+        inside = name.is_var or name is NOT or name is IMP or is_sort(ty)
+        object.__setattr__(self, "efo", None if inside else self)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -243,6 +250,7 @@ class Bound(Term):
         object.__setattr__(self, "_hash", hash(("Bound", index, ty)))
         object.__setattr__(self, "fv", ())
         object.__setattr__(self, "normal", True)
+        object.__setattr__(self, "efo", None)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -277,6 +285,7 @@ class App(Term):
             ff = tuple(dict.fromkeys(ff + af))
         object.__setattr__(self, "fv", ff or af)
         object.__setattr__(self, "normal", type(f) is not Lam and f.normal and a.normal)
+        object.__setattr__(self, "efo", f.efo or a.efo)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -303,6 +312,7 @@ class Lam(Term):
         object.__setattr__(self, "_hash", hash(("Lam", dom, body._hash)))
         object.__setattr__(self, "fv", body.fv)
         object.__setattr__(self, "normal", body.normal)
+        object.__setattr__(self, "efo", body.efo)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -420,7 +430,12 @@ _IMP_REF = Ref(IMP)
 
 
 def neg(s: Term) -> Term:
-    return App(_NOT_REF, s)
+    """The negation of s, built on the first call and then kept on s."""
+    n = getattr(s, "negation", None)
+    if n is None:
+        n = App(_NOT_REF, s)
+        object.__setattr__(s, "negation", n)
+    return n
 
 
 def imp(s: Term, t: Term) -> Term:

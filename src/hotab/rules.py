@@ -49,8 +49,6 @@ from typing import Callable
 from .branch import Branch, FormulaInfo, FormulaKind, branch_of, classify
 from . import kernel
 from .kernel import (
-    IMP,
-    NOT,
     App,
     Lam,
     Name,
@@ -61,9 +59,6 @@ from .kernel import (
     as_neg,
     diseq,
     eq,
-    eq_operand_type,
-    forall_sort,
-    is_sort,
     is_var_ref,
     neg,
     ref,
@@ -456,22 +451,9 @@ class FragmentViolation(Exception):
 
 
 def efo_violation(t: Term) -> Term | None:
-    """First subterm using a constant outside the restricted signature.
-
-    Allowed: negation, implication, equality at sorts, quantifiers at sorts.
-    Variables of any type and abstractions are fine.
-    """
-    if type(t) is Ref:
-        n = t.name
-        if n.is_var or n == NOT or n == IMP:
-            return None
-        ty = eq_operand_type(n) or forall_sort(n)
-        return None if ty is not None and is_sort(ty) else t
-    if type(t) is App:
-        return efo_violation(t.fun) or efo_violation(t.arg)
-    if type(t) is Lam:
-        return efo_violation(t.body)
-    return None
+    """First subterm using a constant outside the restricted signature (see
+    `kernel.Ref`): the `efo` fact t got when it was built."""
+    return t.efo
 
 
 def quasi_efo_violation(t: Term) -> Term | None:

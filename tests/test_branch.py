@@ -85,6 +85,16 @@ def test_classify_rejects_non_formulas():
         classify(ref(x))
 
 
+def test_classify_keeps_its_info_on_the_term_and_nothing_on_a_refusal():
+    s = app(ref(g), ref(x))
+    assert classify(s) is classify(s) is s.info
+    t = app(ref(f), ref(x))  # of sort a, not a formula
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            classify(t)
+        assert not hasattr(t, "info")
+
+
 # ---------------------------------------------------------------------------
 # Branch construction
 
@@ -157,6 +167,12 @@ def test_add_rejects_bad_members():
         Branch().add(ref(x))  # not a formula
     with pytest.raises(ValueError):
         Branch().add(app(lam(p, ref(p)), ref(q)))  # not normal
+    redex = app(lam(p, ref(p)), ref(q))
+    classify(redex)  # a kept info skips no check of add
+    br = Branch()
+    with pytest.raises(ValueError):
+        br.add(redex)
+    assert list(br) == [] and br.trail == []
 
 
 def test_free_names_in_first_occurrence_order():

@@ -13,8 +13,10 @@ from hotab.kernel import (
     Base,
     Bound,
     Fun,
+    IMP,
     Lam,
     Name,
+    NOT,
     Ref,
     app,
     as_diseq,
@@ -25,13 +27,16 @@ from hotab.kernel import (
     diseq,
     eq,
     eq_const,
+    eq_operand_type,
     forall,
     forall_const,
+    forall_sort,
     free_vars,
     free_vars_ordered,
     fun,
     imp,
     instantiate,
+    is_sort,
     lam,
     names,
     neg,
@@ -44,8 +49,10 @@ from hotab.kernel import (
     spine,
     type_of,
 )
+from hotab.branch import FormulaKind, _shape, classify
 from hotab.normalize import is_normal, substitute
 from hotab.problems import parse
+from hotab.rules import efo_violation, quasi_efo_violation
 from hotab.search import Refuted, SearchConfig, refute
 from hotab.selection import fresh_var
 from helpers import (
@@ -302,10 +309,13 @@ def test_name_walks_survive_deep_nesting():
     assert free_vars(t) == {p}
     assert free_vars_ordered(t) == (p,)
     assert len(list(names(t))) == 5001
+    assert efo_violation(t) is None and quasi_efo_violation(t) is None
+    assert classify(t).kind is FormulaKind.DOUBLE_NEG
 
 
 # ---------------------------------------------------------------------------
-# Facts carried from construction: fv and normal
+# Facts carried from construction (fv, normal, efo) and kept on first use
+# (negation, info)
 
 
 def _fv_reference(t):
@@ -323,14 +333,35 @@ def _normal_reference(t):
     return True
 
 
+def _efo_reference(t):
+    """First subterm using a constant outside the restricted signature, by
+    the recursive walk: negation, implication, equality at sorts and
+    quantifiers at sorts are inside, and so are variables of any type."""
+    if type(t) is Ref:
+        n = t.name
+        if n.is_var or n == NOT or n == IMP:
+            return None
+        ty = eq_operand_type(n) or forall_sort(n)
+        return None if ty is not None and is_sort(ty) else t
+    if type(t) is App:
+        return _efo_reference(t.fun) or _efo_reference(t.arg)
+    if type(t) is Lam:
+        return _efo_reference(t.body)
+    return None
+
+
 def _carried_sample(seed):
-    """600 terms: redexes (under binders too) and formulas over constants."""
+    """800 terms: redexes (under binders too) and formulas over constants,
+    among them quantified implications whose two sides may each leave the
+    restricted signature."""
     g = Gen(seed)
     out = []
     for _ in range(200):
         out.append(g.term(g.type(2), depth=4, redex_prob=0.3))
         out.append(g.formula(3))
         out.append(g.efo_formula(3, quasi=True))
+        x = g.binder(g.sort_type())
+        out.append(forall(lam(x, imp(g.formula(2), g.formula(2)))))
     return out
 
 
@@ -343,13 +374,33 @@ def test_fv_and_normal_match_their_walks():
     assert any(not t.normal for t in before)
     assert any(type(s) is Lam and not s.normal for t in before for s in subterms(t))
     assert any(not n.is_var for t in before for n in names(t))
+    assert any(t.efo is not None for t in before)
+    assert any(type(s) is Lam and s.efo is not None for t in before for s in subterms(t))
+    apps = [s for t in before for s in subterms(t) if type(s) is App]
+    sides = [(s.fun.efo, s.arg.efo) for s in apps]
+    assert any(None not in two and two[0] != two[1] for two in sides)  # leftmost
+    assert any(t.ty == o and t.efo is None for t in before)
     for terms in (before, after):
         for t in terms:
             assert t.fv == free_vars_ordered(t) == _fv_reference(t)
             assert free_vars(t) == frozenset(_fv_reference(t))
             assert t.normal == is_normal(t) == _normal_reference(t)
+            assert t.efo == efo_violation(t) == _efo_reference(t)
+            if t.ty == o:
+                assert neg(t) is neg(t) == App(Ref(NOT), t)
+                assert classify(t) is classify(t) == _shape(t)
     for s, t in zip(before, after):
         assert s == t and (s.fv, s.normal) == (t.fv, t.normal)
+        assert s.efo == t.efo
+        if s.ty == o:
+            assert neg(s) == neg(t) and classify(s) == classify(t)
+    kernel._shared.clear()
+    rebuilt = _carried_sample(23)  # after the table is emptied once more
+    for s, t in zip(before, rebuilt):
+        assert s is not t and s.efo == t.efo
+        if s.ty == o:
+            assert neg(s) == neg(t) == App(Ref(NOT), t)
+            assert classify(s) == classify(t)
 
 
 def test_fresh_var():
