@@ -43,13 +43,19 @@ from .search import SearchConfig, refute
 # ---------------------------------------------------------------------------
 # Term- and formula-level classifiers.  Each returns the first offending
 # subterm, or None when the property holds, so reports carry witnesses.
+# They walk an explicit stack, leftmost subterm first, as a term may nest
+# deeper than Python's recursion limit.
 
 
 def lam_subterm(t: Term) -> Term | None:
-    if type(t) is Lam:
-        return t
-    if type(t) is App:
-        return lam_subterm(t.fun) or lam_subterm(t.arg)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while type(t) is App:
+            todo.append(t.arg)
+            t = t.fun
+        if type(t) is Lam:
+            return t
     return None
 
 
@@ -66,19 +72,20 @@ def pure_violation(s: Term) -> Term | None:
     d = as_diseq(s)
     if d is None:
         return s
-
-    def check(t: Term) -> Term | None:
+    todo = [d[2], d[1]]
+    while todo:
+        t = todo.pop()
+        while type(t) is App:
+            todo.append(t.arg)
+            t = t.fun
         if type(t) is Ref:
-            return None if _o_free(t.name.ty) else t
-        if type(t) is App:
-            return check(t.fun) or check(t.arg)
-        if type(t) is Lam:
+            if not _o_free(t.name.ty):
+                return t
+        elif type(t) is Lam:
             if not _o_free(t.dom):
                 return t
-            return check(t.body)
-        return None
-
-    return check(d[1]) or check(d[2])
+            todo.append(t.body)
+    return None
 
 
 def _relational_type(ty: Type) -> bool:
@@ -98,32 +105,27 @@ def bsr_violation(s: Term) -> Term | None:
     v = efo_violation(s)
     if v is not None:
         return v
-
-    def walk(t: Term, guarded: bool) -> Term | None:
+    todo = [(s, False)]  # (subterm, beneath a negation or implication)
+    while todo:
+        t, guarded = todo.pop()
         if type(t) is Ref:
             if t.name.is_var and not _relational_type(t.name.ty):
                 return t
-            return None
-        if type(t) is Lam:
+        elif type(t) is Lam:
             if not _relational_type(t.dom):
                 return t
-            return walk(t.body, guarded)
-        if type(t) is App:
-            w = as_neg(t)
-            if w is not None:
-                return walk(w, True)
-            i = as_imp(t)
-            if i is not None:
-                return walk(i[0], True) or walk(i[1], True)
-            f = as_forall(t)
-            if f is not None:
-                if guarded:
-                    return t
-                return walk(f[1], False)
-            return walk(t.fun, guarded) or walk(t.arg, guarded)
-        return None
-
-    return walk(s, False)
+            todo.append((t.body, guarded))
+        elif (w := as_neg(t)) is not None:
+            todo.append((w, True))
+        elif (i := as_imp(t)) is not None:
+            todo += ((i[1], True), (i[0], True))
+        elif (f := as_forall(t)) is not None:
+            if guarded:
+                return t
+            todo.append((f[1], False))
+        elif type(t) is App:
+            todo += ((t.arg, guarded), (t.fun, guarded))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ here) enforces, per branch A:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -113,17 +112,6 @@ class RuleInstance:
         )
         parts.append("alts=" + (alts or "(closed)"))
         return "RuleInstance(" + "; ".join(parts) + ")"
-
-    @functools.cached_property
-    def closers(self) -> tuple:
-        """Per alternative, the formulas that close it at once (the
-        `complements` of its own), or None if it is closed anyway.  Only
-        search reads it; it stays on the shared instance because search
-        recomputing it per agenda was measurably slower."""
-        return tuple(
-            None if any(map(is_reflexive, alt)) else sum(map(complements, alt), ())
-            for alt in self.alternatives
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +270,7 @@ class Rule:
     instance drawn from the branch's terms) or "fresh" (a witness variable
     not free on the branch).  priority: the group search applies the rule
     in, lower first; None for the `LEAF_RULES`, which search closes with
-    before it reads its agenda.  sides: the side pairs of the disequations
-    alts adds, if that is all it adds.
+    before it reads its agenda.
     """
 
     kinds: tuple[FormulaKind | None, ...]
@@ -291,7 +278,6 @@ class Rule:
     shape: Callable[[tuple, tuple], bool] | None = None
     inst: str | None = None
     priority: int | None = None
-    sides: Callable[..., tuple] | None = None
 
 
 _K = FormulaKind
@@ -309,21 +295,18 @@ RULES: dict[RuleId, Rule] = {
         _diseqs(_sides_mate),
         shape=lambda ps, infos: infos[0].head == infos[1].head,
         priority=8,
-        sides=_sides_mate,
     ),
     RuleId.DECOMPOSE: Rule(
         (_K.SORT_DISEQ,),
         _diseqs(_sides_decompose),
         shape=lambda ps, infos: infos[0].decomposable,
         priority=9,
-        sides=_sides_decompose,
     ),
     RuleId.CONFRONT: Rule(
         (_K.SORT_EQ, _K.SORT_DISEQ),
         _diseqs(_sides_confront),
         shape=lambda ps, infos: infos[0].ty == infos[1].ty,
         priority=10,
-        sides=_sides_confront,
     ),
     RuleId.IMP: Rule((_K.IMP,), _alts_imp, priority=7),
     RuleId.IMP_NEG: Rule((_K.NEG_IMP,), _alts_imp_neg, priority=1),
@@ -564,8 +547,8 @@ def _forall_admissible(branch: Branch, info, u: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # Closing at once: a formula whose complement is on the branch, or a
-# reflexive disequation.  The closers of an instance read these two, and so
-# do the leaf rules and the side pairs of `selection`.
+# reflexive disequation.  The leaf rules read these two, and so does
+# search's closing-first choice (`selection.Agenda`).
 
 
 def complements(s: Term) -> tuple[Term, ...]:

@@ -10,9 +10,9 @@ branch's trail: it builds each key of a row of the calculus table
 search order; a pair rule reads a premise's partners from the branch's
 groups (`Branch.group`), as `is_evident` does.  Its walk
 (`Agenda.instances`) yields the productive instances lazily and skips the
-dead ones; `pick` reads what closes at once (`rules.complements`,
-`RuleInstance.closers`) for the keys with two alternatives or more,
-closing first.  Nothing here builds an instance:
+dead ones; `pick` takes first a key with two alternatives or more that all
+close at once but one at most (`rules.complements`, `rules.is_reflexive`).
+Nothing here builds an instance:
 instances are read from the table that `rules.instance_of` fills, the
 builder proof reading and replay use too.  Together with the admissibility
 restrictions this makes "no instance applicable" coincide with the closure
@@ -48,7 +48,6 @@ from .kernel import (
     as_diseq,
     as_eq,
     as_neg,
-    diseq,
     eq_const,
     is_var_ref,
     o,
@@ -387,17 +386,19 @@ class Agenda:
     order, the keys the rows' shapes accept and the (rule, (premise,), n)
     entries the walk expands (n: a `confront` premise's position).  dead:
     the keys of unproductive instances.  ordered: sorted (search order, key,
-    row, closers) entries with one open alternative at most (a closed one
-    stays so), one per key, less those `pick` found dead.  waiting: per
-    closer, the entries with two open or more.
+    instance) entries whose alternatives all close at once but one at most
+    (an alternative closes at once if one of its formulas is reflexive or
+    has a complement on the branch, and stays so), one per key, less those
+    `pick` found dead.  waiting: per complement of an open alternative's
+    formula, the entries with two open alternatives or more.
 
     A pair-rule premise is paired with the branch's group of the other
     kind at its sort or head (`Branch.group`), below its own position.  A
     `confront` pair closes once a side pair (x, y) is shut (x == y, or
-    x != y closes at once: `side_pairs`); only such are tested.  A sort
-    with members of both kinds is indexed by side: `by_side` has them per
-    (kind, side) and (kind, lhs, rhs), and `shut` per (kind, side) the
-    other sides of its shut pairs.
+    x != y closes at once: `side_pairs`); only such are tested, and the
+    side index finds them.  A sort with members of both kinds is indexed
+    by side: `by_side` has them per (kind, side), and `shut` per (kind,
+    side) the other sides of its shut pairs.
     """
 
     def __init__(self, calculus: Calculus):
@@ -424,16 +425,13 @@ class Agenda:
         each earlier atom of the other kind in the branch's group of its
         head.  Its search order is priority, position of the last premise,
         position of the other.  A "term", witness or `confront` premise is
-        queued alone, the last with its position.  A key with two closers or
-        more is tested: a rule with sides gives its side pairs, the others
-        the `closers` of the instance read from the table, and `confront` the
-        side index (`_meet`)."""
-        joined = list(added)
+        queued alone, the last with its position.  A key whose instance has
+        two alternatives or more is tested, and so is a `confront` pair the
+        side index meets (`_meet`)."""
         pairs: dict = {}  # confront's (equation, disequation), with positions
         for s in added:
             closes = side_pairs(s)
             if closes:
-                joined.append(closes)
                 x, y = closes  # pair the members it shuts, then index it
                 es, ds = self.by_side.get((_EQ, x), ()), self.by_side.get((_DQ, y), ())
                 pairs.update(dict.fromkeys(itertools.product(es, ds)))
@@ -463,17 +461,15 @@ class Agenda:
                         if not row.shape(key[1], infos):
                             continue
                     self._push(branch, self.queues, row.priority, key)
-                    sides = row.sides
-                    closers = sides(*infos) if sides else instance_of(*key).closers
-                    if len(closers) >= 2:
-                        self._test(branch, (order, key, row, closers), True)
+                    r = instance_of(*key)
+                    if len(r.alternatives) >= 2:
+                        self._test(branch, (order, key, r), True)
         for e, d in pairs:  # ordered by positions, as mate keys are
             key = (RuleId.CONFRONT, (e[0], d[0]), None)
             order = (_CONFRONT.priority, max(e[1], d[1]), min(e[1], d[1]))
             if not self._known(order, key):
-                sides = _CONFRONT.sides(branch.info(e[0]), branch.info(d[0]))
-                self._test(branch, (order, key, _CONFRONT, sides), False)
-        for c in joined:
+                self._test(branch, (order, key, instance_of(*key)), False)
+        for c in added:
             for entry in self.waiting.get(c, ()):
                 if not self._known(*entry[:2]):
                     self._test(branch, entry, False)
@@ -491,9 +487,8 @@ class Agenda:
             new += (m for m in others if m[1] < i)
         for m in new:  # the earlier ones are all of one kind: no pairs
             q = branch.info(m[0])
-            keys = ((q.kind, q.lhs), (q.kind, q.rhs), (_DQ, q.lhs, q.rhs))
-            for key in keys[: 3 if q.kind is _DQ else 2]:
-                self._push(branch, self.by_side, key, m)
+            for z in (q.lhs, q.rhs):
+                self._push(branch, self.by_side, (q.kind, z), m)
         for z in (info.lhs, info.rhs):
             for w in (z, *self.shut.get((info.kind, z), ())):
                 for p in self.by_side.get((_OTHER[info.kind], w), ()):
@@ -504,21 +499,22 @@ class Agenda:
         return key in self.dead or at < len(self.ordered) and self.ordered[at][1] == key
 
     def _test(self, branch: Branch, entry: tuple, new: bool) -> None:
-        if entry[2].sides is None:
-            shut = [cl is None or any(c in branch for c in cl) for cl in entry[3]]
-        else:
-            get = self.shut.get
-            shut = [
-                any(x == y or y in get((_EQ, x), ()) for x, y in a) for a in entry[3]
-            ]
+        """Order the entry if its alternatives all close at once but one at
+        most; else, if it is new, wait on the complements of the open ones."""
+        alts = entry[2].alternatives
+        shut = [
+            any(is_reflexive(s) or any(c in branch for c in complements(s)) for s in a)
+            for a in alts
+        ]
         if shut.count(False) <= 1:
             at = bisect_left(self.ordered, entry)
             self.ordered.insert(at, entry)
             branch.trail.append(functools.partial(self.ordered.pop, at))
         elif new:
-            for alt, done in zip(entry[3], shut):
-                for c in () if done else alt:
-                    self._push(branch, self.waiting, c, entry)
+            for alt, done in zip(alts, shut):
+                for s in () if done else alt:
+                    for c in complements(s):
+                        self._push(branch, self.waiting, c, entry)
 
     def instances(
         self, branch: Branch, fuel: int = 3, reserved: tuple[Name, ...] = ()
@@ -569,17 +565,13 @@ class Agenda:
 
     def pick(self, branch: Branch) -> RuleInstance | None:
         """The first productive closing instance in search order; the dead
-        entries before it leave `ordered`.  Builds a `confront` one to return."""
-        ordered, dead, get = self.ordered, self.dead, self.by_side.get
+        entries before it leave `ordered`."""
+        ordered, dead = self.ordered, self.dead
         while ordered:
-            entry = _, key, row, closers = ordered[0]
+            entry = _, key, r = ordered[0]
             if key not in dead:
-                if row is not _CONFRONT:
-                    r = instance_of(*key)
-                    if productive(branch, r.alternatives):
-                        return r
-                elif all(any(not get((_DQ, *p)) for p in a) for a in closers):
-                    return instance_of(*key)
+                if productive(branch, r.alternatives):
+                    return r
                 dead[key] = None
                 branch.trail.append(dead.popitem)
             del ordered[0]
@@ -649,16 +641,13 @@ def _concluded_on(branch: Branch, rule: RuleId, premises, inst=()) -> bool:
     """Whether the branch holds the rule's conclusion from these premises
     (and instantiation term): vacuously where the row's shape rejects them;
     for a witness rule, some variable's instance (`concluded`); otherwise
-    all of some alternative of the instance the row builds, one at a time
-    where it adds disequations."""
+    all of some alternative the row builds."""
     row = RULES[rule]
     infos = tuple(map(branch.info, premises))
     if row.shape is not None and not row.shape(premises, infos):
         return True
     if row.inst == "fresh":
         return concluded(branch, rule, infos[0])
-    if row.sides is not None:
-        return any(all(diseq(x, y) in branch for x, y in a) for a in row.sides(*infos))
     return not productive(branch, row.alts(*infos, *inst))
 
 

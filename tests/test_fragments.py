@@ -160,6 +160,25 @@ def test_classify_branch_lambda_free_requires_restricted_language():
     assert not rep.decidable()
 
 
+def test_classify_branch_reports_on_terms_nested_5000_deep():
+    # the classifiers walk an explicit stack: a negation nested 5,000 deep
+    # and a disequation with a side 5,000 applications deep are classified
+    # in full (the report's describe() still prints them recursively)
+    s = ref(V("p", o))
+    for _ in range(5000):
+        s = neg(s)
+    rep = classify_branch([s])
+    assert rep.is_quasi_efo and rep.is_lambda_free and rep.is_bsr
+    assert not rep.is_pure and rep.witnesses["pure"][1] is s
+    f, c = ref(V("f", fun(a, a))), ref(V("c", a))
+    t = c
+    for _ in range(5000):
+        t = app(f, t)
+    rep = classify_branch([diseq(t, c)])
+    assert rep.is_quasi_efo and rep.is_lambda_free and rep.is_pure
+    assert not rep.is_bsr and rep.witnesses["bsr"][1] is f
+
+
 def test_classify_accepts_branch_objects():
     p, y = V("p", fun(a, o)), V("y", a)
     br = branch_of(app(ref(p), ref(y)))

@@ -1114,7 +1114,7 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
         eqs = br.group(FormulaKind.SORT_EQ, sort("a"))
         assert eqs == [(eq(c0, c1), len(diseqs))]
         assert len(agenda.by_side[FormulaKind.SORT_DISEQ, c0]) == 3
-        assert [key for _, key, _, _ in agenda.ordered] == confronts
+        assert [key for _, key, _ in agenda.ordered] == confronts
         br.undo(mark)
         assert not any(agenda.by_side.values()) and not agenda.ordered
         assert br._by_kind[FormulaKind.SORT_EQ, sort("a")] == []
@@ -1125,7 +1125,7 @@ def test_the_agenda_indexes_a_sort_once_it_has_an_equation_and_a_disequation():
     agenda.add(br, tuple(br))
     assert agenda.by_side[FormulaKind.SORT_EQ, c0] == [(eq(c0, c1), 0)]
     assert len(agenda.by_side[FormulaKind.SORT_DISEQ, c0]) == 3
-    assert [key for _, key, _, _ in agenda.ordered] == confronts
+    assert [key for _, key, _ in agenda.ordered] == confronts
 
 
 def test_the_agenda_pairs_an_atom_with_the_atoms_of_its_head():
@@ -1196,8 +1196,8 @@ def test_undoing_the_branch_cuts_the_agenda_queues_back():
 def test_pick_drops_the_dead_entries_it_walks_past():
     # c0 = c1 confronts c0 != c2 and c1 != c2 at once (shared sides), and
     # both instances are dead: their second alternative is on the branch.
-    # pick reads that off the index, builds neither, and takes both out of
-    # the ordered entries until the branch is undone
+    # pick finds them unproductive and takes both out of the ordered entries
+    # until the branch is undone
     from hotab.problems import parse
     from hotab.selection import Agenda
 
@@ -1205,13 +1205,12 @@ def test_pick_drops_the_dead_entries_it_walks_past():
         "(sort a)(var c0 a)(var c1 a)(var c2 a)"
         "(assume (= c0 c1))(assume (neq c0 c2))(assume (neq c1 c2))"
     ).branch()
-    rules._built.clear()
     agenda = Agenda(CALCULI["efo"])
     agenda.add(br, tuple(br))
-    assert [key[0] for _, key, _, _ in agenda.ordered] == [RuleId.CONFRONT] * 2
+    assert [key[0] for _, key, _ in agenda.ordered] == [RuleId.CONFRONT] * 2
     mark = len(br.trail)
     assert agenda.pick(br) is None
-    assert not agenda.ordered and len(agenda.dead) == 2 and not rules._built
+    assert not agenda.ordered and len(agenda.dead) == 2
     br.undo(mark)
     assert len(agenda.ordered) == 2 and not agenda.dead
 
@@ -1239,7 +1238,7 @@ def test_the_agenda_orders_each_closing_key_once():
         agenda.add(br, new)
 
     def count(agenda, key):
-        return [k for _, k, _, _ in agenda.ordered].count(key)
+        return [k for _, k, _ in agenda.ordered].count(key)
 
     # confront c = d, e != g: c = e and d = g shut both alternatives
     br, agenda = agenda_on("(assume (= c d))(assume (neq e g))")
